@@ -25,6 +25,10 @@ class DimensionError(ValueError):
     """Matrix and vector shapes do not line up."""
 
 
+class InternalConsistencyError(RuntimeError):
+    """Two independent computation paths disagreed; this is an algebra bug."""
+
+
 # ---------------------------------------------------------------------------
 # raw integer matrices (lists of rows); empty dimensions are legal everywhere
 
@@ -60,6 +64,12 @@ def _mat_vec(a: list[list[int]], v: list[int]) -> list[int]:
     return [sum(ai[j] * v[j] for j in range(len(v))) for ai in a]
 
 
+def _mat_vec_sparse(a, v: list[int]) -> list[int]:
+    """``a * v`` touching only the nonzero entries of ``v``."""
+    nonzero = [(j, x) for j, x in enumerate(v) if x]
+    return [sum(ai[j] * x for j, x in nonzero) for ai in a]
+
+
 def _hstack(a: list[list[int]], b: list[list[int]], rows: int) -> list[list[int]]:
     if not a:
         a = [[] for _ in range(rows)]
@@ -70,20 +80,6 @@ def _hstack(a: list[list[int]], b: list[list[int]], rows: int) -> list[list[int]
 
 # ---------------------------------------------------------------------------
 # groups
-
-
-def _factorize(n: int) -> dict[int, int]:
-    # trial division; the moduli arising here are small
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 @dataclass(frozen=True)
@@ -119,27 +115,22 @@ class FGAbelianGroup:
         FGAbelianGroup(rank=1, torsion=(2, 4))
         """
         rank = 0
-        by_prime: dict[int, list[int]] = {}
+        factors = []
         for n in moduli:
             n = abs(n)
             if n == 0:
                 rank += 1
-            elif n == 1:
-                continue
-            else:
-                for p, e in _factorize(n).items():
-                    by_prime.setdefault(p, []).append(e)
-        for exps in by_prime.values():
-            exps.sort(reverse=True)
-        factors = []
-        while any(by_prime.values()):
-            d = 1
-            for p, exps in by_prime.items():
-                if exps:
-                    d *= p ** exps.pop(0)
-            factors.append(d)
-        factors.reverse()
-        return cls(rank, tuple(factors))
+            elif n != 1:
+                factors.append(n)
+        # Z/a + Z/b = Z/gcd + Z/lcm; after step i, factors[i] divides every
+        # later entry, and later steps only replace entries by gcds and lcms
+        # of its multiples, so the result is a divisibility chain
+        for i in range(len(factors)):
+            for j in range(i + 1, len(factors)):
+                a, b = factors[i], factors[j]
+                g = gcd(a, b)
+                factors[i], factors[j] = g, a // g * b
+        return cls(rank, tuple(d for d in factors if d != 1))
 
     def cyclic_summands(self) -> tuple[int, ...]:
         """Moduli of the canonical cyclic summands, free parts first (as 0)."""
@@ -501,44 +492,67 @@ def integer_kernel_basis(A: IntegerHom) -> IntegerHom:
     return IntegerHom.from_rows(rows, width=A.cols - r)
 
 
+class Factorization:
+    """One Smith normal form of ``A``, reused for every right-hand side.
+
+    Solving ``A x = b`` reduces to ``U_inv * b``, a divisibility test against
+    the diagonal and one product with ``V_inv``; none of it refactors ``A``.
+    """
+
+    def __init__(self, A: IntegerHom):
+        self.A = A
+        self.snf = smith_normal_form(A)
+        diagonal = self.snf.diagonal
+        # padded with zeros to one entry per row of A
+        self.diagonal = diagonal + (0,) * (A.rows - len(diagonal))
+
+    def _reduced(self, b: list[int]) -> list[int]:
+        if len(b) != self.A.rows:
+            raise DimensionError("target length does not match rows")
+        return _mat_vec_sparse(self.snf.U_inv.entries, b)
+
+    def contains(self, b: list[int]) -> bool:
+        """Is ``b`` in the lattice spanned by the columns of ``A``?"""
+        w = self._reduced(b)
+        return all(w[i] % d == 0 if d else not w[i] for i, d in enumerate(self.diagonal))
+
+    def solve(self, b: list[int]) -> list[int] | None:
+        """Some integer solution of ``A x = b``, or None when there is none."""
+        w = self._reduced(b)
+        y = [0] * self.A.cols
+        for i, d in enumerate(self.diagonal):
+            if d:
+                if w[i] % d:
+                    return None
+                y[i] = w[i] // d
+            elif w[i]:
+                return None
+        return _mat_vec_sparse(self.snf.V_inv.entries, y)
+
+    def solve_mod(self, b: list[int], modulus: int) -> list[int] | None:
+        """Some solution of ``A x = b (mod modulus)``, entries in [0, modulus)."""
+        if modulus < 2:
+            raise ValueError("modulus must be >= 2")
+        w = [x % modulus for x in self._reduced(b)]
+        y = [0] * self.A.cols
+        for i, d in enumerate(self.diagonal):
+            g = gcd(d, modulus)
+            if w[i] % g:
+                return None
+            if g != modulus:
+                m2 = modulus // g
+                y[i] = (w[i] // g) * pow(d // g, -1, m2) % m2
+        return [x % modulus for x in _mat_vec_sparse(self.snf.V_inv.entries, y)]
+
+
 def integer_solve(A: IntegerHom, b: list[int]) -> list[int] | None:
     """Some integer solution of A x = b, or None when there is none."""
-    if len(b) != A.rows:
-        raise DimensionError("target length does not match rows")
-    s = smith_normal_form(A)
-    w = s.U_inv.apply_int(list(b))
-    y = [0] * A.cols
-    mn = min(A.rows, A.cols)
-    for i in range(A.rows):
-        di = s.D.entries[i][i] if i < mn else 0
-        if di:
-            if w[i] % di:
-                return None
-            y[i] = w[i] // di
-        elif w[i]:
-            return None
-    return s.V_inv.apply_int(y)
+    return Factorization(A).solve(b)
 
 
 def modular_solve(A: IntegerHom, b: list[int], modulus: int) -> list[int] | None:
     """Some solution of A x = b (mod modulus), entries reduced into [0, modulus)."""
-    if len(b) != A.rows:
-        raise DimensionError("target length does not match rows")
-    if modulus < 2:
-        raise ValueError("modulus must be >= 2")
-    s = smith_normal_form(A)
-    w = [x % modulus for x in s.U_inv.apply_int(list(b))]
-    y = [0] * A.cols
-    mn = min(A.rows, A.cols)
-    for i in range(A.rows):
-        di = s.D.entries[i][i] if i < mn else 0
-        g = gcd(di, modulus)
-        if w[i] % g:
-            return None
-        if i < mn and g != modulus:
-            m2 = modulus // g
-            y[i] = (w[i] // g) * pow(di // g, -1, m2) % m2
-    return [x % modulus for x in s.V_inv.apply_int(y)]
+    return Factorization(A).solve_mod(b, modulus)
 
 
 def lattice_column_basis(W: IntegerHom) -> IntegerHom:
@@ -548,11 +562,6 @@ def lattice_column_basis(W: IntegerHom) -> IntegerHom:
     diag = s.diagonal
     rows = [[diag[j] * s.U.entries[i][j] for j in range(r)] for i in range(W.rows)]
     return IntegerHom.from_rows(rows, width=r)
-
-
-def lattice_contains(gens: IntegerHom, vector: list[int]) -> bool:
-    """Is the vector an integer combination of the given generator columns?"""
-    return integer_solve(gens, vector) is not None
 
 
 def cokernel_presentation(Y: IntegerHom) -> tuple[FGAbelianGroup, list[tuple[list[int], int]]]:
@@ -632,11 +641,12 @@ def solve(
     for e in target:
         if e.group != coefficient:
             raise GroupMismatchError("target parent differs from the coefficient group")
+    factored = Factorization(A) if coefficient.cyclic_summands() else None
     free_parts: list[list[int]] = []
     for k in range(coefficient.rank):
         if cancel is not None:
             cancel()
-        sol = integer_solve(A, [e.free[k] for e in target])
+        sol = factored.solve([e.free[k] for e in target])
         if sol is None:
             return None
         free_parts.append(sol)
@@ -644,7 +654,7 @@ def solve(
     for j, d in enumerate(coefficient.torsion):
         if cancel is not None:
             cancel()
-        sol = modular_solve(A, [e.tors[j] for e in target], d)
+        sol = factored.solve_mod([e.tors[j] for e in target], d)
         if sol is None:
             return None
         tors_parts.append(sol)
@@ -656,5 +666,6 @@ def solve(
         )
         for i in range(A.cols)
     ]
-    assert A.apply(out, coefficient) == target
+    if A.apply(out, coefficient) != target:
+        raise InternalConsistencyError("solve produced x with A x != target")
     return out

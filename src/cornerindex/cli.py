@@ -3,8 +3,8 @@
 Subcommands: validate, homology, family, obstruction, gallery.  Reports are
 fully deterministic; timing lives in a separate top-level field that golden
 comparisons drop.  Exit codes: 0 success, 1 domain failure, 2 parse failure,
-3 unsupported codimension.  Set CORNER_INDEX_LOG=debug for diagnostics on
-standard error.
+3 unsupported codimension, 4 internal error (a failed cross-check, always a
+bug).  Set CORNER_INDEX_LOG=debug for diagnostics on standard error.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import sys
 import time
 
 from . import documents
+from .abelian import InternalConsistencyError
 from .conormal import build_complex, homology
 from .documents import InputError, canonical_json
 from .faces import FilteredPair, require_valid, validate
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_PARSE = 2
 EXIT_UNSUPPORTED = 3
+EXIT_INTERNAL = 4
 
 log = logging.getLogger("cornerindex")
 
@@ -302,6 +304,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except InternalConsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     if result is None:
         return code
     elapsed_ms = (time.perf_counter() - started) * 1000.0

@@ -16,10 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .abelian import (
+# integer_solve is no longer called here; it stays importable from this
+# module, where callers and the benchmark's tracer self-test look it up
+from .abelian import (  # noqa: F401
+    Factorization,
     FGAbelianGroup,
     GroupElement,
     IntegerHom,
+    InternalConsistencyError,
     cokernel_presentation,
     direct_sum,
     integer_kernel_basis,
@@ -29,10 +33,6 @@ from .abelian import (
     tor,
 )
 from .faces import FacePoset, FilteredPair, require_valid
-
-
-class InternalConsistencyError(RuntimeError):
-    """Two independent computation paths disagreed; this is an algebra bug."""
 
 
 def orientation_sign(indices) -> tuple[tuple, int]:
@@ -84,7 +84,13 @@ class ConormalChainComplex:
 
 
 def build_complex(pair: FilteredPair, coefficient: FGAbelianGroup) -> ConormalChainComplex:
-    poset = require_valid(pair.base)
+    require_valid(pair.base)
+    return _build_complex(pair, coefficient)
+
+
+def _build_complex(pair: FilteredPair, coefficient: FGAbelianGroup) -> ConormalChainComplex:
+    """:func:`build_complex` for a pair whose base is already validated."""
+    poset = pair.base
     degrees = tuple(pair.degrees())
     bases = {p: tuple(f.id for f in poset.faces_of_codim(p)) for p in degrees}
     boundary = {}
@@ -154,9 +160,10 @@ def _scaled_identity(n: int, c: int) -> IntegerHom:
 def _integer_homology_gens(Dp: IntegerHom, Dp1: IntegerHom):
     """Homology ker(Dp)/im(Dp1) over Z, with generating cycles and orders."""
     kernel = integer_kernel_basis(Dp)
+    factored = Factorization(kernel)
     cols = []
     for b in Dp1.columns():
-        y = integer_solve(kernel, b)
+        y = factored.solve(b)
         if y is None:
             raise InternalConsistencyError("a boundary column is not a cycle")
         cols.append(y)
@@ -182,9 +189,10 @@ def _modular_homology_gens(Dp: IntegerHom, Dp1: IntegerHom, c: int):
     n = Dp.cols
     basis = _mod_cycle_basis(Dp, c)
     kill = _hstack_hom(Dp1, _scaled_identity(n, c))
+    factored = Factorization(basis)
     cols = []
     for b in kill.columns():
-        y = integer_solve(basis, b)
+        y = factored.solve(b)
         if y is None:
             raise InternalConsistencyError("boundary lattice escapes the cycle lattice")
         cols.append(y)
@@ -226,15 +234,15 @@ def homology(complex: ConormalChainComplex) -> HomologyResult:
     groups: dict[int, FGAbelianGroup] = {}
     representatives: dict[int, list[ChainVector]] = {}
     for p in complex.degrees:
+        by_modulus = {0: integer_results[p]}
+        for c in set(G.torsion):
+            by_modulus[c] = _modular_homology_gens(
+                complex.boundary[p], complex.boundary_or_zero(p + 1), c
+            )
         parts = []
         vectors = []
         for slot, c in enumerate(G.cyclic_summands()):
-            if c == 0:
-                grp, gens = integer_results[p]
-            else:
-                grp, gens = _modular_homology_gens(
-                    complex.boundary[p], complex.boundary_or_zero(p + 1), c
-                )
+            grp, gens = by_modulus[c]
             parts.append(grp)
             for vec, _order in gens:
                 vectors.append(_embed_chain(complex, p, slot, vec))
@@ -252,20 +260,6 @@ def homology(complex: ConormalChainComplex) -> HomologyResult:
     result = HomologyResult(complex, groups, representatives, (FGAbelianGroup(0),) * 2)
     result.periodized = periodize(result)
     return result
-
-
-def homology_via_uct(complex: ConormalChainComplex) -> dict[int, FGAbelianGroup]:
-    """Per-degree homology assembled from integer homology alone."""
-    G = complex.coefficient
-    integral = {
-        p: _integer_homology_gens(complex.boundary[p], complex.boundary_or_zero(p + 1))[0]
-        for p in complex.degrees
-    }
-    out = {}
-    for p in complex.degrees:
-        previous = integral.get(p - 1, FGAbelianGroup(0))
-        out[p] = direct_sum(tensor(integral[p], G), tor(previous, G))
-    return out
 
 
 def periodize(result: HomologyResult) -> tuple[FGAbelianGroup, FGAbelianGroup]:
@@ -286,9 +280,13 @@ def periodize(result: HomologyResult) -> tuple[FGAbelianGroup, FGAbelianGroup]:
 
 
 @dataclass
-class _Presentation:
+class _Layout:
     blocks: tuple[tuple[int, int], ...]  # (degree, size)
     n: int
+
+
+@dataclass
+class _Presentation(_Layout):
     cycles: IntegerHom  # n x k basis
     relations: IntegerHom  # n x g generators
 
@@ -309,14 +307,19 @@ def _block_diag(parts: list[IntegerHom], sizes: list[int]) -> IntegerHom:
     return IntegerHom.from_rows(entries, width=total_cols)
 
 
+def _layout(poset: FacePoset, low: int, high: int, parity: int) -> _Layout:
+    """The chain modules of the pair in one parity, stacked."""
+    blocks = tuple(
+        (p, len(poset.faces_of_codim(p))) for p in range(low + 1, high + 1) if p % 2 == parity
+    )
+    return _Layout(blocks, sum(size for _, size in blocks))
+
+
 def _presentation(poset: FacePoset, low: int, high: int, parity: int, c: int) -> _Presentation:
-    blocks = []
+    layout = _layout(poset, low, high, parity)
     cycle_parts = []
     relation_parts = []
-    for p in range(low + 1, high + 1):
-        if p % 2 != parity:
-            continue
-        n_p = len(poset.faces_of_codim(p))
+    for p, n_p in layout.blocks:
         Dp = incidence_matrix(poset, p)
         if p - 1 <= low:
             Dp = IntegerHom.zero(Dp.rows, Dp.cols)
@@ -327,17 +330,16 @@ def _presentation(poset: FacePoset, low: int, high: int, parity: int, c: int) ->
         else:
             cycle_parts.append(_mod_cycle_basis(Dp, c))
             relation_parts.append(_hstack_hom(Dp1, _scaled_identity(n_p, c)))
-        blocks.append((p, n_p))
-    sizes = [s for _, s in blocks]
+    sizes = [s for _, s in layout.blocks]
     return _Presentation(
-        blocks=tuple(blocks),
-        n=sum(sizes),
+        blocks=layout.blocks,
+        n=layout.n,
         cycles=_block_diag(cycle_parts, sizes),
         relations=_block_diag(relation_parts, sizes),
     )
 
 
-def _degree_identity_map(src: _Presentation, tgt: _Presentation) -> IntegerHom:
+def _degree_identity_map(src: _Layout, tgt: _Layout) -> IntegerHom:
     entries = [[0] * src.n for _ in range(tgt.n)]
     src_off = 0
     for degree, size in src.blocks:
@@ -351,9 +353,7 @@ def _degree_identity_map(src: _Presentation, tgt: _Presentation) -> IntegerHom:
     return IntegerHom.from_rows(entries, width=src.n)
 
 
-def _connecting_chain_map(
-    src: _Presentation, tgt: _Presentation, poset: FacePoset, m: int
-) -> IntegerHom:
+def _connecting_chain_map(src: _Layout, tgt: _Layout, poset: FacePoset, m: int) -> IntegerHom:
     entries = [[0] * src.n for _ in range(tgt.n)]
     src_off = 0
     for degree, size in src.blocks:
@@ -371,7 +371,8 @@ def _connecting_chain_map(
 
 
 def _lattice_subset(gens_a: IntegerHom, gens_b: IntegerHom) -> bool:
-    return all(integer_solve(gens_b, col) is not None for col in gens_a.columns())
+    factored = Factorization(gens_b)
+    return all(factored.contains(col) for col in gens_a.columns())
 
 
 def _node_exact(
@@ -399,9 +400,12 @@ def _node_exact(
 _EMPTY_PRES = _Presentation((), 0, IntegerHom.zero(0, 0), IntegerHom.zero(0, 0))
 
 
-def _periodized_group(poset: FacePoset, low: int, high: int, G: FGAbelianGroup, parity: int):
-    result = homology(build_complex(FilteredPair(poset, low, high), G))
-    return result.periodized[parity]
+def _periodized(
+    poset: FacePoset, low: int, high: int, G: FGAbelianGroup
+) -> tuple[FGAbelianGroup, FGAbelianGroup]:
+    """(even, odd) periodized homology of the pair (X_high, X_low) of an
+    already validated poset."""
+    return homology(_build_complex(FilteredPair(poset, low, high), G)).periodized
 
 
 @dataclass
@@ -430,37 +434,22 @@ def six_term(poset: FacePoset, q: int, m: int, l: int, G: FGAbelianGroup) -> Six
     if not (-1 <= q <= m <= l <= d):
         raise ValueError(f"triple ({q}, {m}, {l}) violates -1 <= q <= m <= l <= {d}")
 
-    groups = {
-        "h1_mq": _periodized_group(poset, q, m, G, 1),
-        "h1_lq": _periodized_group(poset, q, l, G, 1),
-        "h1_lm": _periodized_group(poset, m, l, G, 1),
-        "h0_mq": _periodized_group(poset, q, m, G, 0),
-        "h0_lq": _periodized_group(poset, q, l, G, 0),
-        "h0_lm": _periodized_group(poset, m, l, G, 0),
-    }
-
-    def presentations(c: int) -> dict:
-        return {
-            ("mq", 1): _presentation(poset, q, m, 1, c),
-            ("lq", 1): _presentation(poset, q, l, 1, c),
-            ("lm", 1): _presentation(poset, m, l, 1, c),
-            ("mq", 0): _presentation(poset, q, m, 0, c),
-            ("lq", 0): _presentation(poset, q, l, 0, c),
-            ("lm", 0): _presentation(poset, m, l, 0, c),
-        }
-
-    def arrows_for(pres: dict) -> dict:
-        return {
-            "i1": (("mq", 1), ("lq", 1), _degree_identity_map(pres[("mq", 1)], pres[("lq", 1)])),
-            "p1": (("lq", 1), ("lm", 1), _degree_identity_map(pres[("lq", 1)], pres[("lm", 1)])),
-            "d1": (("lm", 1), ("mq", 0), _connecting_chain_map(pres[("lm", 1)], pres[("mq", 0)], poset, m)),
-            "i0": (("mq", 0), ("lq", 0), _degree_identity_map(pres[("mq", 0)], pres[("lq", 0)])),
-            "p0": (("lq", 0), ("lm", 0), _degree_identity_map(pres[("lq", 0)], pres[("lm", 0)])),
-            "d0": (("lm", 0), ("mq", 1), _connecting_chain_map(pres[("lm", 0)], pres[("mq", 1)], poset, m)),
-        }
+    pairs = {"mq": (q, m), "lq": (q, l), "lm": (m, l)}
+    # one homology per pair; each node reads one parity of it
+    periodized = {tag: _periodized(poset, low, high, G) for tag, (low, high) in pairs.items()}
+    groups = {f"h{parity}_{tag}": periodized[tag][parity] for parity in (1, 0) for tag in pairs}
 
     # the chain-level matrices depend only on the block layout, not on G
-    maps = {name: arrow[2] for name, arrow in arrows_for(presentations(0)).items()}
+    layouts = {(tag, parity): _layout(poset, *pairs[tag], parity) for parity in (1, 0) for tag in pairs}
+    arrows = {
+        "i1": (("mq", 1), ("lq", 1), _degree_identity_map(layouts[("mq", 1)], layouts[("lq", 1)])),
+        "p1": (("lq", 1), ("lm", 1), _degree_identity_map(layouts[("lq", 1)], layouts[("lm", 1)])),
+        "d1": (("lm", 1), ("mq", 0), _connecting_chain_map(layouts[("lm", 1)], layouts[("mq", 0)], poset, m)),
+        "i0": (("mq", 0), ("lq", 0), _degree_identity_map(layouts[("mq", 0)], layouts[("lq", 0)])),
+        "p0": (("lq", 0), ("lm", 0), _degree_identity_map(layouts[("lq", 0)], layouts[("lm", 0)])),
+        "d0": (("lm", 0), ("mq", 1), _connecting_chain_map(layouts[("lm", 0)], layouts[("mq", 1)], poset, m)),
+    }
+    maps = {name: mat for name, (_, _, mat) in arrows.items()}
 
     node_wiring = {
         ("mq", 1): ("d0", "i1"),
@@ -471,8 +460,7 @@ def six_term(poset: FacePoset, q: int, m: int, l: int, G: FGAbelianGroup) -> Six
         ("lm", 0): ("p0", "d0"),
     }
     for c in sorted(set(G.cyclic_summands())):
-        pres = presentations(c)
-        arrows = arrows_for(pres)
+        pres = {key: _presentation(poset, *pairs[key[0]], key[1], c) for key in layouts}
         for node_key, (in_name, out_name) in node_wiring.items():
             in_src, _, in_mat = arrows[in_name]
             _, out_tgt, out_mat = arrows[out_name]
@@ -521,16 +509,16 @@ def connected_boundary_ses(poset: FacePoset, G: FGAbelianGroup) -> BoundarySESRe
     if d < 1 or not poset.faces_of_codim(1):
         raise ValueError("the boundary sequence requires a nonempty boundary")
 
-    left = _periodized_group(poset, -1, d, G, 1)
-    middle = _periodized_group(poset, 0, d, G, 1)
-    right = _periodized_group(poset, -1, 0, G, 0)
+    left = _periodized(poset, -1, d, G)[1]
+    middle = _periodized(poset, 0, d, G)[1]
+    right = _periodized(poset, -1, 0, G)[0]
 
+    include = _degree_identity_map(_layout(poset, -1, d, 1), _layout(poset, 0, d, 1))
+    connect = _connecting_chain_map(_layout(poset, 0, d, 1), _layout(poset, -1, 0, 0), poset, 0)
     for c in sorted(set(G.cyclic_summands())):
         absolute = _presentation(poset, -1, d, 1, c)
         relative = _presentation(poset, 0, d, 1, c)
         boundary_part = _presentation(poset, -1, 0, 0, c)
-        include = _degree_identity_map(absolute, relative)
-        connect = _connecting_chain_map(relative, boundary_part, poset, 0)
         into_left = IntegerHom.zero(absolute.n, 0)
         out_of_right = IntegerHom.zero(0, boundary_part.n)
         checks = (

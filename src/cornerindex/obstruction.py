@@ -24,8 +24,8 @@ from .abelian import (
 from .conormal import (
     ChainVector,
     InternalConsistencyError,
-    build_complex,
-    homology,
+    _build_complex,
+    _periodized,
     incidence_matrix,
 )
 from .faces import FacePoset, FilteredPair, incidence_sign, require_valid
@@ -128,10 +128,6 @@ class Codim1Groups:
     ka1: tuple[FGAbelianGroup, FGAbelianGroup]
 
 
-def _periodized(poset, low, high, G, parity):
-    return homology(build_complex(FilteredPair(poset, low, high), G)).periodized[parity]
-
-
 def codim1_groups(poset: FacePoset, ktheory: KTheoryInput) -> Codim1Groups:
     """Closed formulas for K_*(A_0), K_*(A_1/A_0), K_*(A_1), cross-checked
     against the homology computation they are isomorphic to."""
@@ -149,11 +145,17 @@ def codim1_groups(poset: FacePoset, ktheory: KTheoryInput) -> Codim1Groups:
     ka1_over_a0 = tuple(power(ktheory.by_degree(1 - i), n1) for i in (0, 1))
     ka1 = tuple(power(ktheory.by_degree(1 - i), n1 - 1) for i in (0, 1))
 
+    # one homology per (pair, group); K^0 and K^1 often coincide
+    periodized = {
+        (low, high, G): _periodized(poset, low, high, G)
+        for low, high in ((-1, 0), (0, 1), (-1, 1))
+        for G in {ktheory.k0, ktheory.k1}
+    }
     for i in (0, 1):
         checks = (
-            (ka0[i], _periodized(poset, -1, 0, ktheory.by_degree(i), 0)),
-            (ka1_over_a0[i], _periodized(poset, 0, 1, ktheory.by_degree(1 - i), 1)),
-            (ka1[i], _periodized(poset, -1, 1, ktheory.by_degree(1 - i), 1)),
+            (ka0[i], periodized[(-1, 0, ktheory.by_degree(i))][0]),
+            (ka1_over_a0[i], periodized[(0, 1, ktheory.by_degree(1 - i))][1]),
+            (ka1[i], periodized[(-1, 1, ktheory.by_degree(1 - i))][1]),
         )
         for formula, computed in checks:
             if formula != computed:
@@ -200,8 +202,9 @@ def codim2_obstruction_space(poset: FacePoset, ktheory: KTheoryInput) -> Obstruc
         raise ValueError("the codimension-2 theorem requires a connected poset")
     if poset.codimension() != 2:
         raise UnsupportedCodimensionError("codim2_obstruction_space needs codimension 2")
-    left = _periodized(poset, 0, 2, ktheory.k1, 1)
-    right = _periodized(poset, 0, 2, ktheory.k0, 0)
+    periodized = {G: _periodized(poset, 0, 2, G) for G in {ktheory.k0, ktheory.k1}}
+    left = periodized[ktheory.k1][1]
+    right = periodized[ktheory.k0][0]
     if left.is_trivial():
         return ObstructionReport(left, right, right, MIDDLE_LEFT_TRIVIAL)
     if not right.torsion:
@@ -233,7 +236,7 @@ def codim2_vanishes(
         f.id for f in poset.faces_of_codim(2) if not codim2[f.id].is_zero()
     )
 
-    complex = build_complex(FilteredPair(poset, 0, 2), ktheory.k1)
+    complex = _build_complex(FilteredPair(poset, 0, 2), ktheory.k1)
     codim1 = datum.codim1()
     target = [codim1[fid] for fid in complex.bases[1]]
     coords = solve(complex.boundary[2], ktheory.k1, target, cancel=cancel)

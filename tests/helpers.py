@@ -11,7 +11,8 @@ from __future__ import annotations
 import itertools
 from math import gcd
 
-from cornerindex.abelian import FGAbelianGroup, IntegerHom
+from cornerindex.abelian import FGAbelianGroup, IntegerHom, direct_sum, tensor, tor
+from cornerindex.conormal import build_complex, homology
 from cornerindex.faces import FacePoset
 from cornerindex.families import check_embeddable, gallery, quotient_family, GALLERY_NAMES
 
@@ -68,6 +69,72 @@ def group_from_snf_oracle(A: IntegerHom, rows: int | None = None) -> FGAbelianGr
     return FGAbelianGroup.from_cyclics(factors + [0] * free)
 
 
+def integer_solvable(A: IntegerHom, b: list[int]) -> bool:
+    """Does A x = b have an integer solution?  Heger's criterion: exactly
+    when A and [A | b] have the same invariant factors (by minors)."""
+    augmented = IntegerHom.from_rows(
+        [list(row) + [b[i]] for i, row in enumerate(A.entries)], width=A.cols + 1
+    )
+    return minor_gcd_invariant_factors(A) == minor_gcd_invariant_factors(augmented)
+
+
+def modular_solvable(A: IntegerHom, b: list[int], modulus: int) -> bool:
+    """Does A x = b (mod modulus) have a solution?  Same as the integer
+    system [A | modulus * I] y = b."""
+    lifted = IntegerHom.from_rows(
+        [list(row) + [modulus if j == i else 0 for j in range(A.rows)] for i, row in enumerate(A.entries)],
+        width=A.cols + A.rows,
+    )
+    return integer_solvable(lifted, b)
+
+
+def prime_power_canonical(moduli) -> FGAbelianGroup:
+    """Invariant-factor form of a sum of cyclic groups Z/n (0 meaning Z),
+    by trial-division factoring into prime powers and regrouping them."""
+    rank = 0
+    by_prime: dict[int, list[int]] = {}
+    for n in moduli:
+        n = abs(n)
+        if n == 0:
+            rank += 1
+            continue
+        p = 2
+        while p * p <= n:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            if e:
+                by_prime.setdefault(p, []).append(e)
+            p += 1
+        if n > 1:
+            by_prime.setdefault(n, []).append(1)
+    for exps in by_prime.values():
+        exps.sort(reverse=True)
+    factors = []
+    while any(by_prime.values()):
+        d = 1
+        for p, exps in by_prime.items():
+            if exps:
+                d *= p ** exps.pop(0)
+        factors.append(d)
+    return FGAbelianGroup(rank, tuple(reversed(factors)))
+
+
+def uct_assembly(complex) -> dict[int, FGAbelianGroup]:
+    """Per-degree homology over the complex's coefficients, assembled from
+    its integer homology: (H_p(Z) tensor G) + Tor(H_{p-1}(Z), G).
+
+    Unlike the oracles above this reads integer homology from the library;
+    it checks the coefficient path of :func:`homology` against its Z path."""
+    G = complex.coefficient
+    integral = homology(build_complex(complex.pair, FGAbelianGroup(1))).groups
+    return {
+        p: direct_sum(tensor(integral[p], G), tor(integral.get(p - 1, FGAbelianGroup(0)), G))
+        for p in complex.degrees
+    }
+
+
 def enumerate_vectors(group: FGAbelianGroup, length: int):
     """All vectors in G^length for a finite G."""
     yield from itertools.product(list(group.elements()), repeat=length)
@@ -80,6 +147,20 @@ def exhaustive_solve(A: IntegerHom, group: FGAbelianGroup, target):
         if A.apply(list(x), group) == target:
             return list(x)
     return None
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Wrap ``module.name`` for the test; returns the list of recorded
+    argument tuples, one per call."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 def random_valid_poset(rng, max_codim=2, connected=True, max_faces=30) -> FacePoset:

@@ -1,12 +1,17 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+from cornerindex import abelian
 from cornerindex.abelian import (
     DimensionError,
+    Factorization,
     FGAbelianGroup,
     GroupMismatchError,
     IntegerHom,
+    InternalConsistencyError,
     cokernel,
     direct_sum,
     integer_kernel_basis,
@@ -20,7 +25,14 @@ from cornerindex.abelian import (
     tor,
 )
 
-from helpers import bareiss_det, exhaustive_solve, minor_gcd_invariant_factors
+from helpers import (
+    bareiss_det,
+    exhaustive_solve,
+    integer_solvable,
+    minor_gcd_invariant_factors,
+    modular_solvable,
+    prime_power_canonical,
+)
 
 Z = FGAbelianGroup(1)
 TRIVIAL = FGAbelianGroup(0)
@@ -61,6 +73,20 @@ def test_canonical_form_idempotent():
         g = FGAbelianGroup.from_cyclics(cyclics)
         again = FGAbelianGroup.from_cyclics(g.cyclic_summands())
         assert g == again
+
+
+def test_from_cyclics_matches_prime_power_reference():
+    rng = random.Random(31)
+    pool = [0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 18, 25, 27, 30, 36, 49, 60, 64, 97, 210, 1024]
+    for _ in range(500):
+        moduli = [rng.choice(pool) * rng.choice([1, 1, 1, -1]) for _ in range(rng.randint(0, 7))]
+        assert FGAbelianGroup.from_cyclics(moduli) == prime_power_canonical(moduli), moduli
+
+
+def test_from_cyclics_large_prime_modulus():
+    p = 1_000_000_000_000_000_003
+    assert FGAbelianGroup.from_cyclics([p, p, 0]) == FGAbelianGroup(1, (p, p))
+    assert FGAbelianGroup.from_cyclics([p, 2]) == FGAbelianGroup(0, (2 * p,))
 
 
 def test_direct_sum_and_power():
@@ -290,3 +316,101 @@ def test_integer_solve_and_kernel():
     assert A.apply_int(k.column(0)) == [0, 0]
     assert integer_solve(A, [2, 1]) is not None
     assert integer_solve(A, [1, 1]) is None
+
+
+# ---------------------------------------------------------------------------
+# one factorization, many right-hand sides
+
+
+def _random_system(rng):
+    """A small matrix (empty dimensions, zero columns and torsion included)
+    and a target that is a column combination about half the time."""
+    rows, cols = rng.randint(0, 3), rng.randint(0, 3)
+    entries = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+    if cols and rng.random() < 0.3:
+        j = rng.randrange(cols)
+        for row in entries:
+            row[j] = 0
+    if rows and rng.random() < 0.4:
+        scale = rng.choice([2, 3, 4])
+        entries[rng.randrange(rows)] = [scale * x for x in entries[rng.randrange(rows)]]
+    A = IntegerHom.from_rows(entries, width=cols)
+    if rng.random() < 0.5:
+        b = A.apply_int([rng.randint(-2, 2) for _ in range(cols)])
+    else:
+        b = [rng.randint(-4, 4) for _ in range(rows)]
+    return A, b
+
+
+def test_factorization_solve_matches_minor_oracle():
+    rng = random.Random(404)
+    solvable = unsolvable = 0
+    for _ in range(300):
+        A, b = _random_system(rng)
+        x = Factorization(A).solve(b)
+        if integer_solvable(A, b):
+            assert x is not None and A.apply_int(x) == b
+            solvable += 1
+        else:
+            assert x is None
+            unsolvable += 1
+    assert solvable > 50 and unsolvable > 50
+
+
+def test_factorization_solve_mod_matches_minor_oracle():
+    rng = random.Random(405)
+    solvable = unsolvable = 0
+    for _ in range(300):
+        A, b = _random_system(rng)
+        modulus = rng.choice([2, 3, 4, 6, 8, 9, 12])
+        x = Factorization(A).solve_mod(b, modulus)
+        if modular_solvable(A, b, modulus):
+            assert x is not None and all(0 <= v < modulus for v in x)
+            assert all((u - v) % modulus == 0 for u, v in zip(A.apply_int(x), b))
+            solvable += 1
+        else:
+            assert x is None
+            unsolvable += 1
+    assert solvable > 50 and unsolvable > 20
+
+
+def test_factorization_contains_agrees_with_solve():
+    rng = random.Random(406)
+    for _ in range(300):
+        A, b = _random_system(rng)
+        factored = Factorization(A)
+        assert factored.contains(b) == (factored.solve(b) is not None)
+
+
+def test_factorization_rejects_bad_shapes():
+    factored = Factorization(hom([[1, 2], [3, 4]]))
+    with pytest.raises(DimensionError):
+        factored.solve([1])
+    with pytest.raises(DimensionError):
+        factored.contains([1, 2, 3])
+    with pytest.raises(ValueError):
+        factored.solve_mod([1, 1], 1)
+
+
+@pytest.mark.parametrize("group", [Z, zmod(6)])
+def test_solve_check_raises_on_a_wrong_answer(monkeypatch, group):
+    A = hom([[2, 0], [0, 1]])
+    target = [group.element([2] * group.rank, [2] * len(group.torsion)), group.zero()]
+    assert solve(A, group, target) is not None
+    monkeypatch.setattr(Factorization, "solve", lambda self, b: [1] * self.A.cols)
+    monkeypatch.setattr(Factorization, "solve_mod", lambda self, b, m: [1] * self.A.cols)
+    with pytest.raises(InternalConsistencyError):
+        solve(A, group, target)
+
+
+def test_package_has_no_assert_statements():
+    # asserts vanish under python -O; checks in the package must raise
+    sources = sorted(Path(abelian.__file__).parent.glob("*.py"))
+    assert len(sources) > 5
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -18,7 +18,6 @@ from cornerindex.conormal import (
     build_complex,
     connected_boundary_ses,
     homology,
-    homology_via_uct,
     incidence_matrix,
     orientation_sign,
     six_term,
@@ -44,6 +43,7 @@ from helpers import (
     group_from_snf_oracle,
     minor_gcd_invariant_factors,
     random_valid_poset,
+    uct_assembly,
 )
 
 Z = FGAbelianGroup(1)
@@ -113,7 +113,7 @@ def test_criterion_03_uct_oracle():
         G = torsion_groups[i % len(torsion_groups)]
         complex = build_complex(FilteredPair(poset, low, high), G)
         direct = homology(complex).groups
-        assembled = homology_via_uct(complex)
+        assembled = uct_assembly(complex)
         assert direct == assembled
     report(3, "direct homology equals universal-coefficient assembly on 200 fuzzed complexes")
 

@@ -1,10 +1,15 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from cornerindex.cli import main
+import cornerindex
+from cornerindex import conormal
+from cornerindex.abelian import FGAbelianGroup
+from cornerindex.cli import EXIT_INTERNAL, main
 from cornerindex.documents import canonical_json
 
 DATA = Path(__file__).parent / "data"
@@ -98,6 +103,29 @@ def test_homology_bad_coefficient(capsys):
 def test_homology_invalid_poset(capsys):
     code, out, err = run(capsys, "homology", DATA / "unsorted_poset.json")
     assert code == 1
+
+
+def test_homology_large_prime_coefficient_is_fast():
+    # canonical forms never factor a modulus, so an 18-digit prime is cheap
+    src = str(Path(cornerindex.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cornerindex", "homology", str(DATA / "square_poset.json"),
+         "--coeff", "Z/1000000000000000003", "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["result"]["coefficient"] == {"rank": 0, "torsion": [1000000000000000003]}
+
+
+def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
+    # a wrong Tor makes the universal-coefficient cross-check disagree
+    monkeypatch.setattr(conormal, "tor", lambda a, b: FGAbelianGroup(0, (2,)))
+    code, out, err = run(capsys, "homology", DATA / "square_poset.json")
+    assert code == EXIT_INTERNAL == 4
+    assert out == ""
+    assert "internal error" in err and "disagrees" in err
 
 
 # ---------------------------------------------------------------------------

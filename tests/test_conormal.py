@@ -3,13 +3,14 @@ import random
 
 import pytest
 
+from cornerindex import abelian, conormal, faces
 from cornerindex.abelian import FGAbelianGroup, IntegerHom
 from cornerindex.conormal import (
+    _integer_homology_gens,
     build_complex,
     connected_boundary_ses,
     connecting_map,
     homology,
-    homology_via_uct,
     incidence_matrix,
     orientation_sign,
     periodize,
@@ -18,7 +19,7 @@ from cornerindex.conormal import (
 from cornerindex.faces import FacePoset, FilteredPair, InvalidPosetError
 from cornerindex.families import gallery, quotient_family
 
-from helpers import gallery_posets, random_valid_poset
+from helpers import count_calls, gallery_posets, random_valid_poset, uct_assembly
 
 Z = FGAbelianGroup(1)
 TRIVIAL = FGAbelianGroup(0)
@@ -217,7 +218,27 @@ def test_direct_vs_uct_on_torsion_coefficients():
         G = rng.choice(coefficients)
         c = build_complex(FilteredPair(poset, low, high), G)
         r = homology(c)  # already asserts agreement internally
-        assert r.groups == homology_via_uct(c)
+        assert r.groups == uct_assembly(c)
+
+
+@pytest.mark.parametrize("n_boundaries", [0, 1, 4, 12])
+def test_integer_homology_factors_each_matrix_once(monkeypatch, n_boundaries):
+    # boundary, kernel basis, presentation: three SNFs however many columns
+    rng = random.Random(n_boundaries)
+    m = 5
+    Dp = IntegerHom.from_rows([[1] * m])
+    cycles = [[1 if i == j else -1 if i == j + 1 else 0 for i in range(m)] for j in range(m - 1)]
+    columns = []
+    for _ in range(n_boundaries):
+        coeffs = [rng.randint(-2, 2) for _ in cycles]
+        columns.append([sum(a * c[i] for a, c in zip(coeffs, cycles)) for i in range(m)])
+    Dp1 = IntegerHom.from_rows(
+        [[col[i] for col in columns] for i in range(m)], width=n_boundaries
+    )
+    calls = count_calls(monkeypatch, abelian, "smith_normal_form")
+    group, reps = _integer_homology_gens(Dp, Dp1)
+    assert len(calls) == 3
+    assert group.rank + len(group.torsion) == len(reps)
 
 
 def _elementary_divisors(group):
@@ -304,6 +325,15 @@ def test_six_term_connected_boundary_triple():
     assert st.groups["h1_lm"] == FGAbelianGroup(2)
     assert st.groups["h0_mq"] == Z
     assert st.groups["h0_lq"] == TRIVIAL
+
+
+def test_six_term_and_boundary_ses_compute_each_pair_once(monkeypatch):
+    homologies = count_calls(monkeypatch, conormal, "homology")
+    validations = count_calls(monkeypatch, faces, "validate")
+    six_term(square(), -1, 0, 2, FGAbelianGroup(1, (4,)))
+    assert (len(homologies), len(validations)) == (3, 1)
+    connected_boundary_ses(square(), FGAbelianGroup(1, (4,)))
+    assert (len(homologies), len(validations)) == (6, 2)
 
 
 def test_six_term_exactness_random():

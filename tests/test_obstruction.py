@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cornerindex import conormal, faces
 from cornerindex.abelian import FGAbelianGroup
 from cornerindex.conormal import build_complex, incidence_matrix
 from cornerindex.faces import FilteredPair
@@ -20,7 +21,7 @@ from cornerindex.obstruction import (
     connection_matrices,
 )
 
-from helpers import exhaustive_solve, gallery_posets, random_valid_poset
+from helpers import count_calls, exhaustive_solve, gallery_posets, random_valid_poset
 
 Z = FGAbelianGroup(1)
 TRIVIAL = FGAbelianGroup(0)
@@ -72,6 +73,14 @@ def test_codim1_groups_mobius_over_circle():
     g = codim1_groups(mobius_total(), KTheoryInput.circle())
     assert g.ka1[0] == TRIVIAL  # Z^(1-1)
     assert g.ka1_over_a0[0] == Z
+
+
+@pytest.mark.parametrize("ktheory, pairs_times_groups", [(KTheoryInput.circle(), 3), (KTheoryInput.point(), 6)])
+def test_codim1_groups_homology_once_per_pair_and_group(monkeypatch, ktheory, pairs_times_groups):
+    homologies = count_calls(monkeypatch, conormal, "homology")
+    validations = count_calls(monkeypatch, faces, "validate")
+    codim1_groups(interval(), ktheory)
+    assert (len(homologies), len(validations)) == (pairs_times_groups, 1)
 
 
 def test_codim1_groups_rejects_wrong_codim():
@@ -151,6 +160,14 @@ def test_obstruction_space_trivial_ktheory():
     K = KTheoryInput(TRIVIAL, TRIVIAL, "zero")
     rep = codim2_obstruction_space(square(), K)
     assert rep.left == rep.right == rep.middle == TRIVIAL
+
+
+@pytest.mark.parametrize("ktheory, groups", [(KTheoryInput.circle(), 1), (KTheoryInput.point(), 2)])
+def test_obstruction_space_homology_once_per_group(monkeypatch, ktheory, groups):
+    homologies = count_calls(monkeypatch, conormal, "homology")
+    validations = count_calls(monkeypatch, faces, "validate")
+    codim2_obstruction_space(square(), ktheory)
+    assert (len(homologies), len(validations)) == (groups, 1)
 
 
 def test_obstruction_space_undetermined_extension():
