@@ -8,7 +8,6 @@ from .abelian import (
     SNFDecomposition,
     cokernel,
     direct_sum,
-    is_trivial,
     kernel_group,
     power,
     smith_normal_form,

@@ -58,24 +58,13 @@ def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
                     oi[j] += aik * bk[j]
     return out
 
-def _mat_vec(a: list[list[int]], v: list[int]) -> list[int]:
-    if a and len(a[0]) != len(v):
-        raise DimensionError("matrix-vector shapes differ")
-    return [sum(ai[j] * v[j] for j in range(len(v))) for ai in a]
-
 
 def _mat_vec_sparse(a, v: list[int]) -> list[int]:
     """``a * v`` touching only the nonzero entries of ``v``."""
+    if a and len(a[0]) != len(v):
+        raise DimensionError("matrix-vector shapes differ")
     nonzero = [(j, x) for j, x in enumerate(v) if x]
     return [sum(ai[j] * x for j, x in nonzero) for ai in a]
-
-
-def _hstack(a: list[list[int]], b: list[list[int]], rows: int) -> list[list[int]]:
-    if not a:
-        a = [[] for _ in range(rows)]
-    if not b:
-        b = [[] for _ in range(rows)]
-    return [a[i] + b[i] for i in range(rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +181,6 @@ def power(group: FGAbelianGroup, n: int) -> FGAbelianGroup:
     return FGAbelianGroup(group.rank * n, tuple(sorted(group.torsion * n)))
 
 
-def is_trivial(group: FGAbelianGroup) -> bool:
-    return group.is_trivial()
-
-
 def tensor(a: FGAbelianGroup, b: FGAbelianGroup) -> FGAbelianGroup:
     """Tensor product over Z; distributes over the cyclic summands."""
     cyclics = []
@@ -291,6 +276,11 @@ class IntegerHom:
         return cls(len(rows), cols, tuple(rows))
 
     @classmethod
+    def from_columns(cls, columns: list[list[int]], rows: int) -> "IntegerHom":
+        """The matrix whose columns are ``columns``, each of length ``rows``."""
+        return cls.from_rows([[c[i] for c in columns] for i in range(rows)], width=len(columns))
+
+    @classmethod
     def identity(cls, n: int) -> "IntegerHom":
         return cls.from_rows(_identity(n), width=n)
 
@@ -307,6 +297,19 @@ class IntegerHom:
     def columns(self) -> list[list[int]]:
         return [self.column(j) for j in range(self.cols)]
 
+    def hstack(self, other: "IntegerHom") -> "IntegerHom":
+        """The block matrix ``[self | other]``."""
+        if self.rows != other.rows:
+            raise DimensionError("hstack row mismatch")
+        return IntegerHom.from_rows(
+            [a + b for a, b in zip(self.entries, other.entries)], width=self.cols + other.cols
+        )
+
+    def with_multiples(self, c: int) -> "IntegerHom":
+        """``[self | c*I]``, whose columns span im(self) + c*Z^rows."""
+        scaled = [[c * x for x in row] for row in _identity(self.rows)]
+        return self.hstack(IntegerHom.from_rows(scaled, width=self.rows))
+
     def compose(self, other: "IntegerHom") -> "IntegerHom":
         if self.cols != other.rows:
             raise DimensionError("composition shape mismatch")
@@ -316,7 +319,7 @@ class IntegerHom:
         return all(all(e == 0 for e in r) for r in self.entries)
 
     def apply_int(self, vector: list[int]) -> list[int]:
-        return _mat_vec(self.row_list(), list(vector))
+        return _mat_vec_sparse(self.entries, list(vector))
 
     def apply(self, elements, group: FGAbelianGroup) -> list[GroupElement]:
         """Coordinatewise action on a vector of elements of ``group``."""
@@ -596,13 +599,7 @@ def cokernel(A: IntegerHom, coefficient: FGAbelianGroup) -> FGAbelianGroup:
     """Canonical form of G^rows / A(G^cols)."""
     parts = []
     for c in coefficient.cyclic_summands():
-        if c == 0:
-            M = A
-        else:
-            M = IntegerHom.from_rows(
-                _hstack(A.row_list(), [[c if i == j else 0 for j in range(A.rows)] for i in range(A.rows)], A.rows),
-                width=A.cols + A.rows,
-            )
+        M = A.with_multiples(c) if c else A
         parts.append(cokernel_presentation(M)[0])
     return direct_sum(*parts)
 

@@ -151,9 +151,11 @@ def _cmd_obstruction(args):
     if args.symbol:
         datum = documents.symbol_from_payload(_load(args.symbol, "symbol"), ktheory)
 
-    require_valid(poset)
     d = poset.codimension()
     if d not in (1, 2):
+        # the codimension-1 and -2 calls below validate first themselves;
+        # here an invalid poset still fails as invalid, not as unsupported
+        require_valid(poset)
         raise UnsupportedCodimensionError(
             f"poset has codimension {d}; this calculator covers codimension 1 and 2 only "
             "(torsion obstructs the reduction beyond that)"

@@ -9,12 +9,16 @@ summand by summand, and through the universal-coefficient assembly from
 integer homology.  Disagreement raises :class:`InternalConsistencyError`,
 which always indicates a bug rather than bad input.  The same philosophy
 applies to six-term sequences: exactness is a theorem, so a failed check
-raises instead of reporting.
+raises instead of reporting.  Each degree's lattice pair (cycles, relations)
+comes from one function, :func:`_lattices`, for Z and Z/c alike, and the
+exactness checks read their boundary matrices from the complex of each
+filtered pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 # integer_solve is no longer called here; it stays importable from this
 # module, where callers and the benchmark's tracer self-test look it up
@@ -136,69 +140,43 @@ class HomologyResult:
     periodized: tuple[FGAbelianGroup, FGAbelianGroup]
 
 
-def _from_columns(cols: list[list[int]], rows: int) -> IntegerHom:
-    return IntegerHom.from_rows(
-        [[c[i] for c in cols] for i in range(rows)], width=len(cols)
-    )
-
-
-def _hstack_hom(a: IntegerHom, b: IntegerHom) -> IntegerHom:
-    if a.rows != b.rows:
-        raise ValueError("row mismatch")
-    return IntegerHom.from_rows(
-        [list(ra) + list(rb) for ra, rb in zip(a.entries, b.entries)],
-        width=a.cols + b.cols,
-    )
-
-
-def _scaled_identity(n: int, c: int) -> IntegerHom:
-    return IntegerHom.from_rows(
-        [[c if i == j else 0 for j in range(n)] for i in range(n)], width=n
-    )
-
-
-def _integer_homology_gens(Dp: IntegerHom, Dp1: IntegerHom):
-    """Homology ker(Dp)/im(Dp1) over Z, with generating cycles and orders."""
-    kernel = integer_kernel_basis(Dp)
-    factored = Factorization(kernel)
-    cols = []
-    for b in Dp1.columns():
-        y = factored.solve(b)
-        if y is None:
-            raise InternalConsistencyError("a boundary column is not a cycle")
-        cols.append(y)
-    presentation = _from_columns(cols, kernel.cols)
-    group, gens = cokernel_presentation(presentation)
-    reps = [(kernel.apply_int(g), order) for g, order in gens]
-    return group, reps
-
-
 def _mod_cycle_basis(Dp: IntegerHom, c: int) -> IntegerHom:
     """Basis of the lattice {x : Dp x = 0 mod c}; always full rank."""
-    lifted = _hstack_hom(Dp, _scaled_identity(Dp.rows, c))
-    full = integer_kernel_basis(lifted)
-    top = IntegerHom.from_rows([list(full.entries[i]) for i in range(Dp.cols)], width=full.cols)
+    full = integer_kernel_basis(Dp.with_multiples(c))
+    top = IntegerHom.from_rows(full.entries[: Dp.cols], width=full.cols)
     basis = lattice_column_basis(top)
     if basis.cols != Dp.cols:
         raise InternalConsistencyError("cycle lattice mod c is not full rank")
     return basis
 
 
-def _modular_homology_gens(Dp: IntegerHom, Dp1: IntegerHom, c: int):
-    """Homology over Z/c via integer lattices: cycles mod c over boundaries + c."""
-    n = Dp.cols
-    basis = _mod_cycle_basis(Dp, c)
-    kill = _hstack_hom(Dp1, _scaled_identity(n, c))
-    factored = Factorization(basis)
+def _lattices(Dp: IntegerHom, Dp1: IntegerHom, c: int) -> tuple[IntegerHom, IntegerHom]:
+    """(cycles, relations) of one degree: homology over Z (c = 0) or Z/c is
+    the quotient of the first column lattice by the second.
+
+    Over Z these are ker(Dp) and im(Dp1); over Z/c, the cycles mod c and the
+    boundaries plus c-multiples, so that all of it stays an integer lattice.
+    """
+    if c == 0:
+        return integer_kernel_basis(Dp), Dp1
+    return _mod_cycle_basis(Dp, c), Dp1.with_multiples(c)
+
+
+def _homology_gens(Dp: IntegerHom, Dp1: IntegerHom, c: int):
+    """Homology ker(Dp)/im(Dp1) over Z (c = 0) or Z/c, with generating cycles
+    and their orders."""
+    cycles, relations = _lattices(Dp, Dp1, c)
+    factored = Factorization(cycles)
     cols = []
-    for b in kill.columns():
+    for b in relations.columns():
         y = factored.solve(b)
         if y is None:
-            raise InternalConsistencyError("boundary lattice escapes the cycle lattice")
+            raise InternalConsistencyError("a relation escapes the cycle lattice")
         cols.append(y)
-    presentation = _from_columns(cols, basis.cols)
-    group, gens = cokernel_presentation(presentation)
-    reps = [([x % c for x in basis.apply_int(g)], order) for g, order in gens]
+    group, gens = cokernel_presentation(IntegerHom.from_columns(cols, cycles.cols))
+    reps = [(cycles.apply_int(g), order) for g, order in gens]
+    if c:
+        reps = [([x % c for x in vec], order) for vec, order in reps]
     return group, reps
 
 
@@ -228,15 +206,15 @@ def homology(complex: ConormalChainComplex) -> HomologyResult:
     G = complex.coefficient
     integer_results = {}
     for p in complex.degrees:
-        integer_results[p] = _integer_homology_gens(
-            complex.boundary[p], complex.boundary_or_zero(p + 1)
+        integer_results[p] = _homology_gens(
+            complex.boundary[p], complex.boundary_or_zero(p + 1), 0
         )
     groups: dict[int, FGAbelianGroup] = {}
     representatives: dict[int, list[ChainVector]] = {}
     for p in complex.degrees:
         by_modulus = {0: integer_results[p]}
         for c in set(G.torsion):
-            by_modulus[c] = _modular_homology_gens(
+            by_modulus[c] = _homology_gens(
                 complex.boundary[p], complex.boundary_or_zero(p + 1), c
             )
         parts = []
@@ -280,94 +258,53 @@ def periodize(result: HomologyResult) -> tuple[FGAbelianGroup, FGAbelianGroup]:
 
 
 @dataclass
-class _Layout:
-    blocks: tuple[tuple[int, int], ...]  # (degree, size)
-    n: int
-
-
-@dataclass
-class _Presentation(_Layout):
+class _Presentation:
     cycles: IntegerHom  # n x k basis
     relations: IntegerHom  # n x g generators
 
-
-def _block_diag(parts: list[IntegerHom], sizes: list[int]) -> IntegerHom:
-    total_rows = sum(sizes)
-    total_cols = sum(p.cols for p in parts)
-    entries = [[0] * total_cols for _ in range(total_rows)]
-    r_off = 0
-    c_off = 0
-    for part, size in zip(parts, sizes):
-        for i in range(part.rows):
-            row = entries[r_off + i]
-            for j in range(part.cols):
-                row[c_off + j] = part.entries[i][j]
-        r_off += size
-        c_off += part.cols
-    return IntegerHom.from_rows(entries, width=total_cols)
+    @property
+    def n(self) -> int:
+        return self.cycles.rows
 
 
-def _layout(poset: FacePoset, low: int, high: int, parity: int) -> _Layout:
-    """The chain modules of the pair in one parity, stacked."""
-    blocks = tuple(
-        (p, len(poset.faces_of_codim(p))) for p in range(low + 1, high + 1) if p % 2 == parity
-    )
-    return _Layout(blocks, sum(size for _, size in blocks))
+def _blocks(complex: ConormalChainComplex, parity: int) -> tuple[tuple[int, int], ...]:
+    """(degree, size) of the chain modules of one parity, in stacking order."""
+    return tuple((p, complex.dim(p)) for p in complex.degrees if p % 2 == parity)
 
 
-def _presentation(poset: FacePoset, low: int, high: int, parity: int, c: int) -> _Presentation:
-    layout = _layout(poset, low, high, parity)
-    cycle_parts = []
-    relation_parts = []
-    for p, n_p in layout.blocks:
-        Dp = incidence_matrix(poset, p)
-        if p - 1 <= low:
-            Dp = IntegerHom.zero(Dp.rows, Dp.cols)
-        Dp1 = incidence_matrix(poset, p + 1) if p + 1 <= high else IntegerHom.zero(n_p, 0)
-        if c == 0:
-            cycle_parts.append(integer_kernel_basis(Dp))
-            relation_parts.append(Dp1)
-        else:
-            cycle_parts.append(_mod_cycle_basis(Dp, c))
-            relation_parts.append(_hstack_hom(Dp1, _scaled_identity(n_p, c)))
-    sizes = [s for _, s in layout.blocks]
-    return _Presentation(
-        blocks=layout.blocks,
-        n=layout.n,
-        cycles=_block_diag(cycle_parts, sizes),
-        relations=_block_diag(relation_parts, sizes),
-    )
+def _block_map(src, tgt, parts: dict[tuple[int, int], IntegerHom]) -> IntegerHom:
+    """Block matrix between two stacked modules given as (degree, size) blocks.
+
+    ``parts[(p, q)]`` maps the degree-p block of ``src`` into the degree-q
+    block of ``tgt``; a part whose degree one side does not stack is left
+    out, and every other block is zero.
+    """
+
+    def offsets(blocks):
+        return dict(zip((p for p, _ in blocks), accumulate((n for _, n in blocks), initial=0)))
+
+    src_at, tgt_at = offsets(src), offsets(tgt)
+    width = sum(n for _, n in src)
+    entries = [[0] * width for _ in range(sum(n for _, n in tgt))]
+    for (p, q), mat in parts.items():
+        if p in src_at and q in tgt_at:
+            for i, row in enumerate(mat.entries):
+                entries[tgt_at[q] + i][src_at[p] : src_at[p] + mat.cols] = row
+    return IntegerHom.from_rows(entries, width=width)
 
 
-def _degree_identity_map(src: _Layout, tgt: _Layout) -> IntegerHom:
-    entries = [[0] * src.n for _ in range(tgt.n)]
-    src_off = 0
-    for degree, size in src.blocks:
-        tgt_off = 0
-        for t_degree, t_size in tgt.blocks:
-            if t_degree == degree:
-                for i in range(size):
-                    entries[tgt_off + i][src_off + i] = 1
-            tgt_off += t_size
-        src_off += size
-    return IntegerHom.from_rows(entries, width=src.n)
+def _block_diag(blocks, parts: dict[int, IntegerHom]) -> IntegerHom:
+    """``parts[p]`` on the rows of the degree-p block, columns in block order."""
+    columns = tuple((p, parts[p].cols) for p, _ in blocks)
+    return _block_map(columns, blocks, {(p, p): parts[p] for p, _ in blocks})
 
 
-def _connecting_chain_map(src: _Layout, tgt: _Layout, poset: FacePoset, m: int) -> IntegerHom:
-    entries = [[0] * src.n for _ in range(tgt.n)]
-    src_off = 0
-    for degree, size in src.blocks:
-        if degree == m + 1:
-            tgt_off = 0
-            for t_degree, t_size in tgt.blocks:
-                if t_degree == m:
-                    mat = incidence_matrix(poset, m + 1)
-                    for i in range(mat.rows):
-                        for j in range(mat.cols):
-                            entries[tgt_off + i][src_off + j] = mat.entries[i][j]
-                tgt_off += t_size
-        src_off += size
-    return IntegerHom.from_rows(entries, width=src.n)
+def _presentation(complex: ConormalChainComplex, parity: int, c: int) -> _Presentation:
+    blocks = _blocks(complex, parity)
+    cycles, relations = {}, {}
+    for p, _ in blocks:
+        cycles[p], relations[p] = _lattices(complex.boundary[p], complex.boundary_or_zero(p + 1), c)
+    return _Presentation(_block_diag(blocks, cycles), _block_diag(blocks, relations))
 
 
 def _lattice_subset(gens_a: IntegerHom, gens_b: IntegerHom) -> bool:
@@ -382,22 +319,24 @@ def _node_exact(
     f_out: IntegerHom,
     tgt: _Presentation,
 ) -> bool:
-    image = _hstack_hom(f_in.compose(src.cycles), node.relations)
+    image = f_in.compose(src.cycles).hstack(node.relations)
     moved = f_out.compose(node.cycles)
     negated = IntegerHom.from_rows(
         [[-x for x in row] for row in tgt.relations.entries], width=tgt.relations.cols
     )
-    combined = _hstack_hom(moved, negated)
-    combo_kernel = integer_kernel_basis(combined)
-    a_part = IntegerHom.from_rows(
-        [list(combo_kernel.entries[i]) for i in range(node.cycles.cols)],
-        width=combo_kernel.cols,
-    )
-    kernel = _hstack_hom(node.cycles.compose(a_part), node.relations)
+    combo_kernel = integer_kernel_basis(moved.hstack(negated))
+    a_part = IntegerHom.from_rows(combo_kernel.entries[: node.cycles.cols], width=combo_kernel.cols)
+    kernel = node.cycles.compose(a_part).hstack(node.relations)
     return _lattice_subset(image, kernel) and _lattice_subset(kernel, image)
 
 
-_EMPTY_PRES = _Presentation((), 0, IntegerHom.zero(0, 0), IntegerHom.zero(0, 0))
+_EMPTY_PRES = _Presentation(IntegerHom.zero(0, 0), IntegerHom.zero(0, 0))
+
+
+def _exact_at(k: int, pres: list[_Presentation], arrows: tuple[IntegerHom, ...]) -> bool:
+    """Exactness at node k of the cyclic sequence: arrow k - 1 comes in from
+    node k - 1 and arrow k goes out to node k + 1 (mod 6)."""
+    return _node_exact(arrows[k - 1], pres[k - 1], pres[k], arrows[k], pres[(k + 1) % 6])
 
 
 def _periodized(
@@ -426,49 +365,56 @@ class SixTermSequence:
     maps: dict[str, IntegerHom]
 
     NODE_ORDER = ("h1_mq", "h1_lq", "h1_lm", "h0_mq", "h0_lq", "h0_lm")
+    # arrow k maps node k to node k + 1 (mod 6)
+    ARROW_ORDER = ("i1", "p1", "d1", "i0", "p0", "d0")
 
 
-def six_term(poset: FacePoset, q: int, m: int, l: int, G: FGAbelianGroup) -> SixTermSequence:
+def _check_triple(poset: FacePoset, q: int, m: int, l: int) -> None:
     require_valid(poset)
     d = poset.codimension()
     if not (-1 <= q <= m <= l <= d):
         raise ValueError(f"triple ({q}, {m}, {l}) violates -1 <= q <= m <= l <= {d}")
 
-    pairs = {"mq": (q, m), "lq": (q, l), "lm": (m, l)}
+
+def _triple(poset: FacePoset, q: int, m: int, l: int, G: FGAbelianGroup):
+    """Complexes of the pairs (X_m, X_q), (X_l, X_q), (X_l, X_m) of a triple
+    of an already validated poset, its six nodes (complex, parity) in
+    ``SixTermSequence.NODE_ORDER`` and its six arrows, arrow k from node k.
+
+    Inclusions and projections are identities on the degrees both nodes
+    stack.  The connecting arrows carry D_{m+1}, read from the (X_l, X_q)
+    complex, the one of the three that does not zero it.
+    """
+    complexes = tuple(
+        _build_complex(FilteredPair(poset, low, high), G) for low, high in ((q, m), (q, l), (m, l))
+    )
+    nodes = tuple((complex, parity) for parity in (1, 0) for complex in complexes)
+    blocks = [_blocks(complex, parity) for complex, parity in nodes]
+    connecting = {(m + 1, m): complexes[1].boundary[m + 1]} if q < m < l else {}
+    arrows = []
+    for k, src in enumerate(blocks):
+        if k % 3 == 2:
+            parts = connecting
+        else:
+            parts = {(p, p): IntegerHom.identity(n) for p, n in src}
+        arrows.append(_block_map(src, blocks[(k + 1) % 6], parts))
+    return complexes, nodes, tuple(arrows)
+
+
+def six_term(poset: FacePoset, q: int, m: int, l: int, G: FGAbelianGroup) -> SixTermSequence:
+    _check_triple(poset, q, m, l)
+    complexes, nodes, arrows = _triple(poset, q, m, l, G)
     # one homology per pair; each node reads one parity of it
-    periodized = {tag: _periodized(poset, low, high, G) for tag, (low, high) in pairs.items()}
-    groups = {f"h{parity}_{tag}": periodized[tag][parity] for parity in (1, 0) for tag in pairs}
-
-    # the chain-level matrices depend only on the block layout, not on G
-    layouts = {(tag, parity): _layout(poset, *pairs[tag], parity) for parity in (1, 0) for tag in pairs}
-    arrows = {
-        "i1": (("mq", 1), ("lq", 1), _degree_identity_map(layouts[("mq", 1)], layouts[("lq", 1)])),
-        "p1": (("lq", 1), ("lm", 1), _degree_identity_map(layouts[("lq", 1)], layouts[("lm", 1)])),
-        "d1": (("lm", 1), ("mq", 0), _connecting_chain_map(layouts[("lm", 1)], layouts[("mq", 0)], poset, m)),
-        "i0": (("mq", 0), ("lq", 0), _degree_identity_map(layouts[("mq", 0)], layouts[("lq", 0)])),
-        "p0": (("lq", 0), ("lm", 0), _degree_identity_map(layouts[("lq", 0)], layouts[("lm", 0)])),
-        "d0": (("lm", 0), ("mq", 1), _connecting_chain_map(layouts[("lm", 0)], layouts[("mq", 1)], poset, m)),
-    }
-    maps = {name: mat for name, (_, _, mat) in arrows.items()}
-
-    node_wiring = {
-        ("mq", 1): ("d0", "i1"),
-        ("lq", 1): ("i1", "p1"),
-        ("lm", 1): ("p1", "d1"),
-        ("mq", 0): ("d1", "i0"),
-        ("lq", 0): ("i0", "p0"),
-        ("lm", 0): ("p0", "d0"),
-    }
+    periodized = [homology(complex).periodized for complex in complexes]
+    groups = dict(zip(SixTermSequence.NODE_ORDER, (h[parity] for parity in (1, 0) for h in periodized)))
     for c in sorted(set(G.cyclic_summands())):
-        pres = {key: _presentation(poset, *pairs[key[0]], key[1], c) for key in layouts}
-        for node_key, (in_name, out_name) in node_wiring.items():
-            in_src, _, in_mat = arrows[in_name]
-            _, out_tgt, out_mat = arrows[out_name]
-            if not _node_exact(in_mat, pres[in_src], pres[node_key], out_mat, pres[out_tgt]):
+        pres = [_presentation(complex, parity, c) for complex, parity in nodes]
+        for k, name in enumerate(SixTermSequence.NODE_ORDER):
+            if not _exact_at(k, pres, arrows):
                 raise InternalConsistencyError(
-                    f"six-term sequence fails exactness at {node_key} with cyclic coefficient {c}"
+                    f"six-term sequence fails exactness at {name} with cyclic coefficient {c}"
                 )
-    return SixTermSequence(poset, q, m, l, G, groups, maps)
+    return SixTermSequence(poset, q, m, l, G, groups, dict(zip(SixTermSequence.ARROW_ORDER, arrows)))
 
 
 def connecting_map(poset: FacePoset, q: int, m: int, l: int, G: FGAbelianGroup) -> IntegerHom:
@@ -477,10 +423,7 @@ def connecting_map(poset: FacePoset, q: int, m: int, l: int, G: FGAbelianGroup) 
     Nonzero only from degree m+1 to degree m, where it is the signed incidence
     matrix; the coefficient group does not change the matrix.
     """
-    require_valid(poset)
-    d = poset.codimension()
-    if not (-1 <= q <= m <= l <= d):
-        raise ValueError(f"triple ({q}, {m}, {l}) violates -1 <= q <= m <= l <= {d}")
+    _check_triple(poset, q, m, l)
     if not isinstance(G, FGAbelianGroup):
         raise TypeError("coefficient must be an FGAbelianGroup")
     if m == l:
@@ -509,25 +452,20 @@ def connected_boundary_ses(poset: FacePoset, G: FGAbelianGroup) -> BoundarySESRe
     if d < 1 or not poset.faces_of_codim(1):
         raise ValueError("the boundary sequence requires a nonempty boundary")
 
-    left = _periodized(poset, -1, d, G)[1]
-    middle = _periodized(poset, 0, d, G)[1]
-    right = _periodized(poset, -1, 0, G)[0]
-
-    include = _degree_identity_map(_layout(poset, -1, d, 1), _layout(poset, 0, d, 1))
-    connect = _connecting_chain_map(_layout(poset, 0, d, 1), _layout(poset, -1, 0, 0), poset, 0)
+    # nodes 1-3 of the triple (-1, 0, d) are the three terms of the sequence;
+    # node 0, H_1^pcn(X_0), is zero, so exactness at node 1 is injectivity
+    complexes, nodes, arrows = _triple(poset, -1, 0, d, G)
+    boundary_part, absolute, relative = (homology(complex).periodized for complex in complexes)
     for c in sorted(set(G.cyclic_summands())):
-        absolute = _presentation(poset, -1, d, 1, c)
-        relative = _presentation(poset, 0, d, 1, c)
-        boundary_part = _presentation(poset, -1, 0, 0, c)
-        into_left = IntegerHom.zero(absolute.n, 0)
-        out_of_right = IntegerHom.zero(0, boundary_part.n)
+        pres = [_presentation(complex, parity, c) for complex, parity in nodes[:4]]
+        onto = IntegerHom.zero(0, pres[3].n)
         checks = (
-            _node_exact(into_left, _EMPTY_PRES, absolute, include, relative),
-            _node_exact(include, absolute, relative, connect, boundary_part),
-            _node_exact(connect, relative, boundary_part, out_of_right, _EMPTY_PRES),
+            _exact_at(1, pres, arrows),
+            _exact_at(2, pres, arrows),
+            _node_exact(arrows[2], pres[2], pres[3], onto, _EMPTY_PRES),
         )
         if not all(checks):
             raise InternalConsistencyError(
                 f"boundary short exact sequence fails with cyclic coefficient {c}"
             )
-    return BoundarySESReport(left, middle, right, True)
+    return BoundarySESReport(absolute[1], relative[1], boundary_part[0], True)

@@ -29,6 +29,17 @@ class Face:
     def parent_map(self) -> dict[str, str]:
         return dict(self.parents)
 
+    def incidence_sign(self, g: "Face") -> int:
+        """(-1)^(k-1) when g is the parent of this face dropping the k-th
+        index, else 0."""
+        if self.codim != g.codim + 1:
+            raise ValueError(f"codim mismatch: {self.id} has codim {self.codim}, {g.id} has {g.codim}")
+        pmap = self.parent_map()
+        for k, i in enumerate(self.index_tuple):
+            if pmap.get(i) == g.id:
+                return -1 if k % 2 else 1
+        return 0
+
 
 @dataclass(frozen=True)
 class FacePoset:
@@ -170,15 +181,7 @@ def filtration(poset: FacePoset, k: int) -> FacePoset:
 def incidence_sign(poset: FacePoset, f_id: str, g_id: str) -> int:
     """(-1)^(k-1) when g is the parent of f dropping the k-th index, else 0."""
     by_id = poset.by_id()
-    f = by_id[f_id]
-    g = by_id[g_id]
-    if f.codim != g.codim + 1:
-        raise ValueError(f"codim mismatch: {f_id} has codim {f.codim}, {g_id} has {g.codim}")
-    pmap = f.parent_map()
-    for k, i in enumerate(f.index_tuple):
-        if pmap.get(i) == g_id:
-            return -1 if k % 2 else 1
-    return 0
+    return by_id[f_id].incidence_sign(by_id[g_id])
 
 
 @dataclass(frozen=True)

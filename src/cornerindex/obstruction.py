@@ -28,7 +28,7 @@ from .conormal import (
     _periodized,
     incidence_matrix,
 )
-from .faces import FacePoset, FilteredPair, incidence_sign, require_valid
+from .faces import FacePoset, FilteredPair, require_valid
 
 MIDDLE_EXACT_SPLITS = "exact_splits"
 MIDDLE_LEFT_TRIVIAL = "left_trivial"
@@ -263,7 +263,7 @@ def connection_matrices(poset: FacePoset, p: int) -> IntegerHom:
     rows = poset.faces_of_codim(p - 1)
     cols = poset.faces_of_codim(p)
     entries = [
-        [incidence_sign(poset, f.id, g.id) for f in cols]
+        [f.incidence_sign(g) for f in cols]
         for g in rows
     ]
     mat = IntegerHom.from_rows(entries, width=len(cols))

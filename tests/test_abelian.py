@@ -16,7 +16,6 @@ from cornerindex.abelian import (
     direct_sum,
     integer_kernel_basis,
     integer_solve,
-    is_trivial,
     kernel_group,
     power,
     smith_normal_form,
@@ -93,7 +92,7 @@ def test_direct_sum_and_power():
     assert power(Z, 3) == FGAbelianGroup(3)
     assert direct_sum(zmod(2), zmod(4)) == FGAbelianGroup(0, (2, 4))
     assert direct_sum(zmod(2), zmod(3)) == zmod(6)
-    assert is_trivial(direct_sum())
+    assert direct_sum().is_trivial()
     assert power(FGAbelianGroup(1, (2, 4)), 2) == FGAbelianGroup(2, (2, 2, 4, 4))
 
 

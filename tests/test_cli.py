@@ -7,10 +7,12 @@ from pathlib import Path
 import pytest
 
 import cornerindex
-from cornerindex import conormal
+from cornerindex import conormal, faces
 from cornerindex.abelian import FGAbelianGroup
 from cornerindex.cli import EXIT_INTERNAL, main
 from cornerindex.documents import canonical_json
+
+from helpers import count_calls
 
 DATA = Path(__file__).parent / "data"
 GOLDENS = Path(__file__).parent / "goldens"
@@ -209,6 +211,42 @@ def test_obstruction_codim3_exit(capsys):
     )
     assert code == 3
     assert "codimension" in err
+
+
+@pytest.mark.parametrize(
+    ("argv", "validations"),
+    [
+        pytest.param(
+            (DATA / "square_poset.json", DATA / "ktheory_circle.json", DATA / "symbol_square_boundary.json"),
+            2,
+            id="symbol",
+        ),
+        pytest.param((DATA / "square_poset.json", DATA / "ktheory_circle.json"), 1, id="no-symbol"),
+    ],
+)
+def test_obstruction_validates_once_per_library_call(capsys, monkeypatch, argv, validations):
+    calls = count_calls(monkeypatch, faces, "validate")
+    code, _, _ = run(capsys, "obstruction", *argv)
+    assert (code, len(calls)) == (0, validations)
+
+
+def test_obstruction_invalid_codim2_poset_exits_as_invalid(capsys):
+    code, out, err = run(capsys, "obstruction", DATA / "unsorted_poset.json", DATA / "ktheory_point.json")
+    assert (code, out) == (1, "")
+    assert err == "error: unsorted-tuple: c index tuple is not ascending\n"
+
+
+def test_obstruction_invalid_codim3_poset_exits_as_invalid(capsys, tmp_path):
+    # validity is judged before the codimension: exit 1, not 3
+    doc = json.loads((DATA / "octant_poset.json").read_text())
+    for face in doc["payload"]["faces"]:
+        if face["codim"] == 3:
+            face["index_tuple"].reverse()
+    bad = tmp_path / "octant_unsorted.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "obstruction", bad, DATA / "ktheory_point.json")
+    assert (code, out) == (1, "")
+    assert err == "error: unsorted-tuple: v index tuple is not ascending\n"
 
 
 def test_obstruction_codim1(capsys):

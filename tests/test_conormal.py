@@ -6,7 +6,7 @@ import pytest
 from cornerindex import abelian, conormal, faces
 from cornerindex.abelian import FGAbelianGroup, IntegerHom
 from cornerindex.conormal import (
-    _integer_homology_gens,
+    _homology_gens,
     build_complex,
     connected_boundary_ses,
     connecting_map,
@@ -221,9 +221,14 @@ def test_direct_vs_uct_on_torsion_coefficients():
         assert r.groups == uct_assembly(c)
 
 
-@pytest.mark.parametrize("n_boundaries", [0, 1, 4, 12])
-def test_integer_homology_factors_each_matrix_once(monkeypatch, n_boundaries):
-    # boundary, kernel basis, presentation: three SNFs however many columns
+@pytest.mark.parametrize(
+    ("n_boundaries", "c", "snf_calls"),
+    [pytest.param(n, 0, 3, id=str(n)) for n in (0, 1, 4, 12)]
+    + [pytest.param(n, 3, 4, id=f"{n}-mod3") for n in (0, 1, 4, 12)],
+)
+def test_integer_homology_factors_each_matrix_once(monkeypatch, n_boundaries, c, snf_calls):
+    # boundary, kernel basis, presentation: three SNFs however many columns;
+    # over Z/c the cycles mod c take one more, for their lattice basis
     rng = random.Random(n_boundaries)
     m = 5
     Dp = IntegerHom.from_rows([[1] * m])
@@ -236,8 +241,8 @@ def test_integer_homology_factors_each_matrix_once(monkeypatch, n_boundaries):
         [[col[i] for col in columns] for i in range(m)], width=n_boundaries
     )
     calls = count_calls(monkeypatch, abelian, "smith_normal_form")
-    group, reps = _integer_homology_gens(Dp, Dp1)
-    assert len(calls) == 3
+    group, reps = _homology_gens(Dp, Dp1, c)
+    assert len(calls) == snf_calls
     assert group.rank + len(group.torsion) == len(reps)
 
 
@@ -336,6 +341,17 @@ def test_six_term_and_boundary_ses_compute_each_pair_once(monkeypatch):
     assert (len(homologies), len(validations)) == (6, 2)
 
 
+def test_six_term_and_boundary_ses_read_each_pair_complex(monkeypatch):
+    # the three pairs of the triple build their incidence matrices once;
+    # homology, presentations and arrows read them from those complexes
+    incidences = count_calls(monkeypatch, conormal, "incidence_matrix")
+    snfs = count_calls(monkeypatch, abelian, "smith_normal_form")
+    six_term(square(), -1, 0, 2, FGAbelianGroup(1, (4,)))
+    assert (len(incidences), len(snfs)) == (6, 96)
+    connected_boundary_ses(square(), FGAbelianGroup(1, (4,)))
+    assert (len(incidences), len(snfs)) == (12, 96 + 69)
+
+
 def test_six_term_exactness_random():
     rng = random.Random(7)
     for _ in range(15):
@@ -352,19 +368,26 @@ def test_exactness_checker_detects_failures():
     # negative control: a zeroed connecting map must break exactness
     from cornerindex.abelian import IntegerHom
     from cornerindex.conormal import (
-        _connecting_chain_map,
-        _degree_identity_map,
+        _block_map,
+        _blocks,
         _node_exact,
         _presentation,
         _EMPTY_PRES,
     )
 
     poset = interval()
-    absolute = _presentation(poset, -1, 1, 1, 0)
-    relative = _presentation(poset, 0, 1, 1, 0)
-    boundary0 = _presentation(poset, -1, 0, 0, 0)
-    include = _degree_identity_map(absolute, relative)
-    connect = _connecting_chain_map(relative, boundary0, poset, 0)
+    absolute_cx = build_complex(FilteredPair(poset, -1, 1), Z)
+    relative_cx = build_complex(FilteredPair(poset, 0, 1), Z)
+    boundary_cx = build_complex(FilteredPair(poset, -1, 0), Z)
+    absolute = _presentation(absolute_cx, 1, 0)
+    relative = _presentation(relative_cx, 1, 0)
+    boundary0 = _presentation(boundary_cx, 0, 0)
+    include = _block_map(
+        _blocks(absolute_cx, 1), _blocks(relative_cx, 1), {(1, 1): IntegerHom.identity(2)}
+    )
+    connect = _block_map(
+        _blocks(relative_cx, 1), _blocks(boundary_cx, 0), {(1, 0): incidence_matrix(poset, 1)}
+    )
     broken = IntegerHom.zero(boundary0.n, relative.n)
     out_right = IntegerHom.zero(0, boundary0.n)
 

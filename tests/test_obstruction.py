@@ -313,3 +313,12 @@ def test_connection_matrices_match_differentials():
             assert connection_matrices(poset, p) == incidence_matrix(poset, p)
     with pytest.raises(ValueError):
         connection_matrices(square(), 3)
+
+
+def test_connection_matrices_index_the_poset_at_most_once(monkeypatch):
+    # each sign is read off the two Face objects, not looked up entry by entry
+    lookups = count_calls(monkeypatch, faces.FacePoset, "by_id")
+    for p in (1, 2):
+        before = len(lookups)
+        connection_matrices(square(), p)
+        assert len(lookups) - before <= 1
