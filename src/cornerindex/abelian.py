@@ -14,6 +14,7 @@ from it summand by summand.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd
 
 
@@ -330,16 +331,15 @@ class IntegerHom:
             if e.group != group:
                 raise GroupMismatchError("element parent differs from the coefficient group")
         out = []
-        for i in range(self.rows):
+        for row in self.entries:
             free = [0] * group.rank
             tors = [0] * len(group.torsion)
-            for j, e in enumerate(elements):
-                a = self.entries[i][j]
-                if a:
-                    for k in range(group.rank):
-                        free[k] += a * e.free[k]
-                    for k in range(len(group.torsion)):
-                        tors[k] += a * e.tors[k]
+            # compress skips the zero entries of the row without a Python step
+            for a, e in compress(zip(row, elements), row):
+                for k, x in enumerate(e.free):
+                    free[k] += a * x
+                for k, x in enumerate(e.tors):
+                    tors[k] += a * x
             out.append(GroupElement(group, tuple(free), tuple(tors)))
         return out
 
@@ -372,114 +372,137 @@ class SNFDecomposition:
         return sum(1 for d in self.diagonal if d != 0)
 
 
-def smith_normal_form(A: IntegerHom) -> SNFDecomposition:
+def _pivot(d: list[list[int]], t: int, n: int) -> tuple[int, int] | None:
+    """Position of the least key (|value|, column, row) over the nonzero
+    entries of the block of ``d`` from (t, t) on, or None when it is zero.
+
+    The scan runs column by column, top to bottom, so keys come in
+    increasing (column, row) order: the first unit met is the least key
+    there can be and ends the scan.
+    """
+    best = None
+    for j in range(t, n):
+        for i in range(t, len(d)):
+            val = d[i][j]
+            if val and (best is None or abs(val) < best[0]):
+                if val in (1, -1):
+                    return i, j
+                best = (abs(val), i, j)
+    return None if best is None else best[1:]
+
+
+def _add_multiple(dst: dict[int, int], q: int, src: dict[int, int]) -> None:
+    """``dst += q * src`` on sparse vectors."""
+    for k, x in src.items():
+        dst[k] = dst.get(k, 0) + q * x
+
+
+def _densify(vectors: list[dict[int, int]]) -> list[list[int]]:
+    """The square matrix whose rows are the sparse ``vectors``."""
+    rows = _zeros(len(vectors), len(vectors))
+    for row, vec in zip(rows, vectors):
+        for k, x in vec.items():
+            row[k] = x
+    return rows
+
+
+def smith_normal_form(A: IntegerHom, cancel=None) -> SNFDecomposition:
     """Diagonalise A over Z with a divisibility chain on the diagonal.
 
     Pivoting is deterministic (smallest absolute value, leftmost, topmost),
-    so the decomposition is reproducible run to run.
+    so the decomposition is reproducible run to run.  Boundary matrices are
+    dominated by unit pivots, which take fast paths without changing that
+    rule: the search runs column by column and stops at the first unit, and
+    no entry is tested for divisibility by 1.  Each pivot step touches only
+    entries that can change: rows and columns above and left of the pivot
+    are already zero in D, zero entries of the pivot row and column are
+    skipped, and U, U_inv, V and V_inv are kept as sparse vectors.  A test
+    pins every decomposition to the one the unoptimized kernel computes.
+
+    ``cancel``, when given, is polled once per pivot step and aborts by
+    raising the callable's exception.
     """
     m, n = A.rows, A.cols
     d = A.row_list()
-    u = _identity(m)
-    uinv = _identity(m)
-    v = _identity(n)
-    vinv = _identity(n)
-
-    def row_swap(i, k):
-        d[i], d[k] = d[k], d[i]
-        uinv[i], uinv[k] = uinv[k], uinv[i]
-        for r in u:
-            r[i], r[k] = r[k], r[i]
-
-    def row_add(i, k, q):
-        # row i += q * row k on D; U absorbs the inverse column operation
-        di, dk = d[i], d[k]
-        for j in range(n):
-            di[j] += q * dk[j]
-        ui, uk = uinv[i], uinv[k]
-        for j in range(m):
-            ui[j] += q * uk[j]
-        for r in u:
-            r[k] -= q * r[i]
-
-    def row_neg(i):
-        d[i] = [-x for x in d[i]]
-        uinv[i] = [-x for x in uinv[i]]
-        for r in u:
-            r[i] = -r[i]
-
-    def col_swap(j, k):
-        for r in d:
-            r[j], r[k] = r[k], r[j]
-        for r in vinv:
-            r[j], r[k] = r[k], r[j]
-        v[j], v[k] = v[k], v[j]
-
-    def col_add(j, k, q):
-        # col j += q * col k on D; V absorbs the inverse row operation
-        for r in d:
-            r[j] += q * r[k]
-        for r in vinv:
-            r[j] += q * r[k]
-        vk, vj = v[k], v[j]
-        for c in range(n):
-            vk[c] -= q * vj[c]
+    # sparse rows of U_inv and V; U and V_inv only ever see column
+    # operations, so they are kept by columns (ut[k] is column k of U)
+    uinv = [{i: 1} for i in range(m)]
+    ut = [{i: 1} for i in range(m)]
+    v = [{j: 1} for j in range(n)]
+    vinvt = [{j: 1} for j in range(n)]
 
     t = 0
     while True:
-        best = None
-        pivot = None
-        for i in range(t, m):
-            di = d[i]
-            for j in range(t, n):
-                val = di[j]
-                if val:
-                    key = (abs(val), j, i)
-                    if best is None or key < best:
-                        best = key
-                        pivot = (i, j)
+        if cancel is not None:
+            cancel()
+        pivot = _pivot(d, t, n)
         if pivot is None:
             break
         pi, pj = pivot
         if pi != t:
-            row_swap(t, pi)
+            d[t], d[pi] = d[pi], d[t]
+            uinv[t], uinv[pi] = uinv[pi], uinv[t]
+            ut[t], ut[pi] = ut[pi], ut[t]
         if pj != t:
-            col_swap(t, pj)
+            for i in range(t, m):
+                r = d[i]
+                r[t], r[pj] = r[pj], r[t]
+            vinvt[t], vinvt[pj] = vinvt[pj], vinvt[t]
+            v[t], v[pj] = v[pj], v[t]
         if d[t][t] < 0:
-            row_neg(t)
-        piv = d[t][t]
-        dirty = False
-        for i in range(t + 1, m):
-            if d[i][t]:
-                row_add(i, t, -(d[i][t] // piv))
-                if d[i][t]:
-                    dirty = True
-        for j in range(t + 1, n):
-            if d[t][j]:
-                col_add(j, t, -(d[t][j] // piv))
-                if d[t][j]:
-                    dirty = True
-        if dirty:
+            d[t] = [-x for x in d[t]]
+            uinv[t] = {k: -x for k, x in uinv[t].items()}
+            ut[t] = {k: -x for k, x in ut[t].items()}
+        pivot_row = d[t]
+        piv = pivot_row[t]
+
+        # row i += q * row t, q = -(d[i][t] // piv), for each row below with
+        # an entry in column t; U absorbs the inverse column operations.
+        # Every operation reads row t and writes another, so all of them see
+        # row t as it was when the step began.
+        below = [i for i in range(t + 1, m) if d[i][t]]
+        ops = [(i, q) for i in below if (q := -(d[i][t] // piv))]
+        if ops:
+            src = [(j, x) for j, x in enumerate(pivot_row[t:], t) if x]
+            for i, q in ops:
+                di = d[i]
+                for j, x in src:
+                    di[j] += q * x
+                _add_multiple(uinv[i], q, uinv[t])
+                _add_multiple(ut[t], -q, ut[i])
+        # column j += q * column t, q = -(d[t][j] // piv), likewise for each
+        # column to the right; V absorbs the inverse row operations
+        ops = [(j, q) for j in range(t + 1, n) if (q := -(pivot_row[j] // piv))]
+        if ops:
+            for r in [pivot_row] + [d[i] for i in below if d[i][t]]:
+                x = r[t]
+                for j, q in ops:
+                    r[j] += q * x
+            for j, q in ops:
+                _add_multiple(vinvt[j], q, vinvt[t])
+                _add_multiple(v[t], -q, v[j])
+        if any(pivot_row[t + 1 :]) or any(d[i][t] for i in below):
             continue
-        witness = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if d[i][j] % piv:
-                    witness = i
-                    break
+
+        # a unit divides everything; otherwise pull a row holding an entry
+        # the pivot does not divide into row t and pivot again
+        if piv != 1:
+            witness = next(
+                (i for i in range(t + 1, m) if any(x % piv for x in d[i][t + 1 :])), None
+            )
             if witness is not None:
-                break
-        if witness is not None:
-            row_add(t, witness, 1)
-            continue
+                d[t] = [x + y for x, y in zip(pivot_row, d[witness])]
+                _add_multiple(uinv[t], 1, uinv[witness])
+                _add_multiple(ut[witness], -1, ut[t])
+                continue
         t += 1
 
     return SNFDecomposition(
-        U=IntegerHom.from_rows(u, width=m),
+        U=IntegerHom.from_rows(list(zip(*_densify(ut))), width=m),
         D=IntegerHom.from_rows(d, width=n),
-        V=IntegerHom.from_rows(v, width=n),
-        U_inv=IntegerHom.from_rows(uinv, width=m),
-        V_inv=IntegerHom.from_rows(vinv, width=n),
+        V=IntegerHom.from_rows(_densify(v), width=n),
+        U_inv=IntegerHom.from_rows(_densify(uinv), width=m),
+        V_inv=IntegerHom.from_rows(list(zip(*_densify(vinvt))), width=n),
     )
 
 
@@ -489,10 +512,7 @@ def smith_normal_form(A: IntegerHom) -> SNFDecomposition:
 
 def integer_kernel_basis(A: IntegerHom) -> IntegerHom:
     """Columns form a basis of the integer kernel of A (cols x k matrix)."""
-    s = smith_normal_form(A)
-    r = s.rank
-    rows = [[s.V_inv.entries[i][j] for j in range(r, A.cols)] for i in range(A.cols)]
-    return IntegerHom.from_rows(rows, width=A.cols - r)
+    return Factorization(A).kernel()
 
 
 class Factorization:
@@ -500,11 +520,16 @@ class Factorization:
 
     Solving ``A x = b`` reduces to ``U_inv * b``, a divisibility test against
     the diagonal and one product with ``V_inv``; none of it refactors ``A``.
+    The same decomposition gives bases of the kernel and of the column
+    lattice of ``A``, and the coordinates of a vector in either basis, so a
+    basis it produced never needs a factorization of its own.
+    ``cancel`` is passed to :func:`smith_normal_form`.
     """
 
-    def __init__(self, A: IntegerHom):
+    def __init__(self, A: IntegerHom, cancel=None):
         self.A = A
-        self.snf = smith_normal_form(A)
+        self.snf = smith_normal_form(A, cancel=cancel)
+        self.rank = self.snf.rank
         diagonal = self.snf.diagonal
         # padded with zeros to one entry per row of A
         self.diagonal = diagonal + (0,) * (A.rows - len(diagonal))
@@ -514,23 +539,47 @@ class Factorization:
             raise DimensionError("target length does not match rows")
         return _mat_vec_sparse(self.snf.U_inv.entries, b)
 
+    def kernel(self) -> IntegerHom:
+        """Columns form a basis of the integer kernel of ``A``: the last
+        ``cols - rank`` columns of ``V_inv``."""
+        r = self.rank
+        return IntegerHom.from_rows([row[r:] for row in self.snf.V_inv.entries], width=self.A.cols - r)
+
+    def kernel_coordinates(self, b: list[int]) -> list[int] | None:
+        """The coordinates of ``b`` in :meth:`kernel`, or None when
+        ``A b != 0``."""
+        if len(b) != self.A.cols:
+            raise DimensionError("vector length does not match columns")
+        z = _mat_vec_sparse(self.snf.V.entries, b)
+        return None if any(z[: self.rank]) else z[self.rank :]
+
+    def column_basis(self) -> IntegerHom:
+        """Columns form a basis of the lattice spanned by the columns of
+        ``A``: the first ``rank`` columns of ``U``, scaled by the diagonal."""
+        d = self.diagonal[: self.rank]
+        return IntegerHom.from_rows(
+            [[x * row[j] for j, x in enumerate(d)] for row in self.snf.U.entries], width=self.rank
+        )
+
+    def column_coordinates(self, b: list[int]) -> list[int] | None:
+        """The coordinates of ``b`` in :meth:`column_basis`, or None when
+        ``b`` is not in the column lattice of ``A``."""
+        w = self._reduced(b)
+        r = self.rank
+        if any(w[r:]) or any(w[i] % self.diagonal[i] for i in range(r)):
+            return None
+        return [w[i] // self.diagonal[i] for i in range(r)]
+
     def contains(self, b: list[int]) -> bool:
         """Is ``b`` in the lattice spanned by the columns of ``A``?"""
-        w = self._reduced(b)
-        return all(w[i] % d == 0 if d else not w[i] for i, d in enumerate(self.diagonal))
+        return self.column_coordinates(b) is not None
 
     def solve(self, b: list[int]) -> list[int] | None:
         """Some integer solution of ``A x = b``, or None when there is none."""
-        w = self._reduced(b)
-        y = [0] * self.A.cols
-        for i, d in enumerate(self.diagonal):
-            if d:
-                if w[i] % d:
-                    return None
-                y[i] = w[i] // d
-            elif w[i]:
-                return None
-        return _mat_vec_sparse(self.snf.V_inv.entries, y)
+        y = self.column_coordinates(b)
+        if y is None:
+            return None
+        return _mat_vec_sparse(self.snf.V_inv.entries, y + [0] * (self.A.cols - self.rank))
 
     def solve_mod(self, b: list[int], modulus: int) -> list[int] | None:
         """Some solution of ``A x = b (mod modulus)``, entries in [0, modulus)."""
@@ -560,11 +609,7 @@ def modular_solve(A: IntegerHom, b: list[int], modulus: int) -> list[int] | None
 
 def lattice_column_basis(W: IntegerHom) -> IntegerHom:
     """A basis (as columns) of the lattice spanned by the columns of W."""
-    s = smith_normal_form(W)
-    r = s.rank
-    diag = s.diagonal
-    rows = [[diag[j] * s.U.entries[i][j] for j in range(r)] for i in range(W.rows)]
-    return IntegerHom.from_rows(rows, width=r)
+    return Factorization(W).column_basis()
 
 
 def cokernel_presentation(Y: IntegerHom) -> tuple[FGAbelianGroup, list[tuple[list[int], int]]]:
@@ -630,7 +675,8 @@ def solve(
 
     The system splits summand by summand: one integer system per free slot of
     G and one modular system per invariant factor.  ``cancel``, when given, is
-    polled between slots and aborts by raising the callable's exception.
+    polled at every pivot step of the factorization and between slots, and
+    aborts by raising the callable's exception.
     """
     target = list(target)
     if len(target) != A.rows:
@@ -638,7 +684,7 @@ def solve(
     for e in target:
         if e.group != coefficient:
             raise GroupMismatchError("target parent differs from the coefficient group")
-    factored = Factorization(A) if coefficient.cyclic_summands() else None
+    factored = Factorization(A, cancel=cancel) if coefficient.cyclic_summands() else None
     free_parts: list[list[int]] = []
     for k in range(coefficient.rank):
         if cancel is not None:

@@ -32,7 +32,6 @@ from .abelian import (  # noqa: F401
     direct_sum,
     integer_kernel_basis,
     integer_solve,
-    lattice_column_basis,
     tensor,
     tor,
 )
@@ -140,36 +139,45 @@ class HomologyResult:
     periodized: tuple[FGAbelianGroup, FGAbelianGroup]
 
 
-def _mod_cycle_basis(Dp: IntegerHom, c: int) -> IntegerHom:
-    """Basis of the lattice {x : Dp x = 0 mod c}; always full rank."""
+def _cycle_basis(Dp: IntegerHom, c: int):
+    """Basis of the cycles of Dp over Z (c = 0) or mod c, and the function
+    that gives a cycle's coordinates in it.
+
+    Both come from the one factorization that produced the basis: the kernel
+    of Dp, or over Z/c the column lattice of the top block of a kernel basis
+    of [Dp | c*I].  The basis has full column rank, so the coordinates are
+    the unique solution of ``basis * y = cycle``.
+    """
+    if c == 0:
+        factored = Factorization(Dp)
+        return factored.kernel(), factored.kernel_coordinates
     full = integer_kernel_basis(Dp.with_multiples(c))
-    top = IntegerHom.from_rows(full.entries[: Dp.cols], width=full.cols)
-    basis = lattice_column_basis(top)
+    top = Factorization(IntegerHom.from_rows(full.entries[: Dp.cols], width=full.cols))
+    basis = top.column_basis()
     if basis.cols != Dp.cols:
         raise InternalConsistencyError("cycle lattice mod c is not full rank")
-    return basis
+    return basis, top.column_coordinates
 
 
-def _lattices(Dp: IntegerHom, Dp1: IntegerHom, c: int) -> tuple[IntegerHom, IntegerHom]:
-    """(cycles, relations) of one degree: homology over Z (c = 0) or Z/c is
-    the quotient of the first column lattice by the second.
+def _lattices(Dp: IntegerHom, Dp1: IntegerHom, c: int):
+    """(cycles, relations, coordinates) of one degree: homology over Z
+    (c = 0) or Z/c is the quotient of the first column lattice by the
+    second, and ``coordinates`` expresses a cycle in the first.
 
     Over Z these are ker(Dp) and im(Dp1); over Z/c, the cycles mod c and the
     boundaries plus c-multiples, so that all of it stays an integer lattice.
     """
-    if c == 0:
-        return integer_kernel_basis(Dp), Dp1
-    return _mod_cycle_basis(Dp, c), Dp1.with_multiples(c)
+    cycles, coordinates = _cycle_basis(Dp, c)
+    return cycles, Dp1.with_multiples(c) if c else Dp1, coordinates
 
 
 def _homology_gens(Dp: IntegerHom, Dp1: IntegerHom, c: int):
     """Homology ker(Dp)/im(Dp1) over Z (c = 0) or Z/c, with generating cycles
     and their orders."""
-    cycles, relations = _lattices(Dp, Dp1, c)
-    factored = Factorization(cycles)
+    cycles, relations, coordinates = _lattices(Dp, Dp1, c)
     cols = []
     for b in relations.columns():
-        y = factored.solve(b)
+        y = coordinates(b)
         if y is None:
             raise InternalConsistencyError("a relation escapes the cycle lattice")
         cols.append(y)
@@ -303,7 +311,9 @@ def _presentation(complex: ConormalChainComplex, parity: int, c: int) -> _Presen
     blocks = _blocks(complex, parity)
     cycles, relations = {}, {}
     for p, _ in blocks:
-        cycles[p], relations[p] = _lattices(complex.boundary[p], complex.boundary_or_zero(p + 1), c)
+        cycles[p], relations[p], _ = _lattices(
+            complex.boundary[p], complex.boundary_or_zero(p + 1), c
+        )
     return _Presentation(_block_diag(blocks, cycles), _block_diag(blocks, relations))
 
 

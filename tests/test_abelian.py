@@ -17,6 +17,7 @@ from cornerindex.abelian import (
     integer_kernel_basis,
     integer_solve,
     kernel_group,
+    lattice_column_basis,
     power,
     smith_normal_form,
     solve,
@@ -24,13 +25,21 @@ from cornerindex.abelian import (
     tor,
 )
 
+from cornerindex.conormal import incidence_matrix
+
 from helpers import (
     bareiss_det,
+    cube,
     exhaustive_solve,
+    gallery_posets,
     integer_solvable,
+    kgon,
     minor_gcd_invariant_factors,
     modular_solvable,
     prime_power_canonical,
+    random_codim2_poset,
+    rank_mod_p,
+    reference_smith_normal_form,
 )
 
 Z = FGAbelianGroup(1)
@@ -200,6 +209,66 @@ def test_snf_empty_dimensions():
         s = smith_normal_form(A)
         assert s.U.compose(s.D).compose(s.V) == A
 
+
+
+def _random_snf_inputs():
+    """Seeded dense, sparse unit and multiple-of-c matrices with 0 to 25
+    rows and columns, empty shapes included."""
+    rng = random.Random(77)
+    out = [IntegerHom.zero(rows, cols) for rows, cols in ((0, 0), (0, 9), (9, 0))]
+
+    def matrix(pick):
+        rows, cols = rng.randint(0, 25), rng.randint(0, 25)
+        return IntegerHom.from_rows([[pick() for _ in range(cols)] for _ in range(rows)], width=cols)
+
+    for _ in range(40):
+        out.append(matrix(lambda: rng.randint(-9, 9)))
+        out.append(matrix(lambda: rng.choice((0, 0, 0, 0, 0, 0, 1, -1))))
+    for c in (2, 3, 4, 6, 12):
+        for _ in range(16):
+            out.append(matrix(lambda: rng.choice((0, 0, 0, 1, -1, c, -c, 2 * c))))
+    return out
+
+
+def _boundary_matrices():
+    posets = [poset for _, poset in gallery_posets()]
+    posets += [cube(d) for d in (3, 4, 5)]
+    posets += [kgon(k) for k in (16, 17, 31, 32, 33, 48, 63, 64)]
+    return [incidence_matrix(poset, p) for poset in posets for p in range(1, poset.codimension() + 1)]
+
+
+@pytest.mark.parametrize("inputs", [_random_snf_inputs, _boundary_matrices], ids=["random", "boundary"])
+def test_snf_matches_frozen_reference_kernel(inputs):
+    # the fast paths keep the pivot sequence, so U, D, V and both inverses
+    # are the ones the unoptimized kernel computes, at any size
+    for A in inputs():
+        assert smith_normal_form(A) == reference_smith_normal_form(A)
+
+
+def _prime_factors(n: int) -> set[int]:
+    out, q = set(), 2
+    while q * q <= n:
+        while n % q == 0:
+            out.add(q)
+            n //= q
+        q += 1
+    return out | ({n} if n > 1 else set())
+
+
+def test_invariant_factors_match_ranks_mod_p():
+    # over F_p, A has as many pivots as invariant factors prime to p; the
+    # minors oracle stops at tiny matrices, this one reaches boundary sizes
+    rng = random.Random(150)
+    gon = incidence_matrix(kgon(64), 2)
+    five = cube(5)
+    matrices = [gon, gon.with_multiples(4)]
+    matrices += [incidence_matrix(five, p) for p in range(1, 6)]
+    matrices += [incidence_matrix(random_codim2_poset(rng, 150), 2) for _ in range(3)]
+    for A in matrices:
+        factors = [d for d in smith_normal_form(A).diagonal if d]
+        primes = {2, 3, 5}.union(*(_prime_factors(d) for d in factors))
+        for p in sorted(primes):
+            assert sum(1 for d in factors if d % p) == rank_mod_p(A, p), (A.rows, A.cols, p)
 
 # ---------------------------------------------------------------------------
 # kernels and cokernels
@@ -380,6 +449,35 @@ def test_factorization_contains_agrees_with_solve():
         factored = Factorization(A)
         assert factored.contains(b) == (factored.solve(b) is not None)
 
+
+def test_factorization_coordinates_reproduce_the_vector():
+    rng = random.Random(407)
+    for _ in range(300):
+        A, b = _random_system(rng)
+        factored = Factorization(A)
+        kernel, columns = factored.kernel(), factored.column_basis()
+        assert kernel == integer_kernel_basis(A) and columns == lattice_column_basis(A)
+        assert A.compose(kernel).is_zero()
+        for basis, coordinates in (
+            (kernel, factored.kernel_coordinates),
+            (columns, factored.column_coordinates),
+        ):
+            y = [rng.randint(-3, 3) for _ in range(basis.cols)]
+            assert coordinates(basis.apply_int(y)) == y
+        y = factored.column_coordinates(b)
+        assert (y is not None) == integer_solvable(A, b)
+        if y is not None:
+            assert columns.apply_int(y) == b
+        x = [rng.randint(-1, 1) for _ in range(A.cols)]
+        z = factored.kernel_coordinates(x)
+        assert (z is not None) == (not any(A.apply_int(x)))
+        if z is not None:
+            assert kernel.apply_int(z) == x
+    factored = Factorization(hom([[1, 2], [3, 4]]))
+    with pytest.raises(DimensionError):
+        factored.kernel_coordinates([1])
+    with pytest.raises(DimensionError):
+        factored.column_coordinates([1, 2, 3])
 
 def test_factorization_rejects_bad_shapes():
     factored = Factorization(hom([[1, 2], [3, 4]]))

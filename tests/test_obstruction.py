@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from cornerindex import conormal, faces
-from cornerindex.abelian import FGAbelianGroup
+from cornerindex import abelian, conormal, faces
+from cornerindex.abelian import FGAbelianGroup, smith_normal_form
 from cornerindex.conormal import build_complex, incidence_matrix
 from cornerindex.faces import FilteredPair
 from cornerindex.families import gallery, quotient_family
@@ -21,7 +21,7 @@ from cornerindex.obstruction import (
     connection_matrices,
 )
 
-from helpers import count_calls, exhaustive_solve, gallery_posets, random_valid_poset
+from helpers import count_calls, exhaustive_solve, gallery_posets, kgon, random_valid_poset
 
 Z = FGAbelianGroup(1)
 TRIVIAL = FGAbelianGroup(0)
@@ -293,6 +293,40 @@ def test_codim2_cancellation_token():
     with pytest.raises(TimeoutError):
         codim2_vanishes(square(), K, datum_for(square(), K), cancel=cancel)
 
+
+
+def test_codim2_cancel_interrupts_the_factorization(monkeypatch):
+    # the Smith normal form of D_2 is the one long step of a verdict; cancel
+    # is polled at each of its pivot steps, not only after it returns
+    poset = kgon(48)
+    K = KTheoryInput(Z, Z, "K^1 = Z")
+    D2 = incidence_matrix(poset, 2)
+    rng = random.Random(48)
+    values = D2.apply_int([rng.randint(-3, 3) for _ in range(D2.cols)])
+    edges = [f.id for f in poset.faces_of_codim(1)]
+    datum = datum_for(poset, K, codim1={e: Z.element([x], []) for e, x in zip(edges, values)})
+    verdict = codim2_vanishes(poset, K, datum)
+    assert verdict.vanishes and verdict.certificate is not None
+
+    polls = []
+    assert codim2_vanishes(poset, K, datum, cancel=lambda: polls.append(1)) == verdict
+    assert len(polls) >= smith_normal_form(D2).rank
+
+    returned = []
+    real = abelian.smith_normal_form
+
+    def recording(*args, **kwargs):
+        result = real(*args, **kwargs)
+        returned.append(result)
+        return result
+
+    def cancel():
+        raise TimeoutError("cancelled")
+
+    monkeypatch.setattr(abelian, "smith_normal_form", recording)
+    with pytest.raises(TimeoutError):
+        codim2_vanishes(poset, K, datum, cancel=cancel)
+    assert returned == []
 
 # ---------------------------------------------------------------------------
 # connection matrices
