@@ -42,9 +42,10 @@ def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+def _mat_mul(a: list[list[int]], b: list[list[int]], cols: int) -> list[list[int]]:
+    """``a * b`` with ``cols`` columns; the width is passed, since ``b`` has
+    no row to read it from when the inner dimension is 0."""
     rows, inner = len(a), len(b)
-    cols = len(b[0]) if b else 0
     if a and len(a[0]) != inner:
         raise DimensionError("inner dimensions differ")
     out = _zeros(rows, cols)
@@ -314,7 +315,8 @@ class IntegerHom:
     def compose(self, other: "IntegerHom") -> "IntegerHom":
         if self.cols != other.rows:
             raise DimensionError("composition shape mismatch")
-        return IntegerHom.from_rows(_mat_mul(self.row_list(), other.row_list()), width=other.cols)
+        product = _mat_mul(self.row_list(), other.row_list(), other.cols)
+        return IntegerHom.from_rows(product, width=other.cols)
 
     def is_zero(self) -> bool:
         return all(all(e == 0 for e in r) for r in self.entries)

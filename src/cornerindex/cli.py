@@ -10,6 +10,7 @@ bug).  Set CORNER_INDEX_LOG=debug for diagnostics on standard error.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -38,14 +39,32 @@ EXIT_INTERNAL = 4
 log = logging.getLogger("cornerindex")
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to ``sys.stderr`` as it is when the record is
+    emitted, so a replaced standard error is followed."""
+
+    def __init__(self):
+        logging.Handler.__init__(self)  # StreamHandler's would assign a stream
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
+_log_handler = _StderrHandler()
+_log_handler.setFormatter(logging.Formatter("cornerindex %(levelname)s: %(message)s"))
+
+
 def _configure_logging():
+    """Follow CORNER_INDEX_LOG as set for this call: the one cornerindex
+    handler is attached while it is set and detached once it is unset."""
     level = os.environ.get("CORNER_INDEX_LOG", "").strip()
-    if not level:
-        return
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("cornerindex %(levelname)s: %(message)s"))
-    log.addHandler(handler)
-    log.setLevel(getattr(logging, level.upper(), logging.DEBUG))
+    if level:
+        log.addHandler(_log_handler)  # no-op when already attached
+        log.setLevel(getattr(logging, level.upper(), logging.DEBUG))
+    elif _log_handler in log.handlers:
+        log.removeHandler(_log_handler)
+        log.setLevel(logging.NOTSET)
 
 
 def _load(path: str, expected_kind: str) -> dict:
@@ -213,7 +232,10 @@ def _cmd_gallery(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: it depends on no input,
+    and ``parse_args`` returns a fresh namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="cornerindex",
         description="Exact conormal homology and boundary-index obstruction calculator.",

@@ -79,6 +79,10 @@ def validate(poset: FacePoset) -> list[str]:
     """All violated invariants, one message each; empty list means valid.
 
     A poset with no faces at all stands for the empty manifold and is valid.
+    The faces are indexed once (id -> face and parent map); one pass then
+    checks every face, its parents and its index pairs, reading the
+    grandparents' parent maps from the index.  Grandparent-commutation
+    messages follow all the per-face ones.
     """
     violations = []
     if poset.is_empty():
@@ -86,79 +90,74 @@ def validate(poset: FacePoset) -> list[str]:
     hyps = set(poset.hypersurfaces)
     if len(hyps) != len(poset.hypersurfaces):
         violations.append("duplicate-hypersurface: hypersurface list has repeats")
-    seen = {}
-    for f in poset.faces:
-        if f.id in seen:
+    pmaps = [f.parent_map() for f in poset.faces]
+    by_id = {}  # id -> (face, parent map); the last face wins on a repeated id
+    n_codim0 = 0
+    for f, pmap in zip(poset.faces, pmaps):
+        if f.id in by_id:
             violations.append(f"duplicate-face-id: {f.id}")
-        seen[f.id] = f
-    by_id = seen
+        by_id[f.id] = (f, pmap)
+        if f.codim == 0:
+            n_codim0 += 1
 
-    n_codim0 = sum(1 for f in poset.faces if f.codim == 0)
     if n_codim0 == 0:
         violations.append("missing-interior: no codimension-0 face")
     elif poset.connected and n_codim0 > 1:
         violations.append("disconnected-interior: connected poset has several codimension-0 faces")
 
-    for f in poset.faces:
+    commute = []
+    for f, pmap in zip(poset.faces, pmaps):
+        idx = f.index_tuple
+        members = set(idx)
+        distinct = len(members) == len(idx)
+        # grandparents commute: dropping i then j matches dropping j then i
+        if f.codim >= 2 and distinct and pmap.keys() == members:
+            # (index, parent map of the parent dropping it), for known parents
+            known = [(i, by_id[pmap[i]][1]) for i in idx if pmap[i] in by_id]
+            for a, (i, via) in enumerate(known):
+                for j, other in known[a + 1 :]:
+                    via_i = via.get(j)
+                    if via_i is None or via_i != other.get(i):
+                        commute.append(
+                            f"grandparent-mismatch: {f.id} dropping {i},{j} in either order disagrees"
+                        )
+
         if f.codim < 0:
             violations.append(f"negative-codim: {f.id}")
             continue
-        if len(f.index_tuple) != f.codim:
-            violations.append(f"tuple-length: {f.id} has {len(f.index_tuple)} indices for codim {f.codim}")
-        unknown = [h for h in f.index_tuple if h not in hyps]
+        if len(idx) != f.codim:
+            violations.append(f"tuple-length: {f.id} has {len(idx)} indices for codim {f.codim}")
+        unknown = [h for h in idx if h not in hyps]
         if unknown:
             violations.append(f"unknown-hypersurface: {f.id} references {unknown[0]}")
             continue
-        has_repeat = len(set(f.index_tuple)) != len(f.index_tuple)
-        weakly_sorted = tuple(sorted(f.index_tuple)) == f.index_tuple
-        if has_repeat:
+        weakly_sorted = tuple(sorted(idx)) == idx
+        if not distinct:
             violations.append(f"duplicate-index: {f.id} repeats a hypersurface")
         if not weakly_sorted:
             violations.append(f"unsorted-tuple: {f.id} index tuple is not ascending")
-        if has_repeat or not weakly_sorted:
+        if not distinct or not weakly_sorted:
             continue
-        pmap = f.parent_map()
-        extra = set(pmap) - set(f.index_tuple)
+        extra = pmap.keys() - members
         if extra:
-            violations.append(f"stray-parent: {f.id} lists parent for absent index {sorted(extra)[0]}")
-        for i in f.index_tuple:
+            violations.append(f"stray-parent: {f.id} lists parent for absent index {min(extra)}")
+        for k, i in enumerate(idx):
             if i not in pmap:
                 violations.append(f"missing-parent: {f.id} has no parent for index {i}")
                 continue
             gid = pmap[i]
-            g = by_id.get(gid)
-            if g is None:
+            if gid not in by_id:
                 violations.append(f"unknown-parent: {f.id} names missing face {gid}")
                 continue
+            g = by_id[gid][0]
             if g.codim != f.codim - 1:
                 violations.append(f"parent-codim: {f.id} parent {gid} has codim {g.codim}")
                 continue
-            expected = tuple(h for h in f.index_tuple if h != i)
+            # with no repeats, dropping position k drops exactly the index i
+            expected = idx[:k] + idx[k + 1 :]
             if g.index_tuple != expected:
                 violations.append(f"parent-tuple: {f.id} parent {gid} should carry {expected}")
-
-    # grandparents commute: dropping i then j matches dropping j then i
-    for f in poset.faces:
-        if f.codim < 2:
-            continue
-        pmap = f.parent_map()
-        idx = f.index_tuple
-        if len(set(idx)) != len(idx) or set(pmap) != set(idx):
-            continue  # already reported above
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                i, j = idx[a], idx[b]
-                gi = by_id.get(pmap[i])
-                gj = by_id.get(pmap[j])
-                if gi is None or gj is None:
-                    continue
-                via_i = gi.parent_map().get(j)
-                via_j = gj.parent_map().get(i)
-                if via_i is None or via_j is None or via_i != via_j:
-                    violations.append(
-                        f"grandparent-mismatch: {f.id} dropping {i},{j} in either order disagrees"
-                    )
-    return violations
+    return violations + commute
 
 
 def require_valid(poset: FacePoset) -> FacePoset:

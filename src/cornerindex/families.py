@@ -41,7 +41,10 @@ class FiberAutomorphism:
 
 
 def validate_automorphism(fiber: FacePoset, aut: FiberAutomorphism) -> list[str]:
-    """Violations of the automorphism axioms against the given fiber poset."""
+    """Violations of the automorphism axioms against the given fiber poset.
+
+    Each face's parent map is built once per call; an image's map is read
+    from the id index."""
     violations = []
     fmap = aut.faces()
     smap = aut.hypersurfaces()
@@ -53,17 +56,16 @@ def validate_automorphism(fiber: FacePoset, aut: FiberAutomorphism) -> list[str]
     if set(smap) != hyps or set(smap.values()) != hyps:
         violations.append("hypersurface-map: not a bijection of the hypersurfaces")
         return violations
-    by_id = fiber.by_id()
-    for f in fiber.faces:
-        image = by_id[fmap[f.id]]
+    pmaps = [f.parent_map() for f in fiber.faces]
+    by_id = {f.id: (f, pmap) for f, pmap in zip(fiber.faces, pmaps)}
+    for f, pmap in zip(fiber.faces, pmaps):
+        image, image_pmap = by_id[fmap[f.id]]
         if image.codim != f.codim:
             violations.append(f"codim-change: {f.id} -> {image.id}")
             continue
         if tuple(sorted(smap[i] for i in f.index_tuple)) != image.index_tuple:
             violations.append(f"tuple-mismatch: {f.id} -> {image.id}")
             continue
-        pmap = f.parent_map()
-        image_pmap = image.parent_map()
         for i in f.index_tuple:
             if fmap[pmap[i]] != image_pmap[smap[i]]:
                 violations.append(f"parent-mismatch: {f.id} at index {i}")

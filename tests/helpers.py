@@ -23,8 +23,8 @@ from cornerindex.abelian import (
 )
 from cornerindex.abelian import Factorization, cokernel_presentation
 from cornerindex.conormal import _lattices, build_complex, homology
-from cornerindex.faces import FacePoset
-from cornerindex.families import check_embeddable, gallery, quotient_family, GALLERY_NAMES
+from cornerindex.faces import Face, FacePoset
+from cornerindex.families import FiberAutomorphism, check_embeddable, gallery, quotient_family, GALLERY_NAMES
 
 
 def bareiss_det(matrix: list[list[int]]) -> int:
@@ -288,6 +288,128 @@ def homology_gens_by_solving(Dp: IntegerHom, Dp1: IntegerHom, c: int):
     return group, reps
 
 
+def reference_validate(poset: FacePoset) -> list[str]:
+    """``faces.validate`` as it stood before it became one indexed pass,
+    kept verbatim as the reference for its messages and their order: the
+    grandparent loop rebuilds both grandparents' parent maps per index pair.
+
+    All violated invariants, one message each; empty list means valid.
+
+    A poset with no faces at all stands for the empty manifold and is valid.
+    """
+    violations = []
+    if poset.is_empty():
+        return violations
+    hyps = set(poset.hypersurfaces)
+    if len(hyps) != len(poset.hypersurfaces):
+        violations.append("duplicate-hypersurface: hypersurface list has repeats")
+    seen = {}
+    for f in poset.faces:
+        if f.id in seen:
+            violations.append(f"duplicate-face-id: {f.id}")
+        seen[f.id] = f
+    by_id = seen
+
+    n_codim0 = sum(1 for f in poset.faces if f.codim == 0)
+    if n_codim0 == 0:
+        violations.append("missing-interior: no codimension-0 face")
+    elif poset.connected and n_codim0 > 1:
+        violations.append("disconnected-interior: connected poset has several codimension-0 faces")
+
+    for f in poset.faces:
+        if f.codim < 0:
+            violations.append(f"negative-codim: {f.id}")
+            continue
+        if len(f.index_tuple) != f.codim:
+            violations.append(f"tuple-length: {f.id} has {len(f.index_tuple)} indices for codim {f.codim}")
+        unknown = [h for h in f.index_tuple if h not in hyps]
+        if unknown:
+            violations.append(f"unknown-hypersurface: {f.id} references {unknown[0]}")
+            continue
+        has_repeat = len(set(f.index_tuple)) != len(f.index_tuple)
+        weakly_sorted = tuple(sorted(f.index_tuple)) == f.index_tuple
+        if has_repeat:
+            violations.append(f"duplicate-index: {f.id} repeats a hypersurface")
+        if not weakly_sorted:
+            violations.append(f"unsorted-tuple: {f.id} index tuple is not ascending")
+        if has_repeat or not weakly_sorted:
+            continue
+        pmap = f.parent_map()
+        extra = set(pmap) - set(f.index_tuple)
+        if extra:
+            violations.append(f"stray-parent: {f.id} lists parent for absent index {sorted(extra)[0]}")
+        for i in f.index_tuple:
+            if i not in pmap:
+                violations.append(f"missing-parent: {f.id} has no parent for index {i}")
+                continue
+            gid = pmap[i]
+            g = by_id.get(gid)
+            if g is None:
+                violations.append(f"unknown-parent: {f.id} names missing face {gid}")
+                continue
+            if g.codim != f.codim - 1:
+                violations.append(f"parent-codim: {f.id} parent {gid} has codim {g.codim}")
+                continue
+            expected = tuple(h for h in f.index_tuple if h != i)
+            if g.index_tuple != expected:
+                violations.append(f"parent-tuple: {f.id} parent {gid} should carry {expected}")
+
+    # grandparents commute: dropping i then j matches dropping j then i
+    for f in poset.faces:
+        if f.codim < 2:
+            continue
+        pmap = f.parent_map()
+        idx = f.index_tuple
+        if len(set(idx)) != len(idx) or set(pmap) != set(idx):
+            continue  # already reported above
+        for a in range(len(idx)):
+            for b in range(a + 1, len(idx)):
+                i, j = idx[a], idx[b]
+                gi = by_id.get(pmap[i])
+                gj = by_id.get(pmap[j])
+                if gi is None or gj is None:
+                    continue
+                via_i = gi.parent_map().get(j)
+                via_j = gj.parent_map().get(i)
+                if via_i is None or via_j is None or via_i != via_j:
+                    violations.append(
+                        f"grandparent-mismatch: {f.id} dropping {i},{j} in either order disagrees"
+                    )
+    return violations
+
+
+def reference_validate_automorphism(fiber: FacePoset, aut: FiberAutomorphism) -> list[str]:
+    """``families.validate_automorphism`` as it stood before it built each
+    face's parent map once per call, kept verbatim as the reference for its
+    messages and their order."""
+    violations = []
+    fmap = aut.faces()
+    smap = aut.hypersurfaces()
+    face_ids = {f.id for f in fiber.faces}
+    if set(fmap) != face_ids or set(fmap.values()) != face_ids:
+        violations.append("face-map: not a bijection of the fiber faces")
+        return violations
+    hyps = set(fiber.hypersurfaces)
+    if set(smap) != hyps or set(smap.values()) != hyps:
+        violations.append("hypersurface-map: not a bijection of the hypersurfaces")
+        return violations
+    by_id = fiber.by_id()
+    for f in fiber.faces:
+        image = by_id[fmap[f.id]]
+        if image.codim != f.codim:
+            violations.append(f"codim-change: {f.id} -> {image.id}")
+            continue
+        if tuple(sorted(smap[i] for i in f.index_tuple)) != image.index_tuple:
+            violations.append(f"tuple-mismatch: {f.id} -> {image.id}")
+            continue
+        pmap = f.parent_map()
+        image_pmap = image.parent_map()
+        for i in f.index_tuple:
+            if fmap[pmap[i]] != image_pmap[smap[i]]:
+                violations.append(f"parent-mismatch: {f.id} at index {i}")
+    return violations
+
+
 def uct_assembly(complex) -> dict[int, FGAbelianGroup]:
     """Per-degree homology over the complex's coefficients, assembled from
     its integer homology: (H_p(Z) tensor G) + Tor(H_{p-1}(Z), G).
@@ -440,3 +562,128 @@ def random_codim2_poset(rng, n_faces: int) -> FacePoset:
             a, b = b, a
         faces.append((f"c{c:03d}", 2, (on[a], on[b]), {on[a]: f"e{b:03d}", on[b]: f"e{a:03d}"}))
     return FacePoset.build(hyps, faces)
+
+
+# ---------------------------------------------------------------------------
+# corrupted posets and automorphisms
+
+
+POSET_MUTATIONS = (
+    "repoint-parent",
+    "drop-parent",
+    "add-parent",
+    "reverse-tuple",
+    "repeat-index",
+    "extend-tuple",
+    "duplicate-face-id",
+    "duplicate-hypersurface",
+    "change-codim",
+    "delete-face",
+    "second-interior",
+)
+
+
+def _some_face_id(rng, faces) -> str:
+    """An existing face id, or now and then one that names no face."""
+    return rng.choice(faces)[0] if faces and rng.random() < 0.85 else "ghost"
+
+
+def _some_hypersurface(rng, hyps) -> str:
+    """A declared hypersurface, or now and then an undeclared one."""
+    return rng.choice(hyps) if hyps and rng.random() < 0.9 else "h_unknown"
+
+
+def _mutate(kind: str, rng, hyps: list, faces: list) -> None:
+    """Apply one edit of the given kind in place; faces are mutable
+    [id, codim, index list, parent-pair list] records."""
+    with_parents = [f for f in faces if f[3]]
+    with_pairs = [f for f in faces if len(f[2]) >= 2]
+    with_indices = [f for f in faces if f[2]]
+    if kind == "repoint-parent" and with_parents:
+        parents = rng.choice(with_parents)[3]
+        k = rng.randrange(len(parents))
+        parents[k] = (parents[k][0], _some_face_id(rng, faces))
+    elif kind == "drop-parent" and with_parents:
+        parents = rng.choice(with_parents)[3]
+        del parents[rng.randrange(len(parents))]
+    elif kind == "add-parent" and faces:
+        rng.choice(faces)[3].append((_some_hypersurface(rng, hyps), _some_face_id(rng, faces)))
+    elif kind == "reverse-tuple" and with_pairs:
+        rng.choice(with_pairs)[2].reverse()
+    elif kind == "repeat-index" and with_indices:
+        tup = rng.choice(with_indices)[2]
+        if len(tup) >= 2:
+            a, b = rng.sample(range(len(tup)), 2)
+            tup[b] = tup[a]
+        else:
+            tup.append(tup[0])
+    elif kind == "extend-tuple" and faces:
+        tup = rng.choice(faces)[2]
+        tup.insert(rng.randrange(len(tup) + 1), _some_hypersurface(rng, hyps))
+    elif kind == "duplicate-face-id" and faces:
+        f = rng.choice(faces)
+        if len(faces) >= 2 and rng.random() < 0.5:
+            rng.choice([g for g in faces if g is not f])[0] = f[0]
+        else:
+            faces.insert(rng.randrange(len(faces) + 1), [f[0], f[1], list(f[2]), list(f[3])])
+    elif kind == "duplicate-hypersurface":
+        hyps.insert(rng.randrange(len(hyps) + 1), _some_hypersurface(rng, hyps))
+    elif kind == "change-codim" and faces:
+        f = rng.choice(faces)
+        f[1] = rng.choice((f[1] - 1, f[1] + 1, -1))
+    elif kind == "delete-face" and faces:
+        del faces[rng.randrange(len(faces))]
+    elif kind == "second-interior":
+        faces.insert(rng.randrange(len(faces) + 1), [f"int_extra{len(faces)}", 0, [], []])
+
+
+def mutate_poset(rng, poset: FacePoset, n_edits: int) -> FacePoset:
+    """``poset`` after ``n_edits`` random edits drawn from
+    ``POSET_MUTATIONS``; each edit may break one or more validation
+    invariants.  Parent pairs keep their order, repeats included."""
+    hyps = list(poset.hypersurfaces)
+    faces = [[f.id, f.codim, list(f.index_tuple), list(f.parents)] for f in poset.faces]
+    for _ in range(n_edits):
+        _mutate(rng.choice(POSET_MUTATIONS), rng, hyps, faces)
+    return FacePoset(
+        tuple(hyps),
+        tuple(Face(fid, codim, tuple(tup), tuple(parents)) for fid, codim, tup, parents in faces),
+        poset.connected,
+    )
+
+
+def cube_automorphism(d: int, perm, flips) -> FiberAutomorphism:
+    """The symmetry of ``cube(d)`` sending coordinate i to ``perm[i]``,
+    exchanging its two sides when ``flips[i]``."""
+    swap = {"*": "*", "0": "1", "1": "0"}
+
+    def image(state):
+        out = ["*"] * d
+        for i, x in enumerate(state):
+            out[perm[i]] = swap[x] if flips[i] else x
+        return "".join(out)
+
+    face_map = {"f" + "".join(s): "f" + image(s) for s in itertools.product("*01", repeat=d)}
+    hyp_map = {
+        f"x{i}{side}": f"x{perm[i]}{swap[side] if flips[i] else side}"
+        for i in range(d)
+        for side in "01"
+    }
+    return FiberAutomorphism.build(face_map, hyp_map)
+
+
+AUTOMORPHISM_CORRUPTIONS = ("merge-faces", "merge-hypersurfaces", "swap-faces", "swap-hypersurfaces")
+
+
+def corrupt_automorphism(rng, aut: FiberAutomorphism, kind: str) -> FiberAutomorphism:
+    """``aut`` with one defect: two faces (or hypersurfaces) sent to one
+    image, which is no bijection, or the images of two of them exchanged,
+    which breaks codimensions, tuples or parents downstream."""
+    fmap, smap = aut.faces(), aut.hypersurfaces()
+    target = fmap if kind in ("merge-faces", "swap-faces") else smap
+    a, b = rng.sample(sorted(target), 2)
+    if kind.startswith("merge"):
+        target[b] = target[a]
+    else:
+        target[a], target[b] = target[b], target[a]
+    return FiberAutomorphism.build(fmap, smap)

@@ -511,3 +511,10 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+@pytest.mark.parametrize("r, k, c", [(2, 0, 3), (0, 0, 4), (0, 2, 3), (3, 2, 0), (2, 0, 0)])
+def test_compose_keeps_outer_shape_with_empty_dimensions(r, k, c):
+    left = IntegerHom.from_rows([[i + j + 1 for j in range(k)] for i in range(r)], width=k)
+    right = IntegerHom.from_rows([[i - j for j in range(c)] for i in range(k)], width=c)
+    assert left.compose(right) == IntegerHom.zero(r, c)

@@ -381,3 +381,56 @@ def test_debug_logging_stays_on_stderr(capsys, monkeypatch):
     code, out, err = run_json(capsys, "homology", DATA / "interval_poset.json")
     assert code == 0
     assert out is not None  # stdout is still pure JSON
+
+
+def test_debug_log_lines_once_per_call_and_off_when_unset(capsys, monkeypatch):
+    monkeypatch.setenv("CORNER_INDEX_LOG", "debug")
+    errs = []
+    for _ in range(3):
+        code, _, err = run(capsys, "homology", DATA / "interval_poset.json")
+        assert code == 0
+        errs.append(err)
+    assert [err.count("complex built") for err in errs] == [1, 1, 1]
+    assert "".join(errs).count("complex built") == 3
+    monkeypatch.delenv("CORNER_INDEX_LOG")
+    code, _, err = run(capsys, "homology", DATA / "interval_poset.json")
+    assert code == 0
+    assert err == ""
+
+
+# one process, one parser: each call answers as a fresh interpreter would
+SEQUENCE = [
+    ("homology", DATA / "square_poset.json", "--pair", "0", "2"),
+    ("homology", DATA / "square_poset.json"),
+    ("homology",),
+    ("validate", DATA / "square_poset.json", "--format", "json"),
+    ("validate", DATA / "mobius_family.json"),
+    ("family", DATA / "mobius_family.json", "--check-embeddable"),
+    ("family", DATA / "mobius_family.json", "--format", "json"),
+    ("obstruction", DATA / "square_poset.json", DATA / "ktheory_circle.json",
+     DATA / "symbol_square_boundary.json", "--format", "json"),
+    ("obstruction", DATA / "square_poset.json", DATA / "ktheory_point.json"),
+]
+
+
+def _without_timing(argv, out: str) -> str:
+    return _report_without_timing(out) if "json" in argv and out else out
+
+
+def test_one_parser_serves_many_calls(capsys, monkeypatch):
+    monkeypatch.delenv("CORNER_INDEX_LOG", raising=False)
+    src = str(Path(cornerindex.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv in SEQUENCE:
+        argv = [str(a) for a in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        fresh = subprocess.run(
+            [sys.executable, "-m", "cornerindex", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert code == fresh.returncode, argv
+        assert _without_timing(argv, out) == _without_timing(argv, fresh.stdout), argv

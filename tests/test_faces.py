@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cornerindex.faces import (
     FacePoset,
@@ -9,9 +10,17 @@ from cornerindex.faces import (
     incidence_sign,
     validate,
 )
-from cornerindex.families import gallery
+from cornerindex.families import GALLERY_NAMES, gallery
 
-from helpers import random_valid_poset
+from helpers import (
+    cube,
+    gallery_posets,
+    kgon,
+    mutate_poset,
+    random_codim2_poset,
+    random_valid_poset,
+    reference_validate,
+)
 
 
 def square():
@@ -154,3 +163,50 @@ def test_random_posets_pass_validation():
     for _ in range(100):
         p = random_valid_poset(rng, connected=rng.random() < 0.7)
         assert validate(p) == [], p
+
+
+def _validation_bases() -> list[FacePoset]:
+    rng = random.Random(11)
+    bases = [cube(d) for d in range(4)] + [kgon(k) for k in (3, 4, 7)]
+    bases += [poset for _, poset in gallery_posets()] + [gallery(n).fiber for n in GALLERY_NAMES]
+    bases += [random_valid_poset(rng, max_codim=2, connected=c) for c in (True, True, False)]
+    bases.append(random_codim2_poset(rng, 30))
+    return bases
+
+
+VALIDATION_BASES = _validation_bases()
+
+VIOLATION_KINDS = {
+    "duplicate-hypersurface", "duplicate-face-id", "missing-interior", "disconnected-interior",
+    "negative-codim", "tuple-length", "unknown-hypersurface", "duplicate-index",
+    "unsorted-tuple", "stray-parent", "missing-parent", "unknown-parent", "parent-codim",
+    "parent-tuple", "grandparent-mismatch",
+}
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    base=st.sampled_from(VALIDATION_BASES),
+    rng=st.randoms(use_true_random=False),
+    n_edits=st.integers(1, 3),
+)
+def test_validate_matches_frozen_reference(base, rng, n_edits):
+    # messages and their order, on a valid poset after 1-3 random edits
+    poset = mutate_poset(rng, base, n_edits)
+    assert validate(poset) == reference_validate(poset)
+
+
+def test_validate_matches_frozen_reference_on_seeded_mutants():
+    # a fixed corpus wider than the property test's; it also shows the
+    # edits reach every kind of violation
+    for poset in VALIDATION_BASES:
+        assert validate(poset) == reference_validate(poset) == []
+    rng = random.Random(5)
+    seen = set()
+    for t in range(1500):
+        poset = mutate_poset(rng, VALIDATION_BASES[t % len(VALIDATION_BASES)], rng.randint(1, 3))
+        violations = validate(poset)
+        assert violations == reference_validate(poset)
+        seen.update(v.split(":")[0] for v in violations)
+    assert seen == VIOLATION_KINDS

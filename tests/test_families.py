@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 
 from cornerindex.faces import validate
@@ -9,6 +12,14 @@ from cornerindex.families import (
     GALLERY_NAMES,
     quotient_family,
     validate_automorphism,
+)
+
+from helpers import (
+    AUTOMORPHISM_CORRUPTIONS,
+    corrupt_automorphism,
+    cube,
+    cube_automorphism,
+    reference_validate_automorphism,
 )
 
 
@@ -108,3 +119,27 @@ def test_orbits_partition_faces():
         assert set(orbit.values()) == reps
         for fid in orbit:
             assert orbit[orbit[fid]] == orbit[fid]
+
+
+def test_validate_automorphism_matches_frozen_reference():
+    # seeded corruptions of gallery generators and of cube symmetries:
+    # messages and their order agree with the old function
+    rng = random.Random(3)
+    cases = [(gallery(n).fiber, g) for n in GALLERY_NAMES for g in gallery(n).generators]
+    for d in (2, 3, 4):
+        for _ in range(3):
+            perm = rng.sample(range(d), d)
+            flips = [rng.random() < 0.5 for _ in range(d)]
+            cases.append((cube(d), cube_automorphism(d, perm, flips)))
+    kinds = Counter()
+    for fiber, aut in cases:
+        assert validate_automorphism(fiber, aut) == reference_validate_automorphism(fiber, aut) == []
+        for kind in AUTOMORPHISM_CORRUPTIONS:
+            for _ in range(4):
+                broken = corrupt_automorphism(rng, aut, kind)
+                problems = validate_automorphism(fiber, broken)
+                assert problems == reference_validate_automorphism(fiber, broken)
+                kinds.update(v.split(":")[0] for v in problems)
+    assert set(kinds) == {
+        "face-map", "hypersurface-map", "codim-change", "tuple-mismatch", "parent-mismatch",
+    }
