@@ -14,6 +14,7 @@ from it summand by summand.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from math import gcd
 
@@ -350,26 +351,77 @@ class IntegerHom:
 # Smith normal form
 
 
-@dataclass(frozen=True)
 class SNFDecomposition:
     """Exact decomposition A = U * D * V with unimodular U, V.
 
     ``U_inv`` and ``V_inv`` are carried along so that solving and kernel
     extraction never need a separate matrix inversion.
+
+    The elimination keeps all four transforms as sparse vectors, each in
+    the orientation its operations write: ``u_columns`` (U by columns),
+    ``u_inv_rows``, ``v_rows`` and ``v_inv_columns``; zero entries may be
+    stored.  The dense ``U``, ``D``, ``V``, ``U_inv`` and ``V_inv`` are
+    built on first read and then kept.  The constructor takes the five dense
+    matrices; equality compares them.
     """
 
-    U: IntegerHom
-    D: IntegerHom
-    V: IntegerHom
-    U_inv: IntegerHom
-    V_inv: IntegerHom
+    def __init__(self, U: IntegerHom, D: IntegerHom, V: IntegerHom, U_inv: IntegerHom, V_inv: IntegerHom):
+        self.U, self.D, self.V, self.U_inv, self.V_inv = U, D, V, U_inv, V_inv
+        self._d = D.entries
+        self.u_columns = _sparse(U.columns())
+        self.u_inv_rows = _sparse(U_inv.entries)
+        self.v_rows = _sparse(V.entries)
+        self.v_inv_columns = _sparse(V_inv.columns())
 
-    @property
+    @classmethod
+    def _from_sparse(cls, d, u_columns, u_inv_rows, v_rows, v_inv_columns) -> "SNFDecomposition":
+        """The decomposition as the elimination leaves it: ``d`` the rows of
+        D, the four transforms sparse; nothing dense is built."""
+        self = cls.__new__(cls)
+        self._d = d
+        self.u_columns, self.u_inv_rows = u_columns, u_inv_rows
+        self.v_rows, self.v_inv_columns = v_rows, v_inv_columns
+        return self
+
+    @cached_property
+    def U(self) -> IntegerHom:
+        return _columns_matrix(self.u_columns, len(self.u_columns))
+
+    @cached_property
+    def D(self) -> IntegerHom:
+        return IntegerHom.from_rows(self._d, width=len(self.v_rows))
+
+    @cached_property
+    def V(self) -> IntegerHom:
+        n = len(self.v_rows)
+        return IntegerHom.from_rows([_dense(row, n) for row in self.v_rows], width=n)
+
+    @cached_property
+    def U_inv(self) -> IntegerHom:
+        m = len(self.u_inv_rows)
+        return IntegerHom.from_rows([_dense(row, m) for row in self.u_inv_rows], width=m)
+
+    @cached_property
+    def V_inv(self) -> IntegerHom:
+        return _columns_matrix(self.v_inv_columns, len(self.v_inv_columns))
+
+    def _matrices(self) -> tuple[IntegerHom, ...]:
+        return self.U, self.D, self.V, self.U_inv, self.V_inv
+
+    def __eq__(self, other):
+        if not isinstance(other, SNFDecomposition):
+            return NotImplemented
+        return self._matrices() == other._matrices()
+
+    def __repr__(self):
+        return "SNFDecomposition(U={!r}, D={!r}, V={!r}, U_inv={!r}, V_inv={!r})".format(*self._matrices())
+
+    @cached_property
     def diagonal(self) -> tuple[int, ...]:
-        m = min(self.D.rows, self.D.cols)
-        return tuple(self.D.entries[i][i] for i in range(m))
+        d = self._d
+        return tuple(d[i][i] for i in range(min(len(d), len(self.v_rows))))
 
-    @property
+    @cached_property
     def rank(self) -> int:
         return sum(1 for d in self.diagonal if d != 0)
 
@@ -399,13 +451,46 @@ def _add_multiple(dst: dict[int, int], q: int, src: dict[int, int]) -> None:
         dst[k] = dst.get(k, 0) + q * x
 
 
-def _densify(vectors: list[dict[int, int]]) -> list[list[int]]:
-    """The square matrix whose rows are the sparse ``vectors``."""
-    rows = _zeros(len(vectors), len(vectors))
-    for row, vec in zip(rows, vectors):
+def _sparse(vectors) -> list[dict[int, int]]:
+    """The nonzero entries of each of ``vectors``."""
+    return [{k: x for k, x in enumerate(vec) if x} for vec in vectors]
+
+
+def _dense(vector: dict[int, int], length: int) -> list[int]:
+    """The sparse ``vector`` as a list of ``length`` entries."""
+    out = [0] * length
+    for k, x in vector.items():
+        out[k] = x
+    return out
+
+
+def _transpose(vectors: list[dict[int, int]], n: int) -> list[dict[int, int]]:
+    """Sparse rows as ``n`` sparse columns, or columns as rows; O(nonzeros)."""
+    out: list[dict[int, int]] = [{} for _ in range(n)]
+    for i, vec in enumerate(vectors):
         for k, x in vec.items():
-            row[k] = x
-    return rows
+            if x:
+                out[k][i] = x
+    return out
+
+
+def _combine(columns: list[dict[int, int]], coefficients: list[int], length: int) -> list[int]:
+    """``sum_k coefficients[k] * columns[k]`` as a dense vector of ``length``;
+    only the columns with a nonzero coefficient are read."""
+    out = [0] * length
+    for column, x in compress(zip(columns, coefficients), coefficients):
+        for i, y in column.items():
+            out[i] += x * y
+    return out
+
+
+def _columns_matrix(columns: list[dict[int, int]], rows: int) -> IntegerHom:
+    """The ``rows x len(columns)`` matrix with the given sparse columns."""
+    entries = _zeros(rows, len(columns))
+    for j, column in enumerate(columns):
+        for i, x in column.items():
+            entries[i][j] = x
+    return IntegerHom.from_rows(entries, width=len(columns))
 
 
 def smith_normal_form(A: IntegerHom, cancel=None) -> SNFDecomposition:
@@ -418,8 +503,10 @@ def smith_normal_form(A: IntegerHom, cancel=None) -> SNFDecomposition:
     no entry is tested for divisibility by 1.  Each pivot step touches only
     entries that can change: rows and columns above and left of the pivot
     are already zero in D, zero entries of the pivot row and column are
-    skipped, and U, U_inv, V and V_inv are kept as sparse vectors.  A test
-    pins every decomposition to the one the unoptimized kernel computes.
+    skipped, and U, U_inv, V and V_inv are kept as sparse vectors, which
+    the result keeps: a dense matrix is built only when its field is read.
+    A test pins every decomposition to the one the unoptimized kernel
+    computes.
 
     ``cancel``, when given, is polled once per pivot step and aborts by
     raising the callable's exception.
@@ -499,13 +586,7 @@ def smith_normal_form(A: IntegerHom, cancel=None) -> SNFDecomposition:
                 continue
         t += 1
 
-    return SNFDecomposition(
-        U=IntegerHom.from_rows(list(zip(*_densify(ut))), width=m),
-        D=IntegerHom.from_rows(d, width=n),
-        V=IntegerHom.from_rows(_densify(v), width=n),
-        U_inv=IntegerHom.from_rows(_densify(uinv), width=m),
-        V_inv=IntegerHom.from_rows(list(zip(*_densify(vinvt))), width=n),
-    )
+    return SNFDecomposition._from_sparse(d, ut, uinv, v, vinvt)
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +607,12 @@ class Factorization:
     lattice of ``A``, and the coordinates of a vector in either basis, so a
     basis it produced never needs a factorization of its own.
     ``cancel`` is passed to :func:`smith_normal_form`.
+
+    Every answer reads the decomposition's sparse transforms, never its
+    dense matrices.  Right-hand sides are sparse (a boundary column has at
+    most ``codim`` nonzeros), so each product sums the columns its nonzeros
+    pick out: ``U_inv`` and ``V`` are transposed to columns once, on first
+    use; ``V_inv`` and ``U`` are kept by columns already.
     """
 
     def __init__(self, A: IntegerHom, cancel=None):
@@ -536,32 +623,38 @@ class Factorization:
         # padded with zeros to one entry per row of A
         self.diagonal = diagonal + (0,) * (A.rows - len(diagonal))
 
+    @cached_property
+    def _u_inv_columns(self) -> list[dict[int, int]]:
+        return _transpose(self.snf.u_inv_rows, self.A.rows)
+
+    @cached_property
+    def _v_columns(self) -> list[dict[int, int]]:
+        return _transpose(self.snf.v_rows, self.A.cols)
+
     def _reduced(self, b: list[int]) -> list[int]:
         if len(b) != self.A.rows:
             raise DimensionError("target length does not match rows")
-        return _mat_vec_sparse(self.snf.U_inv.entries, b)
+        return _combine(self._u_inv_columns, b, self.A.rows)
 
     def kernel(self) -> IntegerHom:
         """Columns form a basis of the integer kernel of ``A``: the last
         ``cols - rank`` columns of ``V_inv``."""
-        r = self.rank
-        return IntegerHom.from_rows([row[r:] for row in self.snf.V_inv.entries], width=self.A.cols - r)
+        return _columns_matrix(self.snf.v_inv_columns[self.rank :], self.A.cols)
 
     def kernel_coordinates(self, b: list[int]) -> list[int] | None:
         """The coordinates of ``b`` in :meth:`kernel`, or None when
         ``A b != 0``."""
         if len(b) != self.A.cols:
             raise DimensionError("vector length does not match columns")
-        z = _mat_vec_sparse(self.snf.V.entries, b)
+        z = _combine(self._v_columns, b, self.A.cols)
         return None if any(z[: self.rank]) else z[self.rank :]
 
     def column_basis(self) -> IntegerHom:
         """Columns form a basis of the lattice spanned by the columns of
         ``A``: the first ``rank`` columns of ``U``, scaled by the diagonal."""
-        d = self.diagonal[: self.rank]
-        return IntegerHom.from_rows(
-            [[x * row[j] for j, x in enumerate(d)] for row in self.snf.U.entries], width=self.rank
-        )
+        columns = self.snf.u_columns
+        scaled = [{i: d * x for i, x in columns[k].items()} for k, d in enumerate(self.diagonal[: self.rank])]
+        return _columns_matrix(scaled, self.A.rows)
 
     def column_coordinates(self, b: list[int]) -> list[int] | None:
         """The coordinates of ``b`` in :meth:`column_basis`, or None when
@@ -581,7 +674,7 @@ class Factorization:
         y = self.column_coordinates(b)
         if y is None:
             return None
-        return _mat_vec_sparse(self.snf.V_inv.entries, y + [0] * (self.A.cols - self.rank))
+        return _combine(self.snf.v_inv_columns, y, self.A.cols)
 
     def solve_mod(self, b: list[int], modulus: int) -> list[int] | None:
         """Some solution of ``A x = b (mod modulus)``, entries in [0, modulus)."""
@@ -596,7 +689,7 @@ class Factorization:
             if g != modulus:
                 m2 = modulus // g
                 y[i] = (w[i] // g) * pow(d // g, -1, m2) % m2
-        return [x % modulus for x in _mat_vec_sparse(self.snf.V_inv.entries, y)]
+        return [x % modulus for x in _combine(self.snf.v_inv_columns, y, self.A.cols)]
 
 
 def integer_solve(A: IntegerHom, b: list[int]) -> list[int] | None:
@@ -632,7 +725,7 @@ def cokernel_presentation(Y: IntegerHom) -> tuple[FGAbelianGroup, list[tuple[lis
         si = diag[i] if i < mn else 0
         if si == 1:
             continue
-        vec = s.U.column(i)
+        vec = _dense(s.u_columns[i], Y.rows)
         if si == 0:
             rank += 1
             frees.append((vec, 0))

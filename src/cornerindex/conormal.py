@@ -18,6 +18,7 @@ filtered pair.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 
 # integer_solve is no longer called here; it stays importable from this
@@ -133,10 +134,25 @@ class ChainVector:
 
 @dataclass
 class HomologyResult:
+    """Per-degree homology of one complex, and its (even, odd) sum.
+
+    ``cycles[p]`` holds one integer vector per generator of degree p, with
+    the cyclic slot of the coefficient group it lives in, in generator
+    order.  ``representatives`` lifts them to :class:`ChainVector` on first
+    read and keeps the lift on this object.
+    """
+
     complex: ConormalChainComplex
     groups: dict[int, FGAbelianGroup]
-    representatives: dict[int, list[ChainVector]]
     periodized: tuple[FGAbelianGroup, FGAbelianGroup]
+    cycles: dict[int, list[tuple[int, list[int]]]] = field(repr=False)
+
+    @cached_property
+    def representatives(self) -> dict[int, list[ChainVector]]:
+        return {
+            p: [_embed_chain(self.complex, p, slot, vector) for slot, vector in vectors]
+            for p, vectors in self.cycles.items()
+        }
 
 
 def _cycle_basis(Dp: IntegerHom, c: int):
@@ -159,15 +175,20 @@ def _cycle_basis(Dp: IntegerHom, c: int):
     return basis, top.column_coordinates
 
 
-def _lattices(Dp: IntegerHom, Dp1: IntegerHom, c: int):
+def _lattices(Dp: IntegerHom, Dp1: IntegerHom, c: int, bases: dict | None = None):
     """(cycles, relations, coordinates) of one degree: homology over Z
     (c = 0) or Z/c is the quotient of the first column lattice by the
     second, and ``coordinates`` expresses a cycle in the first.
 
     Over Z these are ker(Dp) and im(Dp1); over Z/c, the cycles mod c and the
     boundaries plus c-multiples, so that all of it stays an integer lattice.
+    ``bases``, when given, memoizes :func:`_cycle_basis` by (Dp, c).
     """
-    cycles, coordinates = _cycle_basis(Dp, c)
+    if bases is None:
+        bases = {}
+    if (Dp, c) not in bases:
+        bases[Dp, c] = _cycle_basis(Dp, c)
+    cycles, coordinates = bases[Dp, c]
     return cycles, Dp1.with_multiples(c) if c else Dp1, coordinates
 
 
@@ -218,7 +239,7 @@ def homology(complex: ConormalChainComplex) -> HomologyResult:
             complex.boundary[p], complex.boundary_or_zero(p + 1), 0
         )
     groups: dict[int, FGAbelianGroup] = {}
-    representatives: dict[int, list[ChainVector]] = {}
+    cycles: dict[int, list[tuple[int, list[int]]]] = {}
     for p in complex.degrees:
         by_modulus = {0: integer_results[p]}
         for c in set(G.torsion):
@@ -230,8 +251,7 @@ def homology(complex: ConormalChainComplex) -> HomologyResult:
         for slot, c in enumerate(G.cyclic_summands()):
             grp, gens = by_modulus[c]
             parts.append(grp)
-            for vec, _order in gens:
-                vectors.append(_embed_chain(complex, p, slot, vec))
+            vectors.extend((slot, vec) for vec, _order in gens)
         direct = direct_sum(*parts)
         previous = (
             integer_results[p - 1][0] if (p - 1) in integer_results else FGAbelianGroup(0)
@@ -242,8 +262,8 @@ def homology(complex: ConormalChainComplex) -> HomologyResult:
                 f"direct homology {direct} disagrees with coefficient assembly {expected} in degree {p}"
             )
         groups[p] = direct
-        representatives[p] = vectors
-    result = HomologyResult(complex, groups, representatives, (FGAbelianGroup(0),) * 2)
+        cycles[p] = vectors
+    result = HomologyResult(complex, groups, (FGAbelianGroup(0),) * 2, cycles)
     result.periodized = periodize(result)
     return result
 
@@ -307,12 +327,18 @@ def _block_diag(blocks, parts: dict[int, IntegerHom]) -> IntegerHom:
     return _block_map(columns, blocks, {(p, p): parts[p] for p, _ in blocks})
 
 
-def _presentation(complex: ConormalChainComplex, parity: int, c: int) -> _Presentation:
+def _presentation(
+    complex: ConormalChainComplex, parity: int, c: int, bases: dict | None = None
+) -> _Presentation:
+    """One parity of the pair's periodized homology with cyclic coefficient
+    c, as a lattice pair.  ``bases`` is the memo of cycle bases that one
+    exactness check shares among its presentations (see :func:`_lattices`);
+    :func:`homology` never sees it, so the two checks stay independent."""
     blocks = _blocks(complex, parity)
     cycles, relations = {}, {}
     for p, _ in blocks:
         cycles[p], relations[p], _ = _lattices(
-            complex.boundary[p], complex.boundary_or_zero(p + 1), c
+            complex.boundary[p], complex.boundary_or_zero(p + 1), c, bases
         )
     return _Presentation(_block_diag(blocks, cycles), _block_diag(blocks, relations))
 
@@ -417,8 +443,9 @@ def six_term(poset: FacePoset, q: int, m: int, l: int, G: FGAbelianGroup) -> Six
     # one homology per pair; each node reads one parity of it
     periodized = [homology(complex).periodized for complex in complexes]
     groups = dict(zip(SixTermSequence.NODE_ORDER, (h[parity] for parity in (1, 0) for h in periodized)))
+    bases: dict = {}
     for c in sorted(set(G.cyclic_summands())):
-        pres = [_presentation(complex, parity, c) for complex, parity in nodes]
+        pres = [_presentation(complex, parity, c, bases) for complex, parity in nodes]
         for k, name in enumerate(SixTermSequence.NODE_ORDER):
             if not _exact_at(k, pres, arrows):
                 raise InternalConsistencyError(
@@ -466,8 +493,9 @@ def connected_boundary_ses(poset: FacePoset, G: FGAbelianGroup) -> BoundarySESRe
     # node 0, H_1^pcn(X_0), is zero, so exactness at node 1 is injectivity
     complexes, nodes, arrows = _triple(poset, -1, 0, d, G)
     boundary_part, absolute, relative = (homology(complex).periodized for complex in complexes)
+    bases: dict = {}
     for c in sorted(set(G.cyclic_summands())):
-        pres = [_presentation(complex, parity, c) for complex, parity in nodes[:4]]
+        pres = [_presentation(complex, parity, c, bases) for complex, parity in nodes[:4]]
         onto = IntegerHom.zero(0, pres[3].n)
         checks = (
             _exact_at(1, pres, arrows),

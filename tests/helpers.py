@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from math import gcd
+from types import SimpleNamespace
 
 from cornerindex.abelian import (
     FGAbelianGroup,
@@ -21,8 +22,8 @@ from cornerindex.abelian import (
     tensor,
     tor,
 )
-from cornerindex.abelian import Factorization, cokernel_presentation
-from cornerindex.conormal import _lattices, build_complex, homology
+from cornerindex.abelian import DimensionError, Factorization, InternalConsistencyError, cokernel_presentation
+from cornerindex.conormal import _embed_chain, _homology_gens, _lattices, build_complex, homology, periodize
 from cornerindex.faces import Face, FacePoset
 from cornerindex.families import FiberAutomorphism, check_embeddable, gallery, quotient_family, GALLERY_NAMES
 
@@ -273,6 +274,104 @@ def reference_smith_normal_form(A: IntegerHom) -> SNFDecomposition:
     )
 
 
+def _dense_mat_vec(a, v: list[int]) -> list[int]:
+    """``a * v`` over every dense row of ``a``."""
+    if a and len(a[0]) != len(v):
+        raise DimensionError("matrix-vector shapes differ")
+    nonzero = [(j, x) for j, x in enumerate(v) if x]
+    return [sum(ai[j] * x for j, x in nonzero) for ai in a]
+
+
+class DenseFactorization:
+    """``abelian.Factorization`` as it stood before it read the sparse
+    transforms, its logic kept verbatim (method docstrings dropped, and the
+    decomposition ``snf`` of ``A`` passed in) as the reference for its
+    answers: every product walks the dense rows of U, U_inv, V or V_inv."""
+
+    def __init__(self, A: IntegerHom, snf: SNFDecomposition):
+        self.A = A
+        self.snf = snf
+        self.rank = self.snf.rank
+        diagonal = self.snf.diagonal
+        # padded with zeros to one entry per row of A
+        self.diagonal = diagonal + (0,) * (A.rows - len(diagonal))
+
+    def _reduced(self, b: list[int]) -> list[int]:
+        if len(b) != self.A.rows:
+            raise DimensionError("target length does not match rows")
+        return _dense_mat_vec(self.snf.U_inv.entries, b)
+
+    def kernel(self) -> IntegerHom:
+        r = self.rank
+        return IntegerHom.from_rows([row[r:] for row in self.snf.V_inv.entries], width=self.A.cols - r)
+
+    def kernel_coordinates(self, b: list[int]) -> list[int] | None:
+        if len(b) != self.A.cols:
+            raise DimensionError("vector length does not match columns")
+        z = _dense_mat_vec(self.snf.V.entries, b)
+        return None if any(z[: self.rank]) else z[self.rank :]
+
+    def column_basis(self) -> IntegerHom:
+        d = self.diagonal[: self.rank]
+        return IntegerHom.from_rows(
+            [[x * row[j] for j, x in enumerate(d)] for row in self.snf.U.entries], width=self.rank
+        )
+
+    def column_coordinates(self, b: list[int]) -> list[int] | None:
+        w = self._reduced(b)
+        r = self.rank
+        if any(w[r:]) or any(w[i] % self.diagonal[i] for i in range(r)):
+            return None
+        return [w[i] // self.diagonal[i] for i in range(r)]
+
+    def contains(self, b: list[int]) -> bool:
+        return self.column_coordinates(b) is not None
+
+    def solve(self, b: list[int]) -> list[int] | None:
+        y = self.column_coordinates(b)
+        if y is None:
+            return None
+        return _dense_mat_vec(self.snf.V_inv.entries, y + [0] * (self.A.cols - self.rank))
+
+    def solve_mod(self, b: list[int], modulus: int) -> list[int] | None:
+        if modulus < 2:
+            raise ValueError("modulus must be >= 2")
+        w = [x % modulus for x in self._reduced(b)]
+        y = [0] * self.A.cols
+        for i, d in enumerate(self.diagonal):
+            g = gcd(d, modulus)
+            if w[i] % g:
+                return None
+            if g != modulus:
+                m2 = modulus // g
+                y[i] = (w[i] // g) * pow(d // g, -1, m2) % m2
+        return [x % modulus for x in _dense_mat_vec(self.snf.V_inv.entries, y)]
+
+
+def reference_cokernel_presentation(Y: IntegerHom, s: SNFDecomposition):
+    """``abelian.cokernel_presentation`` as it stood before it read the
+    sparse columns of U, kept verbatim apart from taking the decomposition
+    ``s`` of ``Y`` as an argument: the generators are dense columns of U."""
+    mn = min(Y.rows, Y.cols)
+    diag = s.diagonal
+    rank = 0
+    torsion = []
+    gens: list[tuple[list[int], int]] = []
+    frees: list[tuple[list[int], int]] = []
+    for i in range(Y.rows):
+        si = diag[i] if i < mn else 0
+        if si == 1:
+            continue
+        vec = s.U.column(i)
+        if si == 0:
+            rank += 1
+            frees.append((vec, 0))
+        else:
+            torsion.append(si)
+            gens.append((vec, si))
+    return FGAbelianGroup(rank, tuple(torsion)), gens + frees
+
+
 def homology_gens_by_solving(Dp: IntegerHom, Dp1: IntegerHom, c: int):
     """``conormal._homology_gens`` as it stood before the cycle basis's own
     factorization supplied the relation coordinates: the cycle basis is
@@ -286,6 +385,48 @@ def homology_gens_by_solving(Dp: IntegerHom, Dp1: IntegerHom, c: int):
     if c:
         reps = [([x % c for x in vec], order) for vec, order in reps]
     return group, reps
+
+
+def reference_homology(complex):
+    """``conormal.homology`` as it stood before representatives were lifted
+    on first read, kept verbatim apart from its return value (a namespace
+    with the old result's fields): every generator becomes a ``ChainVector``
+    as soon as it is found."""
+    G = complex.coefficient
+    integer_results = {}
+    for p in complex.degrees:
+        integer_results[p] = _homology_gens(
+            complex.boundary[p], complex.boundary_or_zero(p + 1), 0
+        )
+    groups: dict[int, FGAbelianGroup] = {}
+    representatives: dict[int, list] = {}
+    for p in complex.degrees:
+        by_modulus = {0: integer_results[p]}
+        for c in set(G.torsion):
+            by_modulus[c] = _homology_gens(
+                complex.boundary[p], complex.boundary_or_zero(p + 1), c
+            )
+        parts = []
+        vectors = []
+        for slot, c in enumerate(G.cyclic_summands()):
+            grp, gens = by_modulus[c]
+            parts.append(grp)
+            for vec, _order in gens:
+                vectors.append(_embed_chain(complex, p, slot, vec))
+        direct = direct_sum(*parts)
+        previous = (
+            integer_results[p - 1][0] if (p - 1) in integer_results else FGAbelianGroup(0)
+        )
+        expected = direct_sum(tensor(integer_results[p][0], G), tor(previous, G))
+        if direct != expected:
+            raise InternalConsistencyError(
+                f"direct homology {direct} disagrees with coefficient assembly {expected} in degree {p}"
+            )
+        groups[p] = direct
+        representatives[p] = vectors
+    result = SimpleNamespace(complex=complex, groups=groups, representatives=representatives)
+    result.periodized = periodize(result)
+    return result
 
 
 def reference_validate(poset: FacePoset) -> list[str]:
@@ -520,13 +661,17 @@ def connected_boundary_gallery() -> list[tuple[str, FacePoset]]:
 
 
 def kgon(k: int) -> FacePoset:
-    """The k-gon: k edges on k hypersurfaces, vertex i joins edges i and i + 1."""
-    hyps = [f"h{i:03d}" for i in range(k)]
+    """The k-gon: k edges on k hypersurfaces, vertex i joins edges i and i + 1.
+
+    Indices are zero-padded to the width of k - 1 (at least 3), so names
+    sort as their indices do."""
+    w = max(3, len(str(k - 1)))
+    hyps = [f"h{i:0{w}d}" for i in range(k)]
     faces = [("int", 0, (), {})]
-    faces += [(f"e{i:03d}", 1, (hyps[i],), {hyps[i]: "int"}) for i in range(k)]
+    faces += [(f"e{i:0{w}d}", 1, (hyps[i],), {hyps[i]: "int"}) for i in range(k)]
     for i in range(k):
         a, b = sorted((i, (i + 1) % k))
-        faces.append((f"v{i:03d}", 2, (hyps[a], hyps[b]), {hyps[a]: f"e{b:03d}", hyps[b]: f"e{a:03d}"}))
+        faces.append((f"v{i:0{w}d}", 2, (hyps[a], hyps[b]), {hyps[a]: f"e{b:0{w}d}", hyps[b]: f"e{a:0{w}d}"}))
     return FacePoset.build(hyps, faces)
 
 

@@ -13,6 +13,7 @@ from cornerindex.abelian import (
     IntegerHom,
     InternalConsistencyError,
     cokernel,
+    cokernel_presentation,
     direct_sum,
     integer_kernel_basis,
     integer_solve,
@@ -28,6 +29,7 @@ from cornerindex.abelian import (
 from cornerindex.conormal import incidence_matrix
 
 from helpers import (
+    DenseFactorization,
     bareiss_det,
     cube,
     exhaustive_solve,
@@ -39,6 +41,7 @@ from helpers import (
     prime_power_canonical,
     random_codim2_poset,
     rank_mod_p,
+    reference_cokernel_presentation,
     reference_smith_normal_form,
 )
 
@@ -243,6 +246,73 @@ def test_snf_matches_frozen_reference_kernel(inputs):
     # are the ones the unoptimized kernel computes, at any size
     for A in inputs():
         assert smith_normal_form(A) == reference_smith_normal_form(A)
+
+
+def _gallery_and_cube_boundaries():
+    posets = [poset for _, poset in gallery_posets()] + [cube(d) for d in (1, 2, 3, 4)]
+    return [incidence_matrix(poset, p) for poset in posets for p in range(1, poset.codimension() + 1)]
+
+
+@pytest.mark.parametrize(
+    "inputs", [_random_snf_inputs, _gallery_and_cube_boundaries], ids=["random", "boundary"]
+)
+def test_sparse_reads_match_dense_products(inputs):
+    # every answer read from the sparse transforms equals the same product
+    # taken with the dense U, V, U_inv and V_inv of the decomposition (which
+    # the frozen-kernel test pins to the reference)
+    rng = random.Random(606)
+    for A in inputs():
+        factored = Factorization(A)
+        s = factored.snf
+        dense = DenseFactorization(A, s)
+        assert (factored.rank, factored.diagonal) == (dense.rank, dense.diagonal)
+        assert factored.kernel() == dense.kernel()
+        assert factored.column_basis() == dense.column_basis()
+        kernel = dense.kernel()
+        targets = A.columns()[:3]
+        targets.append(A.apply_int([rng.randint(-2, 2) for _ in range(A.cols)]))
+        targets.append([rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(A.rows)])
+        for b in targets:
+            assert factored.column_coordinates(b) == dense.column_coordinates(b)
+            assert factored.contains(b) == dense.contains(b)
+            assert factored.solve(b) == dense.solve(b)
+            for modulus in (4, 6):
+                assert factored.solve_mod(b, modulus) == dense.solve_mod(b, modulus)
+        vectors = [kernel.apply_int([rng.randint(-2, 2) for _ in range(kernel.cols)])]
+        vectors.append([rng.choice((0, 0, 1, -1)) for _ in range(A.cols)])
+        for x in vectors:
+            assert factored.kernel_coordinates(x) == dense.kernel_coordinates(x)
+        # the cokernel generators are read from this same decomposition
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(abelian, "smith_normal_form", lambda Y, cancel=None: s)
+            assert cokernel_presentation(A) == reference_cokernel_presentation(A, s)
+
+
+def test_factorization_answers_build_no_dense_matrix(monkeypatch):
+    # solving, kernels, coordinates, cokernels and kernel groups read the
+    # sparse transforms only; the dense fields stay unbuilt until read
+    decompositions = []
+    real = abelian.smith_normal_form
+
+    def keeping(A, cancel=None):
+        decompositions.append(real(A, cancel=cancel))
+        return decompositions[-1]
+
+    monkeypatch.setattr(abelian, "smith_normal_form", keeping)
+    rng = random.Random(607)
+    for A in [incidence_matrix(cube(3), 2), incidence_matrix(kgon(7), 2).with_multiples(4)]:
+        factored = Factorization(A)
+        b = A.apply_int([rng.randint(-2, 2) for _ in range(A.cols)])
+        factored.solve(b), factored.solve_mod(b, 4), factored.contains(b)
+        factored.column_coordinates(b), factored.column_basis()
+        factored.kernel_coordinates(factored.kernel().column(0)), factored.kernel()
+        cokernel_presentation(A), kernel_group(A, FGAbelianGroup(1, (2,)))
+    assert len(decompositions) == 6
+    for s in decompositions:
+        assert not {"U", "D", "V", "U_inv", "V_inv"} & set(vars(s))
+    s = decompositions[0]
+    assert s.U.compose(s.D).compose(s.V) == incidence_matrix(cube(3), 2)
+    assert {"U", "D", "V"} <= set(vars(s)) and not {"U_inv", "V_inv"} & set(vars(s))
 
 
 def _prime_factors(n: int) -> set[int]:

@@ -21,9 +21,12 @@ from cornerindex.families import gallery, quotient_family
 
 from helpers import (
     count_calls,
+    cube,
     gallery_posets,
     homology_gens_by_solving,
+    kgon,
     random_valid_poset,
+    reference_homology,
     reference_smith_normal_form,
     uct_assembly,
 )
@@ -281,6 +284,44 @@ def test_homology_gens_reuse_the_cycle_factorization(c):
         assert Dp.compose(Dp1).is_zero()
         assert _homology_gens(Dp, Dp1, c) == homology_gens_by_solving(Dp, Dp1, c)
 
+
+def _lift_cases():
+    rng = random.Random(808)
+    posets = [poset for _, poset in gallery_posets()] + [cube(d) for d in (1, 2, 3, 4)]
+    posets += [kgon(7), kgon(16)] + [random_valid_poset(rng) for _ in range(20)]
+    for poset in posets:
+        d = poset.codimension()
+        yield from (FilteredPair(poset, low, high) for low, high in ((-1, d), (0, d)))
+
+
+@pytest.mark.parametrize(
+    "G", [Z, zmod(4), FGAbelianGroup(1, (4,)), FGAbelianGroup(2, (2, 6))], ids=["Z", "Z4", "Z+Z4", "Z2+Z2+Z6"]
+)
+def test_lazy_representatives_match_eager_ones(G):
+    # representatives lifted on first read are the ones the eager homology
+    # built, in the same order; groups and periodized groups agree too
+    for pair in _lift_cases():
+        complex = build_complex(pair, G)
+        lazy, eager = homology(complex), reference_homology(complex)
+        assert (lazy.groups, lazy.periodized) == (eager.groups, eager.periodized)
+        assert lazy.representatives == eager.representatives
+
+
+def test_homology_lifts_representatives_only_when_read(monkeypatch):
+    lifted = count_calls(monkeypatch, conormal, "ChainVector")
+    results = [
+        homology(build_complex(FilteredPair(poset, -1, poset.codimension()), FGAbelianGroup(2, (2, 6))))
+        for poset in (square(), cube(3), mobius_total())
+    ]
+    assert lifted == []
+    for r in results:
+        first = r.representatives
+        n = sum(len(vectors) for vectors in first.values())
+        assert len(lifted) == n == sum(g.rank + len(g.torsion) for g in r.groups.values())
+        assert r.representatives == first and len(lifted) == n
+        lifted.clear()
+
+
 def _elementary_divisors(group):
     out = []
     for d in group.torsion:
@@ -378,13 +419,32 @@ def test_six_term_and_boundary_ses_compute_each_pair_once(monkeypatch):
 
 def test_six_term_and_boundary_ses_read_each_pair_complex(monkeypatch):
     # the three pairs of the triple build their incidence matrices once;
-    # homology, presentations and arrows read them from those complexes
+    # homology, presentations and arrows read them from those complexes,
+    # and the presentations of one call share each (matrix, c) cycle basis
     incidences = count_calls(monkeypatch, conormal, "incidence_matrix")
     snfs = count_calls(monkeypatch, abelian, "smith_normal_form")
     six_term(square(), -1, 0, 2, FGAbelianGroup(1, (4,)))
-    assert (len(incidences), len(snfs)) == (6, 84)
+    assert (len(incidences), len(snfs)) == (6, 78)
     connected_boundary_ses(square(), FGAbelianGroup(1, (4,)))
-    assert (len(incidences), len(snfs)) == (12, 84 + 57)
+    assert (len(incidences), len(snfs)) == (12, 78 + 57)
+
+
+def test_cycle_basis_memo_lives_within_one_call(monkeypatch):
+    # the memo shared by one call's presentations is made inside the call:
+    # a second call, and homology of the triple's pairs, factor in full
+    G = FGAbelianGroup(1, (4,))
+    snfs = count_calls(monkeypatch, abelian, "smith_normal_form")
+
+    def snf_count(run):
+        before = len(snfs)
+        run()
+        return len(snfs) - before
+
+    pairs = [FilteredPair(square(), low, high) for low, high in ((-1, 0), (-1, 2), (0, 2))]
+    homologies = [snf_count(lambda: homology(build_complex(pair, G))) for pair in pairs]
+    assert [snf_count(lambda: six_term(square(), -1, 0, 2, G)) for _ in range(2)] == [78, 78]
+    assert [snf_count(lambda: connected_boundary_ses(square(), G)) for _ in range(2)] == [57, 57]
+    assert [snf_count(lambda: homology(build_complex(pair, G))) for pair in pairs] == homologies
 
 
 def test_six_term_exactness_random():

@@ -165,6 +165,12 @@ def test_random_posets_pass_validation():
         assert validate(p) == [], p
 
 
+@pytest.mark.parametrize("k", [999, 1000, 1001])
+def test_kgon_helper_stays_valid_past_three_digits(k):
+    # names are padded to the width of k - 1, so they sort as their indices
+    assert validate(kgon(k)) == []
+
+
 def _validation_bases() -> list[FacePoset]:
     rng = random.Random(11)
     bases = [cube(d) for d in range(4)] + [kgon(k) for k in (3, 4, 7)]
