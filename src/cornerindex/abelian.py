@@ -218,10 +218,7 @@ class GroupElement:
         if len(self.free) != self.group.rank or len(self.tors) != len(self.group.torsion):
             raise DimensionError("coordinate lengths do not match the group")
         reduced = tuple(t % d for t, d in zip(self.tors, self.group.torsion))
-        if reduced != tuple(self.tors):
-            object.__setattr__(self, "tors", reduced)
-        elif not isinstance(self.tors, tuple):
-            object.__setattr__(self, "tors", reduced)
+        object.__setattr__(self, "tors", reduced)
 
     def _check(self, other: "GroupElement"):
         if self.group != other.group:
@@ -323,7 +320,10 @@ class IntegerHom:
         return all(all(e == 0 for e in r) for r in self.entries)
 
     def apply_int(self, vector: list[int]) -> list[int]:
-        return _mat_vec_sparse(self.entries, list(vector))
+        vector = list(vector)
+        if len(vector) != self.cols:
+            raise DimensionError("vector length does not match columns")
+        return _mat_vec_sparse(self.entries, vector)
 
     def apply(self, elements, group: FGAbelianGroup) -> list[GroupElement]:
         """Coordinatewise action on a vector of elements of ``group``."""

@@ -9,10 +9,10 @@ summand by summand, and through the universal-coefficient assembly from
 integer homology.  Disagreement raises :class:`InternalConsistencyError`,
 which always indicates a bug rather than bad input.  The same philosophy
 applies to six-term sequences: exactness is a theorem, so a failed check
-raises instead of reporting.  Each degree's lattice pair (cycles, relations)
-comes from one function, :func:`_lattices`, for Z and Z/c alike, and the
-exactness checks read their boundary matrices from the complex of each
-filtered pair.
+raises instead of reporting.  It is checked at every degree of the triple's
+long exact sequence, one chain module at a time, on the lattice pair (cycles,
+relations) that :func:`_lattices` builds for homology over Z and Z/c alike,
+from the boundary matrices of the complex of each filtered pair.
 """
 
 from __future__ import annotations
@@ -276,23 +276,15 @@ def periodize(result: HomologyResult) -> tuple[FGAbelianGroup, FGAbelianGroup]:
 
 
 # ---------------------------------------------------------------------------
-# periodized presentations and exactness checking
+# the long exact sequence of a triple and its exactness check
 #
-# For one cyclic coefficient c (0 meaning Z) and one parity of one pair, the
-# periodized homology is presented as L / M inside the stacked chain module:
-# L spans the (lifted) cycles, M the boundaries plus c-multiples.  All maps in
-# the six-term sequence act by integer block matrices, so exactness at a node
-# is an equality of integer lattices, decided by solving in both directions.
-
-
-@dataclass
-class _Presentation:
-    cycles: IntegerHom  # n x k basis
-    relations: IntegerHom  # n x g generators
-
-    @property
-    def n(self) -> int:
-        return self.cycles.rows
+# Position (j, p) of the long exact sequence of a triple is degree p of its
+# complex j.  With cyclic coefficient c (0 meaning Z), its homology is the
+# lattice pair of :func:`_lattices`, and arrows act by integer matrices, so
+# exactness at a position is an equality of integer lattices, decided by
+# solving in both directions.  Every arrow is homogeneous, so the six-term
+# sequence, which stacks the degrees of one parity, is exact exactly when the
+# long exact sequence is exact at every position.
 
 
 def _blocks(complex: ConormalChainComplex, parity: int) -> tuple[tuple[int, int], ...]:
@@ -321,58 +313,25 @@ def _block_map(src, tgt, parts: dict[tuple[int, int], IntegerHom]) -> IntegerHom
     return IntegerHom.from_rows(entries, width=width)
 
 
-def _block_diag(blocks, parts: dict[int, IntegerHom]) -> IntegerHom:
-    """``parts[p]`` on the rows of the degree-p block, columns in block order."""
-    columns = tuple((p, parts[p].cols) for p, _ in blocks)
-    return _block_map(columns, blocks, {(p, p): parts[p] for p, _ in blocks})
-
-
-def _presentation(
-    complex: ConormalChainComplex, parity: int, c: int, bases: dict | None = None
-) -> _Presentation:
-    """One parity of the pair's periodized homology with cyclic coefficient
-    c, as a lattice pair.  ``bases`` is the memo of cycle bases that one
-    exactness check shares among its presentations (see :func:`_lattices`);
-    :func:`homology` never sees it, so the two checks stay independent."""
-    blocks = _blocks(complex, parity)
-    cycles, relations = {}, {}
-    for p, _ in blocks:
-        cycles[p], relations[p], _ = _lattices(
-            complex.boundary[p], complex.boundary_or_zero(p + 1), c, bases
-        )
-    return _Presentation(_block_diag(blocks, cycles), _block_diag(blocks, relations))
-
-
 def _lattice_subset(gens_a: IntegerHom, gens_b: IntegerHom) -> bool:
     factored = Factorization(gens_b)
     return all(factored.contains(col) for col in gens_a.columns())
 
 
-def _node_exact(
-    f_in: IntegerHom,
-    src: _Presentation,
-    node: _Presentation,
-    f_out: IntegerHom,
-    tgt: _Presentation,
-) -> bool:
-    image = f_in.compose(src.cycles).hstack(node.relations)
-    moved = f_out.compose(node.cycles)
+def _node_exact(f_in: IntegerHom, src, node, f_out: IntegerHom, tgt) -> bool:
+    """Exactness at ``node`` between ``src`` and ``tgt``, each a (cycles,
+    relations) lattice pair: the image of ``f_in`` equals the kernel of
+    ``f_out``, both modulo the relations of ``node``."""
+    (src_cycles, _), (cycles, relations), (_, tgt_relations) = src, node, tgt
+    image = f_in.compose(src_cycles).hstack(relations)
+    moved = f_out.compose(cycles)
     negated = IntegerHom.from_rows(
-        [[-x for x in row] for row in tgt.relations.entries], width=tgt.relations.cols
+        [[-x for x in row] for row in tgt_relations.entries], width=tgt_relations.cols
     )
     combo_kernel = integer_kernel_basis(moved.hstack(negated))
-    a_part = IntegerHom.from_rows(combo_kernel.entries[: node.cycles.cols], width=combo_kernel.cols)
-    kernel = node.cycles.compose(a_part).hstack(node.relations)
+    a_part = IntegerHom.from_rows(combo_kernel.entries[: cycles.cols], width=combo_kernel.cols)
+    kernel = cycles.compose(a_part).hstack(relations)
     return _lattice_subset(image, kernel) and _lattice_subset(kernel, image)
-
-
-_EMPTY_PRES = _Presentation(IntegerHom.zero(0, 0), IntegerHom.zero(0, 0))
-
-
-def _exact_at(k: int, pres: list[_Presentation], arrows: tuple[IntegerHom, ...]) -> bool:
-    """Exactness at node k of the cyclic sequence: arrow k - 1 comes in from
-    node k - 1 and arrow k goes out to node k + 1 (mod 6)."""
-    return _node_exact(arrows[k - 1], pres[k - 1], pres[k], arrows[k], pres[(k + 1) % 6])
 
 
 def _periodized(
@@ -389,6 +348,7 @@ class SixTermSequence:
 
     ``groups`` holds the six nodes, ``maps`` the chain-level block matrices
     realizing the six arrows on representative cycles.  Construction verifies
+    exactness at every degree of the triple's long exact sequence, which is
     exactness at every node; failure raises, since exactness is guaranteed.
     """
 
@@ -414,44 +374,86 @@ def _check_triple(poset: FacePoset, q: int, m: int, l: int) -> None:
 
 def _triple(poset: FacePoset, q: int, m: int, l: int, G: FGAbelianGroup):
     """Complexes of the pairs (X_m, X_q), (X_l, X_q), (X_l, X_m) of a triple
-    of an already validated poset, its six nodes (complex, parity) in
-    ``SixTermSequence.NODE_ORDER`` and its six arrows, arrow k from node k.
+    of an already validated poset, and ``arrow(j, p)``, the part of the long
+    exact sequence that leaves degree p of complex j.
 
-    Inclusions and projections are identities on the degrees both nodes
-    stack.  The connecting arrows carry D_{m+1}, read from the (X_l, X_q)
+    For j < 2 it is the identity into degree p of complex j + 1 where both
+    complexes have that degree, zero otherwise.  For j = 2 it goes into
+    degree p - 1 of complex 0; it carries D_{m+1}, read from the (X_l, X_q)
     complex, the one of the three that does not zero it.
     """
     complexes = tuple(
         _build_complex(FilteredPair(poset, low, high), G) for low, high in ((q, m), (q, l), (m, l))
     )
-    nodes = tuple((complex, parity) for parity in (1, 0) for complex in complexes)
-    blocks = [_blocks(complex, parity) for complex, parity in nodes]
-    connecting = {(m + 1, m): complexes[1].boundary[m + 1]} if q < m < l else {}
-    arrows = []
-    for k, src in enumerate(blocks):
-        if k % 3 == 2:
-            parts = connecting
-        else:
-            parts = {(p, p): IntegerHom.identity(n) for p, n in src}
-        arrows.append(_block_map(src, blocks[(k + 1) % 6], parts))
-    return complexes, nodes, tuple(arrows)
+
+    def arrow(j: int, p: int) -> IntegerHom:
+        n = complexes[j].dim(p)
+        if j < 2:
+            rows = complexes[j + 1].dim(p)
+            return IntegerHom.identity(n) if rows == n else IntegerHom.zero(rows, n)
+        if p == m + 1 and q < m < l:
+            return complexes[1].boundary[p]
+        return IntegerHom.zero(complexes[0].dim(p - 1), n)
+
+    return complexes, arrow
+
+
+def _exactness(complexes, arrow, c: int, bases: dict):
+    """``exact(j, p)``: exactness with cyclic coefficient c at position
+    (j, p) of the triple's long exact sequence, between (j - 1, p) and
+    (j + 1, p), where (-1, p) is (2, p + 1) and (3, p) is (0, p - 1).  With
+    ``end``, the sequence ends at (j, p) with the zero map.
+
+    Lattices are built when a check reads them, and ``bases`` is the memo of
+    cycle bases that one call shares among its checks (see
+    :func:`_lattices`); :func:`homology` never sees it, so the two
+    computations stay independent.
+    """
+    zero = (IntegerHom.zero(0, 0),) * 2
+
+    def lattices(j: int, p: int):
+        complex = complexes[j]
+        if not complex.dim(p):
+            return zero
+        return _lattices(complex.boundary[p], complex.boundary_or_zero(p + 1), c, bases)[:2]
+
+    def exact(j: int, p: int, end: bool = False) -> bool:
+        n = complexes[j].dim(p)
+        if not n:
+            return True  # a zero module is exact
+        before = (j - 1, p) if j else (2, p + 1)
+        after = (j + 1, p) if j < 2 else (0, p - 1)
+        f_out, tgt = (IntegerHom.zero(0, n), zero) if end else (arrow(j, p), lattices(*after))
+        return _node_exact(arrow(*before), lattices(*before), lattices(j, p), f_out, tgt)
+
+    return exact
 
 
 def six_term(poset: FacePoset, q: int, m: int, l: int, G: FGAbelianGroup) -> SixTermSequence:
     _check_triple(poset, q, m, l)
-    complexes, nodes, arrows = _triple(poset, q, m, l, G)
+    complexes, arrow = _triple(poset, q, m, l, G)
     # one homology per pair; each node reads one parity of it
     periodized = [homology(complex).periodized for complex in complexes]
     groups = dict(zip(SixTermSequence.NODE_ORDER, (h[parity] for parity in (1, 0) for h in periodized)))
     bases: dict = {}
     for c in sorted(set(G.cyclic_summands())):
-        pres = [_presentation(complex, parity, c, bases) for complex, parity in nodes]
-        for k, name in enumerate(SixTermSequence.NODE_ORDER):
-            if not _exact_at(k, pres, arrows):
-                raise InternalConsistencyError(
-                    f"six-term sequence fails exactness at {name} with cyclic coefficient {c}"
-                )
-    return SixTermSequence(poset, q, m, l, G, groups, dict(zip(SixTermSequence.ARROW_ORDER, arrows)))
+        exact = _exactness(complexes, arrow, c, bases)
+        # from the top degree down; outside (q, l] every chain module is zero
+        for p in range(l, q, -1):
+            for j in range(3):
+                if not exact(j, p):
+                    name = SixTermSequence.NODE_ORDER[j + 3 * (p % 2 == 0)]
+                    raise InternalConsistencyError(
+                        f"six-term sequence fails exactness at {name} with cyclic coefficient {c}"
+                    )
+    # node k stacks one parity of complex k % 3; arrow k leaves it
+    nodes = [_blocks(complexes[k % 3], 1 - k // 3) for k in range(6)]
+    maps = {}
+    for k, name in enumerate(SixTermSequence.ARROW_ORDER):
+        shift = int(k % 3 == 2)
+        parts = {(p, p - shift): arrow(k % 3, p) for p, _ in nodes[k]}
+        maps[name] = _block_map(nodes[k], nodes[(k + 1) % 6], parts)
+    return SixTermSequence(poset, q, m, l, G, groups, maps)
 
 
 def connecting_map(poset: FacePoset, q: int, m: int, l: int, G: FGAbelianGroup) -> IntegerHom:
@@ -489,19 +491,16 @@ def connected_boundary_ses(poset: FacePoset, G: FGAbelianGroup) -> BoundarySESRe
     if d < 1 or not poset.faces_of_codim(1):
         raise ValueError("the boundary sequence requires a nonempty boundary")
 
-    # nodes 1-3 of the triple (-1, 0, d) are the three terms of the sequence;
-    # node 0, H_1^pcn(X_0), is zero, so exactness at node 1 is injectivity
-    complexes, nodes, arrows = _triple(poset, -1, 0, d, G)
+    # the sequence is the odd part of the triple (-1, 0, d) from H_odd(X) on;
+    # X_0 has degree 0 only, so exactness at the odd degrees of X is
+    # injectivity, and exactness at H_0(X_0), ended by the zero map, is onto
+    complexes, arrow = _triple(poset, -1, 0, d, G)
     boundary_part, absolute, relative = (homology(complex).periodized for complex in complexes)
     bases: dict = {}
     for c in sorted(set(G.cyclic_summands())):
-        pres = [_presentation(complex, parity, c, bases) for complex, parity in nodes[:4]]
-        onto = IntegerHom.zero(0, pres[3].n)
-        checks = (
-            _exact_at(1, pres, arrows),
-            _exact_at(2, pres, arrows),
-            _node_exact(arrows[2], pres[2], pres[3], onto, _EMPTY_PRES),
-        )
+        exact = _exactness(complexes, arrow, c, bases)
+        checks = [exact(j, p) for p in range(d, 0, -1) if p % 2 for j in (1, 2)]
+        checks.append(exact(0, 0, end=True))
         if not all(checks):
             raise InternalConsistencyError(
                 f"boundary short exact sequence fails with cyclic coefficient {c}"

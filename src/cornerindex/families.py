@@ -105,7 +105,6 @@ def _orbits(items: list[str], maps: list[dict[str, str]]) -> dict[str, str]:
     for start in items:
         if start in rep:
             continue
-        orbit = [start]
         rep[start] = start
         frontier = [start]
         while frontier:
@@ -115,7 +114,6 @@ def _orbits(items: list[str], maps: list[dict[str, str]]) -> dict[str, str]:
                     y = m[x]
                     if y not in rep:
                         rep[y] = start
-                        orbit.append(y)
                         nxt.append(y)
             frontier = nxt
     return rep
@@ -138,7 +136,6 @@ def quotient_family(spec: FamilySpec) -> QuotientResult:
         if hyp_rep[h] == h:
             total_hyps.append(h)
 
-    by_id = spec.fiber.by_id()
     total_faces = []
     for f in spec.fiber.faces:
         if face_rep[f.id] != f.id:

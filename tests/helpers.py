@@ -24,7 +24,7 @@ from cornerindex.abelian import (
 )
 from cornerindex.abelian import DimensionError, Factorization, InternalConsistencyError, cokernel_presentation
 from cornerindex.conormal import _embed_chain, _homology_gens, _lattices, build_complex, homology, periodize
-from cornerindex.faces import Face, FacePoset
+from cornerindex.faces import Face, FacePoset, FilteredPair
 from cornerindex.families import FiberAutomorphism, check_embeddable, gallery, quotient_family, GALLERY_NAMES
 
 
@@ -427,6 +427,45 @@ def reference_homology(complex):
     result = SimpleNamespace(complex=complex, groups=groups, representatives=representatives)
     result.periodized = periodize(result)
     return result
+
+
+def reference_six_term_maps(poset: FacePoset, q: int, m: int, l: int, G) -> dict[str, IntegerHom]:
+    """``SixTermSequence.maps`` as ``conormal._triple`` built them when
+    exactness was checked on parity stacks, kept verbatim apart from building
+    the complexes through ``build_complex``: arrow k is one block matrix from
+    node k to node k + 1 (mod 6), and nodes run h1_mq, h1_lq, h1_lm, h0_mq,
+    h0_lq, h0_lm."""
+
+    def blocks(complex, parity):
+        return tuple((p, complex.dim(p)) for p in complex.degrees if p % 2 == parity)
+
+    def block_map(src, tgt, parts):
+        def offsets(blocks):
+            return dict(zip((p for p, _ in blocks), itertools.accumulate((n for _, n in blocks), initial=0)))
+
+        src_at, tgt_at = offsets(src), offsets(tgt)
+        width = sum(n for _, n in src)
+        entries = [[0] * width for _ in range(sum(n for _, n in tgt))]
+        for (p, q), mat in parts.items():
+            if p in src_at and q in tgt_at:
+                for i, row in enumerate(mat.entries):
+                    entries[tgt_at[q] + i][src_at[p] : src_at[p] + mat.cols] = row
+        return IntegerHom.from_rows(entries, width=width)
+
+    complexes = tuple(
+        build_complex(FilteredPair(poset, low, high), G) for low, high in ((q, m), (q, l), (m, l))
+    )
+    nodes = tuple((complex, parity) for parity in (1, 0) for complex in complexes)
+    node_blocks = [blocks(complex, parity) for complex, parity in nodes]
+    connecting = {(m + 1, m): complexes[1].boundary[m + 1]} if q < m < l else {}
+    arrows = []
+    for k, src in enumerate(node_blocks):
+        if k % 3 == 2:
+            parts = connecting
+        else:
+            parts = {(p, p): IntegerHom.identity(n) for p, n in src}
+        arrows.append(block_map(src, node_blocks[(k + 1) % 6], parts))
+    return dict(zip(("i1", "p1", "d1", "i0", "p0", "d0"), arrows))
 
 
 def reference_validate(poset: FacePoset) -> list[str]:

@@ -447,6 +447,17 @@ def test_solve_dimension_mismatch():
         solve(hom([[1, 1]]), Z, [])
 
 
+def test_apply_int_checks_the_vector_length():
+    # a matrix with no rows still has columns to match, as in apply
+    empty = IntegerHom.zero(0, 3)
+    assert empty.apply_int([1, 2, 3]) == []
+    for A in (empty, hom([[1, 1]])):
+        with pytest.raises(DimensionError):
+            A.apply_int([1])
+        with pytest.raises(DimensionError):
+            A.apply([Z.element([1], [])], Z)
+
+
 def test_integer_solve_and_kernel():
     A = hom([[2, 4], [1, 2]])
     k = integer_kernel_basis(A)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from cornerindex import abelian, conormal, faces
-from cornerindex.abelian import FGAbelianGroup, IntegerHom
+from cornerindex.abelian import FGAbelianGroup, IntegerHom, InternalConsistencyError
 from cornerindex.conormal import (
     _homology_gens,
     build_complex,
@@ -27,6 +27,7 @@ from helpers import (
     kgon,
     random_valid_poset,
     reference_homology,
+    reference_six_term_maps,
     reference_smith_normal_form,
     uct_assembly,
 )
@@ -461,35 +462,65 @@ def test_six_term_exactness_random():
 
 def test_exactness_checker_detects_failures():
     # negative control: a zeroed connecting map must break exactness
-    from cornerindex.abelian import IntegerHom
-    from cornerindex.conormal import (
-        _block_map,
-        _blocks,
-        _node_exact,
-        _presentation,
-        _EMPTY_PRES,
-    )
+    from cornerindex.conormal import _lattices, _node_exact
 
     poset = interval()
-    absolute_cx = build_complex(FilteredPair(poset, -1, 1), Z)
-    relative_cx = build_complex(FilteredPair(poset, 0, 1), Z)
-    boundary_cx = build_complex(FilteredPair(poset, -1, 0), Z)
-    absolute = _presentation(absolute_cx, 1, 0)
-    relative = _presentation(relative_cx, 1, 0)
-    boundary0 = _presentation(boundary_cx, 0, 0)
-    include = _block_map(
-        _blocks(absolute_cx, 1), _blocks(relative_cx, 1), {(1, 1): IntegerHom.identity(2)}
-    )
-    connect = _block_map(
-        _blocks(relative_cx, 1), _blocks(boundary_cx, 0), {(1, 0): incidence_matrix(poset, 1)}
-    )
-    broken = IntegerHom.zero(boundary0.n, relative.n)
-    out_right = IntegerHom.zero(0, boundary0.n)
+
+    def degree(low, high, p):
+        complex = build_complex(FilteredPair(poset, low, high), Z)
+        return _lattices(complex.boundary[p], complex.boundary_or_zero(p + 1), 0)[:2]
+
+    absolute, relative, boundary0 = degree(-1, 1, 1), degree(0, 1, 1), degree(-1, 0, 0)
+    include = IntegerHom.identity(2)
+    connect = incidence_matrix(poset, 1)
+    broken = IntegerHom.zero(connect.rows, connect.cols)
+    out_right = IntegerHom.zero(0, connect.rows)
+    nothing = (IntegerHom.zero(0, 0),) * 2
 
     assert _node_exact(include, absolute, relative, connect, boundary0)
     assert not _node_exact(include, absolute, relative, broken, boundary0)
-    assert _node_exact(connect, relative, boundary0, out_right, _EMPTY_PRES)
-    assert not _node_exact(broken, relative, boundary0, out_right, _EMPTY_PRES)
+    assert _node_exact(connect, relative, boundary0, out_right, nothing)
+    assert not _node_exact(broken, relative, boundary0, out_right, nothing)
+
+
+@pytest.mark.parametrize(
+    ("poset", "triple", "broken", "node"),
+    [
+        (cube(3), (0, 1, 3), (1, 3), "h1_lq"),  # degree-3 projection
+        (cube(3), (0, 1, 3), (0, 1), "h1_mq"),  # degree-1 inclusion
+        (kgon(5), (-1, 0, 2), (1, 2), "h0_lq"),  # degree-2 projection
+    ],
+    ids=["cube3-projection-3", "cube3-inclusion-1", "pentagon-projection-2"],
+)
+def test_six_term_catches_a_break_in_one_degree(monkeypatch, poset, triple, broken, node):
+    six_term(poset, *triple, Z)
+    triple_of = conormal._triple
+
+    def breaking(*args):
+        complexes, arrow = triple_of(*args)
+
+        def broken_arrow(j, p):
+            part = arrow(j, p)
+            return IntegerHom.zero(part.rows, part.cols) if (j, p) == broken else part
+
+        return complexes, broken_arrow
+
+    monkeypatch.setattr(conormal, "_triple", breaking)
+    with pytest.raises(InternalConsistencyError, match=f"at {node} with cyclic coefficient 0"):
+        six_term(poset, *triple, Z)
+
+
+def test_six_term_maps_match_the_stacked_construction():
+    rng = random.Random(11)
+    posets = [poset for _, poset in gallery_posets()]
+    posets += [cube(d) for d in (1, 2, 3)] + [kgon(3), kgon(5)]
+    posets += [random_valid_poset(rng, max_faces=12) for _ in range(8)]
+    for poset in posets:
+        d = poset.codimension()
+        for q, m, l in itertools.combinations_with_replacement(range(-1, d + 1), 3):
+            for G in (Z, FGAbelianGroup(1, (4,))):
+                expected = reference_six_term_maps(poset, q, m, l, G)
+                assert six_term(poset, q, m, l, G).maps == expected
 
 
 # ---------------------------------------------------------------------------
