@@ -109,6 +109,8 @@ def _cmd_homology(args):
     payload = _load(args.file, "poset")
     poset = documents.poset_from_payload(payload)
     coefficient = documents.parse_coefficient(args.coeff)
+    # report an invalid poset's violations before range-checking --pair
+    require_valid(poset)
     d = poset.codimension()
     low, high = (args.pair if args.pair is not None else (-1, d))
     complex = build_complex(FilteredPair(poset, low, high), coefficient)

@@ -4,11 +4,16 @@ A poset records hypersurfaces, one entry per connected face, the sorted
 hypersurface tuple of each face and, for every index of that tuple, the unique
 parent face obtained by dropping it.  Hypersurface identifiers are opaque
 strings ordered lexicographically; that order is what "sorted tuple" means.
+
+A poset is immutable: its fields are tuples and frozen faces, whatever
+sequences it was built from.  So its validation verdict and its
+per-codimension index are built on first read and kept on the object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class InvalidPosetError(ValueError):
@@ -25,6 +30,12 @@ class Face:
     codim: int
     index_tuple: tuple[str, ...]
     parents: tuple[tuple[str, str], ...] = ()  # (dropped hypersurface, parent face id)
+
+    def __post_init__(self):
+        if type(self.index_tuple) is not tuple:
+            object.__setattr__(self, "index_tuple", tuple(self.index_tuple))
+        if type(self.parents) is not tuple:
+            object.__setattr__(self, "parents", tuple(map(tuple, self.parents)))
 
     def parent_map(self) -> dict[str, str]:
         return dict(self.parents)
@@ -47,6 +58,23 @@ class FacePoset:
     faces: tuple[Face, ...]
     connected: bool = True
 
+    def __post_init__(self):
+        if type(self.hypersurfaces) is not tuple:
+            object.__setattr__(self, "hypersurfaces", tuple(self.hypersurfaces))
+        if type(self.faces) is not tuple:
+            object.__setattr__(self, "faces", tuple(self.faces))
+
+    @cached_property
+    def _verdict(self) -> tuple[str, ...]:
+        return tuple(_violations(self))
+
+    @cached_property
+    def _by_codim(self) -> dict[int, tuple[Face, ...]]:
+        index = {}
+        for f in self.faces:
+            index.setdefault(f.codim, []).append(f)
+        return {p: tuple(fs) for p, fs in index.items()}
+
     @classmethod
     def build(cls, hypersurfaces, faces, connected=True) -> "FacePoset":
         """Assemble from loose data; parents may be given as dicts."""
@@ -65,11 +93,11 @@ class FacePoset:
         return {f.id: f for f in self.faces}
 
     def codimension(self) -> int:
-        return max((f.codim for f in self.faces), default=0)
+        return max(self._by_codim, default=0)
 
     def faces_of_codim(self, p: int) -> list[Face]:
         """Faces of codimension p, in declaration order (the chain basis order)."""
-        return [f for f in self.faces if f.codim == p]
+        return list(self._by_codim.get(p, ()))
 
     def is_empty(self) -> bool:
         return not self.faces
@@ -79,6 +107,15 @@ def validate(poset: FacePoset) -> list[str]:
     """All violated invariants, one message each; empty list means valid.
 
     A poset with no faces at all stands for the empty manifold and is valid.
+    The verdict is computed once per poset object and kept on it; each call
+    returns a fresh list of it.
+    """
+    return list(poset._verdict)
+
+
+def _violations(poset: FacePoset) -> list[str]:
+    """The one indexed pass behind :func:`validate`.
+
     The faces are indexed once (id -> face and parent map); one pass then
     checks every face, its parents and its index pairs, reading the
     grandparents' parent maps from the index.  Grandparent-commutation

@@ -107,6 +107,23 @@ def test_homology_invalid_poset(capsys):
     assert code == 1
 
 
+def test_homology_reports_violations_before_the_pair_range(capsys, tmp_path):
+    # the only face has codim -1, so the range check alone would reject --pair 0 1
+    doc = {
+        "kind": "poset",
+        "version": 1,
+        "payload": {
+            "hypersurfaces": [],
+            "faces": [{"id": "i", "codim": -1, "index_tuple": [], "parents": {}}],
+        },
+    }
+    bad = tmp_path / "negative_codim.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "homology", bad, "--pair", "0", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: missing-interior: no codimension-0 face; negative-codim: i\n"
+
+
 def test_homology_large_prime_coefficient_is_fast():
     # canonical forms never factor a modulus, so an 18-digit prime is cheap
     src = str(Path(cornerindex.__file__).parent.parent)

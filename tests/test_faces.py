@@ -1,18 +1,27 @@
+import dataclasses
 import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from cornerindex import faces
+from cornerindex.abelian import FGAbelianGroup
+from cornerindex.conormal import build_complex
 from cornerindex.faces import (
+    Face,
     FacePoset,
     FilteredPair,
+    InvalidPosetError,
     filtration,
     incidence_sign,
+    require_valid,
     validate,
 )
 from cornerindex.families import GALLERY_NAMES, gallery
+from cornerindex.obstruction import KTheoryInput, SymbolDatum, codim2_obstruction_space, codim2_vanishes
 
 from helpers import (
+    count_calls,
     cube,
     gallery_posets,
     kgon,
@@ -216,3 +225,107 @@ def test_validate_matches_frozen_reference_on_seeded_mutants():
         assert violations == reference_validate(poset)
         seen.update(v.split(":")[0] for v in violations)
     assert seen == VIOLATION_KINDS
+
+
+# ---------------------------------------------------------------------------
+# the verdict and the codimension index live on the poset
+
+
+def _list_built_poset() -> FacePoset:
+    return FacePoset(
+        ["s1", "s2"],
+        [
+            Face("int", 0, (), ()),
+            Face("e1", 1, ["s1"], (("s1", "int"),)),
+            Face("e2", 1, ("s2",), [["s2", "int"]]),
+        ],
+    )
+
+
+def test_list_built_poset_holds_tuples_and_equals_its_twin():
+    poset = _list_built_poset()
+    twin = FacePoset(
+        ("s1", "s2"),
+        (
+            Face("int", 0, (), ()),
+            Face("e1", 1, ("s1",), (("s1", "int"),)),
+            Face("e2", 1, ("s2",), (("s2", "int"),)),
+        ),
+    )
+    assert validate(poset) == []
+    assert poset == twin and hash(poset) == hash(twin)
+    assert type(poset.faces[2].parents[0]) is tuple
+
+
+def test_validation_pass_runs_once_per_poset_object(monkeypatch):
+    passes = count_calls(monkeypatch, faces, "_violations")
+    square = cube(2)
+    K = KTheoryInput.point()
+    datum = SymbolDatum.build(
+        {f.id: K.k1.zero() for f in square.faces_of_codim(1)},
+        {f.id: K.k0.zero() for f in square.faces_of_codim(2)},
+    )
+    assert validate(square) == []
+    require_valid(square)
+    build_complex(FilteredPair(square, -1, 2), FGAbelianGroup(1))
+    codim2_obstruction_space(square, K)
+    assert codim2_vanishes(square, K, datum).vanishes
+    assert passes == [(square,)]
+    # an equal but distinct object keeps its own verdict
+    validate(cube(2))
+    assert len(passes) == 2
+
+
+TWO_INTERIORS = ["disconnected-interior: connected poset has several codimension-0 faces"]
+
+
+def _two_interiors() -> FacePoset:
+    return FacePoset.build([], [("a", 0, (), {}), ("b", 0, (), {})])
+
+
+def test_invalid_poset_raises_the_same_violations_each_call():
+    poset = _two_interiors()
+    raised = []
+    for _ in range(3):
+        with pytest.raises(InvalidPosetError) as info:
+            require_valid(poset)
+        raised.append(info.value.violations)
+    assert raised == [TWO_INTERIORS] * 3
+
+
+def test_validate_returns_a_fresh_list():
+    poset = _two_interiors()
+    first = validate(poset)
+    first.append("stray")
+    assert validate(poset) == TWO_INTERIORS
+    assert validate(poset) is not validate(poset)
+
+
+def test_cached_verdict_leaves_equality_hash_and_repr_alone():
+    validated, twin = cube(2), cube(2)
+    validate(validated)
+    validated.codimension()
+    assert validated == twin
+    assert hash(validated) == hash(twin)
+    assert repr(validated) == repr(twin)
+
+
+def test_replace_gets_its_own_verdict():
+    poset = _two_interiors()
+    assert validate(poset) == TWO_INTERIORS
+    assert validate(dataclasses.replace(poset, connected=False)) == []
+
+
+def test_codimension_index_matches_a_plain_scan():
+    rng = random.Random(23)
+    posets = [FacePoset((), ())] + [cube(d) for d in range(4)]
+    posets += [poset for _, poset in gallery_posets()]
+    posets += [random_valid_poset(rng, connected=rng.random() < 0.7) for _ in range(20)]
+    posets += [mutate_poset(rng, random_codim2_poset(rng, 20), 3) for _ in range(20)]
+    for poset in posets:
+        codims = {f.codim for f in poset.faces}
+        assert poset.codimension() == max(codims, default=0)
+        for p in codims | {-1, 0, 1, 2, 5}:
+            expected = [f for f in poset.faces if f.codim == p]
+            assert poset.faces_of_codim(p) == expected
+            assert poset.faces_of_codim(p) is not poset.faces_of_codim(p)
