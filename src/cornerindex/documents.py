@@ -1,8 +1,9 @@
 """JSON document schemas for the command-line front end.
 
 Every input file is ``{"kind": ..., "version": 1, "payload": ...}``.  Shape
-problems (bad JSON, wrong kind, wrong field types, unparsable coefficient
-expressions) raise :class:`InputError` and map to exit code 2; semantic
+problems (an unreadable, non-UTF-8 or too deeply nested file, bad JSON,
+wrong kind, wrong field types, unparsable coefficient expressions) raise
+:class:`InputError` and map to exit code 2; semantic
 problems in well-shaped data are domain errors and map to exit code 1.
 """
 
@@ -12,7 +13,7 @@ import json
 import re
 
 from .abelian import FGAbelianGroup, GroupElement
-from .faces import FacePoset
+from .faces import Face, FacePoset
 from .families import FamilySpec, FiberAutomorphism
 from .obstruction import KTheoryInput, SymbolDatum
 
@@ -34,10 +35,14 @@ def load_document(path: str) -> tuple[str, dict]:
             text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path} is nested too deeply to read") from exc
     return parse_document(obj)
 
 
@@ -64,17 +69,23 @@ def _expect(condition: bool, message: str):
         raise InputError(message)
 
 
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
+def _is_str_map(value) -> bool:
+    return isinstance(value, dict) and all(
+        isinstance(k, str) and isinstance(v, str) for k, v in value.items()
+    )
+
+
 def _str_list(value, what: str) -> list[str]:
-    _expect(isinstance(value, list) and all(isinstance(x, str) for x in value), f"{what} must be a list of strings")
+    _expect(_is_str_list(value), f"{what} must be a list of strings")
     return value
 
 
 def _str_map(value, what: str) -> dict[str, str]:
-    _expect(
-        isinstance(value, dict)
-        and all(isinstance(k, str) and isinstance(v, str) for k, v in value.items()),
-        f"{what} must map strings to strings",
-    )
+    _expect(_is_str_map(value), f"{what} must map strings to strings")
     return value
 
 
@@ -94,11 +105,17 @@ def poset_from_payload(payload: dict) -> FacePoset:
         fid = entry.get("id")
         codim = entry.get("codim")
         _expect(isinstance(fid, str), "face id must be a string")
-        _expect(isinstance(codim, int) and not isinstance(codim, bool), f"face {fid}: codim must be an integer")
-        tup = _str_list(entry.get("index_tuple"), f"face {fid}: index_tuple")
-        parents = _str_map(entry.get("parents", {}), f"face {fid}: parents")
-        faces.append((fid, codim, tuple(tup), parents))
-    return FacePoset.build(hyps, faces, connected)
+        # the messages are formatted only on failure: this loop runs per face
+        if not isinstance(codim, int) or isinstance(codim, bool):
+            raise InputError(f"face {fid}: codim must be an integer")
+        tup = entry.get("index_tuple")
+        if not _is_str_list(tup):
+            raise InputError(f"face {fid}: index_tuple must be a list of strings")
+        parents = entry.get("parents", {})
+        if not _is_str_map(parents):
+            raise InputError(f"face {fid}: parents must map strings to strings")
+        faces.append(Face(fid, codim, tuple(tup), tuple(sorted(parents.items()))))
+    return FacePoset(tuple(hyps), tuple(faces), connected)
 
 
 def poset_to_payload(poset: FacePoset) -> dict:

@@ -6,8 +6,19 @@ parent face obtained by dropping it.  Hypersurface identifiers are opaque
 strings ordered lexicographically; that order is what "sorted tuple" means.
 
 A poset is immutable: its fields are tuples and frozen faces, whatever
-sequences it was built from.  So its validation verdict and its
-per-codimension index are built on first read and kept on the object.
+sequences it was built from.  So its validation verdict, its
+per-codimension index and its parent-map index (each face's parent map,
+and id -> (face, parent map)) are built on first read and kept on the
+object; validation, the automorphism check, the quotient and the incidence
+matrices all read the one parent-map index, and none of them mutates it.
+
+Validation checks grandparent commutation pair by pair only when it can
+fail.  If every per-face check passes and no two faces share an index
+tuple, then for a codim-k face with tuple I and indices i, j both drop
+orders end at a face carrying I - {i, j}: each parent exists, has codim
+k - 1 and carries I minus its index, and so does each of its parents.
+Tuples being distinct, the two ends are one face, so no pair can
+disagree and the check is settled without the pairwise loop.
 """
 
 from __future__ import annotations
@@ -75,6 +86,17 @@ class FacePoset:
             index.setdefault(f.codim, []).append(f)
         return {p: tuple(fs) for p, fs in index.items()}
 
+    @cached_property
+    def _parent_maps(self) -> tuple[dict[str, str], ...]:
+        """Each face's parent map, aligned with ``faces``; read-only."""
+        return tuple(f.parent_map() for f in self.faces)
+
+    @cached_property
+    def _id_index(self) -> dict[str, tuple[Face, dict[str, str]]]:
+        """id -> (face, parent map), the last face winning on a repeated id;
+        read-only."""
+        return {f.id: (f, pmap) for f, pmap in zip(self.faces, self._parent_maps)}
+
     @classmethod
     def build(cls, hypersurfaces, faces, connected=True) -> "FacePoset":
         """Assemble from loose data; parents may be given as dicts."""
@@ -116,10 +138,11 @@ def validate(poset: FacePoset) -> list[str]:
 def _violations(poset: FacePoset) -> list[str]:
     """The one indexed pass behind :func:`validate`.
 
-    The faces are indexed once (id -> face and parent map); one pass then
-    checks every face, its parents and its index pairs, reading the
-    grandparents' parent maps from the index.  Grandparent-commutation
-    messages follow all the per-face ones.
+    One pass checks every face and its parents against the poset's
+    parent-map index.  Grandparent commutation follows, its messages after
+    all the per-face ones; it is settled by the distinct-tuple argument of
+    the module docstring when that pass found nothing and no index tuple
+    repeats, and checked pair by pair otherwise.
     """
     violations = []
     if poset.is_empty():
@@ -127,38 +150,23 @@ def _violations(poset: FacePoset) -> list[str]:
     hyps = set(poset.hypersurfaces)
     if len(hyps) != len(poset.hypersurfaces):
         violations.append("duplicate-hypersurface: hypersurface list has repeats")
-    pmaps = [f.parent_map() for f in poset.faces]
-    by_id = {}  # id -> (face, parent map); the last face wins on a repeated id
-    n_codim0 = 0
-    for f, pmap in zip(poset.faces, pmaps):
-        if f.id in by_id:
-            violations.append(f"duplicate-face-id: {f.id}")
-        by_id[f.id] = (f, pmap)
-        if f.codim == 0:
-            n_codim0 += 1
+    by_id = poset._id_index
+    if len(by_id) != len(poset.faces):
+        seen = set()
+        for f in poset.faces:
+            if f.id in seen:
+                violations.append(f"duplicate-face-id: {f.id}")
+            seen.add(f.id)
 
+    n_codim0 = len(poset._by_codim.get(0, ()))
     if n_codim0 == 0:
         violations.append("missing-interior: no codimension-0 face")
     elif poset.connected and n_codim0 > 1:
         violations.append("disconnected-interior: connected poset has several codimension-0 faces")
 
-    commute = []
+    pmaps = poset._parent_maps
     for f, pmap in zip(poset.faces, pmaps):
         idx = f.index_tuple
-        members = set(idx)
-        distinct = len(members) == len(idx)
-        # grandparents commute: dropping i then j matches dropping j then i
-        if f.codim >= 2 and distinct and pmap.keys() == members:
-            # (index, parent map of the parent dropping it), for known parents
-            known = [(i, by_id[pmap[i]][1]) for i in idx if pmap[i] in by_id]
-            for a, (i, via) in enumerate(known):
-                for j, other in known[a + 1 :]:
-                    via_i = via.get(j)
-                    if via_i is None or via_i != other.get(i):
-                        commute.append(
-                            f"grandparent-mismatch: {f.id} dropping {i},{j} in either order disagrees"
-                        )
-
         if f.codim < 0:
             violations.append(f"negative-codim: {f.id}")
             continue
@@ -168,6 +176,8 @@ def _violations(poset: FacePoset) -> list[str]:
         if unknown:
             violations.append(f"unknown-hypersurface: {f.id} references {unknown[0]}")
             continue
+        members = set(idx)
+        distinct = len(members) == len(idx)
         weakly_sorted = tuple(sorted(idx)) == idx
         if not distinct:
             violations.append(f"duplicate-index: {f.id} repeats a hypersurface")
@@ -194,7 +204,28 @@ def _violations(poset: FacePoset) -> list[str]:
             expected = idx[:k] + idx[k + 1 :]
             if g.index_tuple != expected:
                 violations.append(f"parent-tuple: {f.id} parent {gid} should carry {expected}")
-    return violations + commute
+
+    # Settled, not skipped: with every face and parent checked and no tuple
+    # repeated, both drop orders of a pair end at the one face carrying the
+    # tuple minus both indices (module docstring), so no pair can disagree.
+    if not violations and len({f.index_tuple for f in poset.faces}) == len(poset.faces):
+        return violations
+    for f, pmap in zip(poset.faces, pmaps):
+        idx = f.index_tuple
+        members = set(idx)
+        # grandparents commute: dropping i then j matches dropping j then i
+        if f.codim < 2 or len(members) != len(idx) or pmap.keys() != members:
+            continue
+        # (index, parent map of the parent dropping it), for known parents
+        known = [(i, by_id[pmap[i]][1]) for i in idx if pmap[i] in by_id]
+        for a, (i, via) in enumerate(known):
+            for j, other in known[a + 1 :]:
+                via_i = via.get(j)
+                if via_i is None or via_i != other.get(i):
+                    violations.append(
+                        f"grandparent-mismatch: {f.id} dropping {i},{j} in either order disagrees"
+                    )
+    return violations
 
 
 def require_valid(poset: FacePoset) -> FacePoset:

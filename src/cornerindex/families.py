@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .faces import Face, FacePoset, InvalidPosetError, require_valid, validate
+from .abelian import InternalConsistencyError
+from .faces import Face, FacePoset, require_valid, validate
 
 GALLERY_NAMES = (
     "trivial_interval",
@@ -43,22 +44,20 @@ class FiberAutomorphism:
 def validate_automorphism(fiber: FacePoset, aut: FiberAutomorphism) -> list[str]:
     """Violations of the automorphism axioms against the given fiber poset.
 
-    Each face's parent map is built once per call; an image's map is read
-    from the id index."""
+    Parent maps are read from the fiber's parent-map index."""
     violations = []
     fmap = aut.faces()
     smap = aut.hypersurfaces()
-    face_ids = {f.id for f in fiber.faces}
-    if set(fmap) != face_ids or set(fmap.values()) != face_ids:
+    by_id = fiber._id_index
+    face_ids = by_id.keys()
+    if face_ids != set(fmap) or face_ids != set(fmap.values()):
         violations.append("face-map: not a bijection of the fiber faces")
         return violations
     hyps = set(fiber.hypersurfaces)
     if set(smap) != hyps or set(smap.values()) != hyps:
         violations.append("hypersurface-map: not a bijection of the hypersurfaces")
         return violations
-    pmaps = [f.parent_map() for f in fiber.faces]
-    by_id = {f.id: (f, pmap) for f, pmap in zip(fiber.faces, pmaps)}
-    for f, pmap in zip(fiber.faces, pmaps):
+    for f, pmap in zip(fiber.faces, fiber._parent_maps):
         image, image_pmap = by_id[fmap[f.id]]
         if image.codim != f.codim:
             violations.append(f"codim-change: {f.id} -> {image.id}")
@@ -137,11 +136,10 @@ def quotient_family(spec: FamilySpec) -> QuotientResult:
             total_hyps.append(h)
 
     total_faces = []
-    for f in spec.fiber.faces:
+    for f, pmap in zip(spec.fiber.faces, spec.fiber._parent_maps):
         if face_rep[f.id] != f.id:
             continue
         tup = tuple(sorted(hyp_rep[i] for i in f.index_tuple))
-        pmap = f.parent_map()
         parents = {}
         for i in f.index_tuple:
             h = hyp_rep[i]
@@ -175,7 +173,11 @@ def check_embeddable(result: QuotientResult) -> EmbeddabilityVerdict:
             return EmbeddabilityVerdict(False, f.id)
     problems = validate(result.total)
     if problems:
-        raise InvalidPosetError(problems)
+        # a valid fiber's orbits carry its parents, commutation and single
+        # interior over to a total with distinct tuples, so this is a bug
+        raise InternalConsistencyError(
+            "embeddable total fails validation: " + "; ".join(problems)
+        )
     return EmbeddabilityVerdict(True, None)
 
 

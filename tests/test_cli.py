@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import cornerindex
-from cornerindex import conormal, faces
+from cornerindex import conormal, documents, faces, families
 from cornerindex.abelian import FGAbelianGroup
 from cornerindex.cli import EXIT_INTERNAL, main
 from cornerindex.documents import canonical_json
@@ -53,6 +53,31 @@ def test_validate_truncated_file(capsys, tmp_path):
     code, out, err = run(capsys, "validate", broken)
     assert code == 2
     assert "JSON" in err
+
+
+def test_validate_non_utf8_file_is_unreadable(capsys, tmp_path):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe{\x00}\x00")
+    code, out, err = run(capsys, "validate", bad)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "not UTF-8" in err
+
+
+def test_validate_too_deeply_nested_file_is_unreadable(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000, encoding="utf-8")
+    code, out, err = run(capsys, "validate", deep)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "nested too deeply" in err
+
+
+def test_validate_overlong_integer_file_is_unreadable(capsys, tmp_path):
+    # json.loads raises a plain ValueError past the interpreter's digit limit
+    long = tmp_path / "long.json"
+    long.write_text('{"kind": "poset", "version": ' + "1" * 5000 + "}", encoding="utf-8")
+    code, out, err = run(capsys, "validate", long)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "not valid JSON" in err
 
 
 def test_validate_wrong_kind(capsys):
@@ -171,6 +196,18 @@ def test_family_mobius(capsys):
     assert result["embeddable"] is True
     assert result["counts"]["total_hypersurfaces"] == 1
     assert result["total"]["faces"][1]["id"] == "e1"
+
+
+def test_family_failed_embeddability_cross_check_is_internal(capsys, monkeypatch):
+    # only the total can fail here: the fiber is validated through faces
+    real = families.validate
+    monkeypatch.setattr(
+        families, "validate", lambda poset: ["parent-tuple: forced"] + real(poset)
+    )
+    code, out, err = run(capsys, "family", DATA / "mobius_family.json", "--check-embeddable")
+    assert code == EXIT_INTERNAL == 4
+    assert out == ""
+    assert err == "internal error: embeddable total fails validation: parent-tuple: forced\n"
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +417,37 @@ def test_serialisation_roundtrip_idempotent():
         spec = documents.family_from_payload(payload)
         again = canonical_json(documents.document("family", documents.family_to_payload(spec)))
         assert again == raw
+
+
+def _face(**fields):
+    return {"id": "e1", "codim": 1, "index_tuple": ["s1"], "parents": {"s1": "int"}, **fields}
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (["e1", 1], "each face must be an object"),
+        (_face(id=7), "face id must be a string"),
+        (_face(codim=True), "face e1: codim must be an integer"),
+        (_face(codim="1"), "face e1: codim must be an integer"),
+        (_face(index_tuple="s1"), "face e1: index_tuple must be a list of strings"),
+        (_face(index_tuple=["s1", 2]), "face e1: index_tuple must be a list of strings"),
+        (_face(parents=[["s1", "int"]]), "face e1: parents must map strings to strings"),
+        (_face(parents={"s1": 0}), "face e1: parents must map strings to strings"),
+        (_face(parents={1: "int"}), "face e1: parents must map strings to strings"),
+        # several bad fields: the first in id, codim, index_tuple, parents order
+        (_face(id=None, codim=False, index_tuple=None, parents=None), "face id must be a string"),
+        (_face(codim=1.0, index_tuple=[3], parents=[]), "face e1: codim must be an integer"),
+        (_face(index_tuple={}, parents="int"), "face e1: index_tuple must be a list of strings"),
+    ],
+)
+def test_poset_parse_messages(entry, message):
+    good = {"id": "int", "codim": 0, "index_tuple": [], "parents": {}}
+    # the first bad face is reported, wherever the faces after it go wrong
+    payload = {"hypersurfaces": ["s1"], "faces": [good, entry, ["bad"]]}
+    with pytest.raises(documents.InputError) as info:
+        documents.poset_from_payload(payload)
+    assert str(info.value) == message
 
 
 def test_report_out_flag(capsys, tmp_path):

@@ -106,6 +106,44 @@ def test_grandparent_commutation_violation():
     assert any(v.startswith("grandparent-mismatch") for v in validate(p))
 
 
+def _twin_edge_poset(swapped: bool) -> FacePoset:
+    # ec and ec2 both carry (c,), so tuples repeat; with the swap, the
+    # vertex reaches ec dropping a then b and ec2 dropping b then a
+    return FacePoset.build(
+        ["a", "b", "c"],
+        [
+            ("int", 0, (), {}),
+            ("ea", 1, ("a",), {"a": "int"}),
+            ("eb", 1, ("b",), {"b": "int"}),
+            ("ec", 1, ("c",), {"c": "int"}),
+            ("ec2", 1, ("c",), {"c": "int"}),
+            ("cab", 2, ("a", "b"), {"a": "eb", "b": "ea"}),
+            ("cac", 2, ("a", "c"), {"a": "ec2" if swapped else "ec", "c": "ea"}),
+            ("cbc", 2, ("b", "c"), {"b": "ec", "c": "eb"}),
+            ("v", 3, ("a", "b", "c"), {"a": "cbc", "b": "cac", "c": "cab"}),
+        ],
+    )
+
+
+def test_repeated_tuples_still_check_commutation_pair_by_pair():
+    # every per-face check passes, so only the pairwise loop can see this
+    swapped = _twin_edge_poset(swapped=True)
+    expected = ["grandparent-mismatch: v dropping a,b in either order disagrees"]
+    assert validate(swapped) == reference_validate(swapped) == expected
+    consistent = _twin_edge_poset(swapped=False)
+    assert validate(consistent) == reference_validate(consistent) == []
+
+
+def test_distinct_tuple_posets_validate_like_the_reference():
+    # the posets whose commutation is settled without the pairwise loop
+    posets = [cube(d) for d in range(1, 6)] + [kgon(k) for k in (3, 4, 5, 8, 64)]
+    for poset in posets:
+        assert len({f.index_tuple for f in poset.faces}) == len(poset.faces)
+    posets += [poset for _, poset in gallery_posets()] + [gallery(n).fiber for n in GALLERY_NAMES]
+    for poset in posets:
+        assert validate(poset) == reference_validate(poset) == []
+
+
 def test_connected_single_interior():
     p = FacePoset.build(["s1"], [("a", 0, (), {}), ("b", 0, (), {})], connected=True)
     assert any(v.startswith("disconnected-interior") for v in validate(p))

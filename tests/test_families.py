@@ -1,9 +1,11 @@
+import itertools
 import random
 from collections import Counter
 
 import pytest
 
-from cornerindex.faces import validate
+from cornerindex.conormal import incidence_matrix
+from cornerindex.faces import Face, validate
 from cornerindex.families import (
     FamilySpec,
     FiberAutomorphism,
@@ -19,6 +21,7 @@ from helpers import (
     corrupt_automorphism,
     cube,
     cube_automorphism,
+    reference_validate,
     reference_validate_automorphism,
 )
 
@@ -143,3 +146,39 @@ def test_validate_automorphism_matches_frozen_reference():
     assert set(kinds) == {
         "face-map", "hypersurface-map", "codim-change", "tuple-mismatch", "parent-mismatch",
     }
+
+
+def test_embeddable_cube_totals_validate_like_the_reference():
+    for d in (2, 3):
+        embeddable = 0
+        for perm in itertools.permutations(range(d)):
+            for flips in itertools.product((False, True), repeat=d):
+                aut = cube_automorphism(d, perm, flips)
+                quotient = quotient_family(FamilySpec(cube(d), (aut,), "circle"))
+                if check_embeddable(quotient).embeddable:
+                    embeddable += 1
+                    total = quotient.total
+                    assert validate(total) == reference_validate(total) == []
+        assert embeddable > 0
+
+
+def test_parent_map_index_is_built_once_per_poset(monkeypatch):
+    built = Counter()
+    real = Face.parent_map
+
+    def counting(face):
+        built[face.id] += 1
+        return real(face)
+
+    monkeypatch.setattr(Face, "parent_map", counting)
+    fiber = cube(3)
+    aut = cube_automorphism(3, (1, 0, 2), (True, False, False))
+    assert validate(fiber) == []
+    assert validate_automorphism(fiber, aut) == []
+    quotient_family(FamilySpec(fiber, (aut,), "circle"))
+    for p in range(1, 4):
+        incidence_matrix(fiber, p)
+    assert built == Counter(f.id for f in fiber.faces)
+    # an equal but distinct object builds its own
+    validate(cube(3))
+    assert set(built.values()) == {2}
