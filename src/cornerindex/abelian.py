@@ -8,7 +8,10 @@ solvers run on Python's arbitrary-precision integers.  No floats anywhere.
 The workhorse is :func:`smith_normal_form`, which returns a full decomposition
 ``A = U * D * V`` together with the exact inverses of ``U`` and ``V``; kernel,
 cokernel and solving routines for arbitrary coefficient groups are derived
-from it summand by summand.
+from it summand by summand.  The decomposition holds D and the logs of the
+elementary row and column operations that produced it, not the transforms:
+a product of ``U``, ``U_inv``, ``V`` or ``V_inv`` with a vector replays one
+log on that vector, and a dense transform is built only when it is read.
 """
 
 from __future__ import annotations
@@ -62,14 +65,6 @@ def _mat_mul(a: list[list[int]], b: list[list[int]], cols: int) -> list[list[int
     return out
 
 
-def _mat_vec_sparse(a, v: list[int]) -> list[int]:
-    """``a * v`` touching only the nonzero entries of ``v``."""
-    if a and len(a[0]) != len(v):
-        raise DimensionError("matrix-vector shapes differ")
-    nonzero = [(j, x) for j, x in enumerate(v) if x]
-    return [sum(ai[j] * x for j, x in nonzero) for ai in a]
-
-
 # ---------------------------------------------------------------------------
 # groups
 
@@ -114,9 +109,14 @@ class FGAbelianGroup:
                 rank += 1
             elif n != 1:
                 factors.append(n)
-        # Z/a + Z/b = Z/gcd + Z/lcm; after step i, factors[i] divides every
-        # later entry, and later steps only replace entries by gcds and lcms
-        # of its multiples, so the result is a divisibility chain
+        # a sorted chain is returned as it is: invariant factors are unique,
+        # so the loop would not change it.  Z/a + Z/b = Z/gcd + Z/lcm; after
+        # step i, factors[i] divides every later entry, and later steps only
+        # replace entries by gcds and lcms of its multiples, so the result is
+        # a divisibility chain
+        factors.sort()
+        if all(b % a == 0 for a, b in zip(factors, factors[1:])):
+            return cls(rank, tuple(factors))
         for i in range(len(factors)):
             for j in range(i + 1, len(factors)):
                 a, b = factors[i], factors[j]
@@ -250,7 +250,7 @@ class GroupElement:
         )
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.free) and all(a == 0 for a in self.tors)
+        return not any(self.free) and not any(self.tors)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +323,9 @@ class IntegerHom:
         vector = list(vector)
         if len(vector) != self.cols:
             raise DimensionError("vector length does not match columns")
-        return _mat_vec_sparse(self.entries, vector)
+        # only the nonzero entries of the vector are read
+        nonzero = [(j, x) for j, x in enumerate(vector) if x]
+        return [sum(row[j] * x for j, x in nonzero) for row in self.entries]
 
     def apply(self, elements, group: FGAbelianGroup) -> list[GroupElement]:
         """Coordinatewise action on a vector of elements of ``group``."""
@@ -354,56 +356,69 @@ class IntegerHom:
 class SNFDecomposition:
     """Exact decomposition A = U * D * V with unimodular U, V.
 
-    ``U_inv`` and ``V_inv`` are carried along so that solving and kernel
-    extraction never need a separate matrix inversion.
-
-    The elimination keeps all four transforms as sparse vectors, each in
-    the orientation its operations write: ``u_columns`` (U by columns),
-    ``u_inv_rows``, ``v_rows`` and ``v_inv_columns``; zero entries may be
-    stored.  The dense ``U``, ``D``, ``V``, ``U_inv`` and ``V_inv`` are
-    built on first read and then kept.  The constructor takes the five dense
-    matrices; equality compares them.
+    No transform is stored: the elimination leaves the rows of D and two
+    logs of elementary operations, in order.  ``row_log`` holds the row
+    operations on D, whose product is ``U_inv``; ``column_log`` holds, for
+    each column operation on D, the row operation V absorbs, and their
+    product is ``V``.  An entry ``(i, k, q)`` adds ``q`` times entry k to
+    entry i; with ``q == 0`` it swaps entries i and k, or negates entry i
+    when ``i == k``.  A product with a transform is one replay of one log
+    on one vector: forward for ``U_inv`` and ``V``, undone backward for
+    ``U`` and ``V_inv``.  The dense ``U``, ``D``, ``V``, ``U_inv`` and
+    ``V_inv`` are replayed on unit vectors on first read, then kept.  The
+    constructor takes the five dense matrices of a reference decomposition,
+    which has no logs; equality compares the dense matrices.
     """
 
     def __init__(self, U: IntegerHom, D: IntegerHom, V: IntegerHom, U_inv: IntegerHom, V_inv: IntegerHom):
         self.U, self.D, self.V, self.U_inv, self.V_inv = U, D, V, U_inv, V_inv
-        self._d = D.entries
-        self.u_columns = _sparse(U.columns())
-        self.u_inv_rows = _sparse(U_inv.entries)
-        self.v_rows = _sparse(V.entries)
-        self.v_inv_columns = _sparse(V_inv.columns())
+        self._d, self._cols = D.entries, D.cols
+        self.row_log = self.column_log = None
 
     @classmethod
-    def _from_sparse(cls, d, u_columns, u_inv_rows, v_rows, v_inv_columns) -> "SNFDecomposition":
+    def _from_logs(cls, d, cols: int, row_log, column_log) -> "SNFDecomposition":
         """The decomposition as the elimination leaves it: ``d`` the rows of
-        D, the four transforms sparse; nothing dense is built."""
+        D, ``cols`` its width; nothing dense is built."""
         self = cls.__new__(cls)
-        self._d = d
-        self.u_columns, self.u_inv_rows = u_columns, u_inv_rows
-        self.v_rows, self.v_inv_columns = v_rows, v_inv_columns
+        self._d, self._cols = d, cols
+        self.row_log, self.column_log = row_log, column_log
         return self
+
+    def u_times(self, x: list[int]) -> list[int]:
+        """``U * x``: the row log, undone backward."""
+        return _backward(self.row_log, _checked(x, len(self._d)))
+
+    def u_inv_times(self, b: list[int]) -> list[int]:
+        """``U_inv * b``: the row log, forward."""
+        return _forward(self.row_log, _checked(b, len(self._d)))
+
+    def v_times(self, b: list[int]) -> list[int]:
+        """``V * b``: the column log, forward."""
+        return _forward(self.column_log, _checked(b, self._cols))
+
+    def v_inv_times(self, y: list[int]) -> list[int]:
+        """``V_inv * y``: the column log, undone backward."""
+        return _backward(self.column_log, _checked(y, self._cols))
 
     @cached_property
     def U(self) -> IntegerHom:
-        return _columns_matrix(self.u_columns, len(self.u_columns))
+        return _from_products(self.u_times, len(self._d))
 
     @cached_property
     def D(self) -> IntegerHom:
-        return IntegerHom.from_rows(self._d, width=len(self.v_rows))
+        return IntegerHom.from_rows(self._d, width=self._cols)
 
     @cached_property
     def V(self) -> IntegerHom:
-        n = len(self.v_rows)
-        return IntegerHom.from_rows([_dense(row, n) for row in self.v_rows], width=n)
+        return _from_products(self.v_times, self._cols)
 
     @cached_property
     def U_inv(self) -> IntegerHom:
-        m = len(self.u_inv_rows)
-        return IntegerHom.from_rows([_dense(row, m) for row in self.u_inv_rows], width=m)
+        return _from_products(self.u_inv_times, len(self._d))
 
     @cached_property
     def V_inv(self) -> IntegerHom:
-        return _columns_matrix(self.v_inv_columns, len(self.v_inv_columns))
+        return _from_products(self.v_inv_times, self._cols)
 
     def _matrices(self) -> tuple[IntegerHom, ...]:
         return self.U, self.D, self.V, self.U_inv, self.V_inv
@@ -419,11 +434,58 @@ class SNFDecomposition:
     @cached_property
     def diagonal(self) -> tuple[int, ...]:
         d = self._d
-        return tuple(d[i][i] for i in range(min(len(d), len(self.v_rows))))
+        return tuple(d[i][i] for i in range(min(len(d), self._cols)))
 
     @cached_property
     def rank(self) -> int:
         return sum(1 for d in self.diagonal if d != 0)
+
+
+def _checked(vector, length: int) -> list[int]:
+    """A copy of ``vector``, which must have ``length`` entries."""
+    vector = list(vector)
+    if len(vector) != length:
+        raise DimensionError("vector length does not match the transform")
+    return vector
+
+
+def _forward(log, vector: list[int]) -> list[int]:
+    """Apply the operations of ``log`` to ``vector`` in order, in place."""
+    for i, k, q in log:
+        if q:
+            x = vector[k]
+            if x:
+                vector[i] += q * x
+        elif i == k:
+            vector[i] = -vector[i]
+        else:
+            vector[i], vector[k] = vector[k], vector[i]
+    return vector
+
+
+def _backward(log, vector: list[int]) -> list[int]:
+    """Undo :func:`_forward`: the inverse operations, in reverse order."""
+    for i, k, q in reversed(log):
+        if q:
+            x = vector[k]
+            if x:
+                vector[i] -= q * x
+        elif i == k:
+            vector[i] = -vector[i]
+        else:
+            vector[i], vector[k] = vector[k], vector[i]
+    return vector
+
+
+def _unit(k: int, n: int) -> list[int]:
+    out = [0] * n
+    out[k] = 1
+    return out
+
+
+def _from_products(product, n: int) -> IntegerHom:
+    """The ``n x n`` matrix whose column k is ``product`` of unit vector k."""
+    return IntegerHom.from_columns([product(_unit(k, n)) for k in range(n)], n)
 
 
 def _pivot(d: list[list[int]], t: int, n: int) -> tuple[int, int] | None:
@@ -445,54 +507,6 @@ def _pivot(d: list[list[int]], t: int, n: int) -> tuple[int, int] | None:
     return None if best is None else best[1:]
 
 
-def _add_multiple(dst: dict[int, int], q: int, src: dict[int, int]) -> None:
-    """``dst += q * src`` on sparse vectors."""
-    for k, x in src.items():
-        dst[k] = dst.get(k, 0) + q * x
-
-
-def _sparse(vectors) -> list[dict[int, int]]:
-    """The nonzero entries of each of ``vectors``."""
-    return [{k: x for k, x in enumerate(vec) if x} for vec in vectors]
-
-
-def _dense(vector: dict[int, int], length: int) -> list[int]:
-    """The sparse ``vector`` as a list of ``length`` entries."""
-    out = [0] * length
-    for k, x in vector.items():
-        out[k] = x
-    return out
-
-
-def _transpose(vectors: list[dict[int, int]], n: int) -> list[dict[int, int]]:
-    """Sparse rows as ``n`` sparse columns, or columns as rows; O(nonzeros)."""
-    out: list[dict[int, int]] = [{} for _ in range(n)]
-    for i, vec in enumerate(vectors):
-        for k, x in vec.items():
-            if x:
-                out[k][i] = x
-    return out
-
-
-def _combine(columns: list[dict[int, int]], coefficients: list[int], length: int) -> list[int]:
-    """``sum_k coefficients[k] * columns[k]`` as a dense vector of ``length``;
-    only the columns with a nonzero coefficient are read."""
-    out = [0] * length
-    for column, x in compress(zip(columns, coefficients), coefficients):
-        for i, y in column.items():
-            out[i] += x * y
-    return out
-
-
-def _columns_matrix(columns: list[dict[int, int]], rows: int) -> IntegerHom:
-    """The ``rows x len(columns)`` matrix with the given sparse columns."""
-    entries = _zeros(rows, len(columns))
-    for j, column in enumerate(columns):
-        for i, x in column.items():
-            entries[i][j] = x
-    return IntegerHom.from_rows(entries, width=len(columns))
-
-
 def smith_normal_form(A: IntegerHom, cancel=None) -> SNFDecomposition:
     """Diagonalise A over Z with a divisibility chain on the diagonal.
 
@@ -502,23 +516,18 @@ def smith_normal_form(A: IntegerHom, cancel=None) -> SNFDecomposition:
     rule: the search runs column by column and stops at the first unit, and
     no entry is tested for divisibility by 1.  Each pivot step touches only
     entries that can change: rows and columns above and left of the pivot
-    are already zero in D, zero entries of the pivot row and column are
-    skipped, and U, U_inv, V and V_inv are kept as sparse vectors, which
-    the result keeps: a dense matrix is built only when its field is read.
-    A test pins every decomposition to the one the unoptimized kernel
-    computes.
+    are already zero in D, and zero entries of the pivot row and column are
+    skipped.  No transform is built: each operation goes to the row or
+    column log of the result.  A test pins every decomposition to the one
+    the unoptimized kernel computes.
 
     ``cancel``, when given, is polled once per pivot step and aborts by
     raising the callable's exception.
     """
     m, n = A.rows, A.cols
     d = A.row_list()
-    # sparse rows of U_inv and V; U and V_inv only ever see column
-    # operations, so they are kept by columns (ut[k] is column k of U)
-    uinv = [{i: 1} for i in range(m)]
-    ut = [{i: 1} for i in range(m)]
-    v = [{j: 1} for j in range(n)]
-    vinvt = [{j: 1} for j in range(n)]
+    row_log: list[tuple[int, int, int]] = []
+    column_log: list[tuple[int, int, int]] = []
 
     t = 0
     while True:
@@ -530,25 +539,21 @@ def smith_normal_form(A: IntegerHom, cancel=None) -> SNFDecomposition:
         pi, pj = pivot
         if pi != t:
             d[t], d[pi] = d[pi], d[t]
-            uinv[t], uinv[pi] = uinv[pi], uinv[t]
-            ut[t], ut[pi] = ut[pi], ut[t]
+            row_log.append((t, pi, 0))
         if pj != t:
             for i in range(t, m):
                 r = d[i]
                 r[t], r[pj] = r[pj], r[t]
-            vinvt[t], vinvt[pj] = vinvt[pj], vinvt[t]
-            v[t], v[pj] = v[pj], v[t]
+            column_log.append((t, pj, 0))
         if d[t][t] < 0:
             d[t] = [-x for x in d[t]]
-            uinv[t] = {k: -x for k, x in uinv[t].items()}
-            ut[t] = {k: -x for k, x in ut[t].items()}
+            row_log.append((t, t, 0))
         pivot_row = d[t]
         piv = pivot_row[t]
 
         # row i += q * row t, q = -(d[i][t] // piv), for each row below with
-        # an entry in column t; U absorbs the inverse column operations.
-        # Every operation reads row t and writes another, so all of them see
-        # row t as it was when the step began.
+        # an entry in column t.  Every operation reads row t and writes
+        # another, so all of them see row t as it was when the step began.
         below = [i for i in range(t + 1, m) if d[i][t]]
         ops = [(i, q) for i in below if (q := -(d[i][t] // piv))]
         if ops:
@@ -557,19 +562,16 @@ def smith_normal_form(A: IntegerHom, cancel=None) -> SNFDecomposition:
                 di = d[i]
                 for j, x in src:
                     di[j] += q * x
-                _add_multiple(uinv[i], q, uinv[t])
-                _add_multiple(ut[t], -q, ut[i])
+                row_log.append((i, t, q))
         # column j += q * column t, q = -(d[t][j] // piv), likewise for each
-        # column to the right; V absorbs the inverse row operations
+        # column to the right; V absorbs row t -= q * row j
         ops = [(j, q) for j in range(t + 1, n) if (q := -(pivot_row[j] // piv))]
         if ops:
             for r in [pivot_row] + [d[i] for i in below if d[i][t]]:
                 x = r[t]
                 for j, q in ops:
                     r[j] += q * x
-            for j, q in ops:
-                _add_multiple(vinvt[j], q, vinvt[t])
-                _add_multiple(v[t], -q, v[j])
+            column_log.extend((t, j, -q) for j, q in ops)
         if any(pivot_row[t + 1 :]) or any(d[i][t] for i in below):
             continue
 
@@ -581,12 +583,11 @@ def smith_normal_form(A: IntegerHom, cancel=None) -> SNFDecomposition:
             )
             if witness is not None:
                 d[t] = [x + y for x, y in zip(pivot_row, d[witness])]
-                _add_multiple(uinv[t], 1, uinv[witness])
-                _add_multiple(ut[witness], -1, ut[t])
+                row_log.append((t, witness, 1))
                 continue
         t += 1
 
-    return SNFDecomposition._from_sparse(d, ut, uinv, v, vinvt)
+    return SNFDecomposition._from_logs(d, n, row_log, column_log)
 
 
 # ---------------------------------------------------------------------------
@@ -608,11 +609,8 @@ class Factorization:
     basis it produced never needs a factorization of its own.
     ``cancel`` is passed to :func:`smith_normal_form`.
 
-    Every answer reads the decomposition's sparse transforms, never its
-    dense matrices.  Right-hand sides are sparse (a boundary column has at
-    most ``codim`` nonzeros), so each product sums the columns its nonzeros
-    pick out: ``U_inv`` and ``V`` are transposed to columns once, on first
-    use; ``V_inv`` and ``U`` are kept by columns already.
+    Every answer replays the decomposition's logs, one replay per
+    right-hand side or basis vector, and never builds a dense transform.
     """
 
     def __init__(self, A: IntegerHom, cancel=None):
@@ -623,43 +621,32 @@ class Factorization:
         # padded with zeros to one entry per row of A
         self.diagonal = diagonal + (0,) * (A.rows - len(diagonal))
 
-    @cached_property
-    def _u_inv_columns(self) -> list[dict[int, int]]:
-        return _transpose(self.snf.u_inv_rows, self.A.rows)
-
-    @cached_property
-    def _v_columns(self) -> list[dict[int, int]]:
-        return _transpose(self.snf.v_rows, self.A.cols)
-
-    def _reduced(self, b: list[int]) -> list[int]:
-        if len(b) != self.A.rows:
-            raise DimensionError("target length does not match rows")
-        return _combine(self._u_inv_columns, b, self.A.rows)
-
     def kernel(self) -> IntegerHom:
         """Columns form a basis of the integer kernel of ``A``: the last
         ``cols - rank`` columns of ``V_inv``."""
-        return _columns_matrix(self.snf.v_inv_columns[self.rank :], self.A.cols)
+        n = self.A.cols
+        columns = [self.snf.v_inv_times(_unit(j, n)) for j in range(self.rank, n)]
+        return IntegerHom.from_columns(columns, n)
 
     def kernel_coordinates(self, b: list[int]) -> list[int] | None:
         """The coordinates of ``b`` in :meth:`kernel`, or None when
         ``A b != 0``."""
-        if len(b) != self.A.cols:
-            raise DimensionError("vector length does not match columns")
-        z = _combine(self._v_columns, b, self.A.cols)
+        z = self.snf.v_times(b)
         return None if any(z[: self.rank]) else z[self.rank :]
 
     def column_basis(self) -> IntegerHom:
         """Columns form a basis of the lattice spanned by the columns of
         ``A``: the first ``rank`` columns of ``U``, scaled by the diagonal."""
-        columns = self.snf.u_columns
-        scaled = [{i: d * x for i, x in columns[k].items()} for k, d in enumerate(self.diagonal[: self.rank])]
-        return _columns_matrix(scaled, self.A.rows)
+        m = self.A.rows
+        columns = [self.snf.u_times(_unit(k, m)) for k in range(self.rank)]
+        return IntegerHom.from_columns(
+            [[d * x for x in column] for column, d in zip(columns, self.diagonal)], m
+        )
 
     def column_coordinates(self, b: list[int]) -> list[int] | None:
         """The coordinates of ``b`` in :meth:`column_basis`, or None when
         ``b`` is not in the column lattice of ``A``."""
-        w = self._reduced(b)
+        w = self.snf.u_inv_times(b)
         r = self.rank
         if any(w[r:]) or any(w[i] % self.diagonal[i] for i in range(r)):
             return None
@@ -674,13 +661,13 @@ class Factorization:
         y = self.column_coordinates(b)
         if y is None:
             return None
-        return _combine(self.snf.v_inv_columns, y, self.A.cols)
+        return self.snf.v_inv_times(y + [0] * (self.A.cols - self.rank))
 
     def solve_mod(self, b: list[int], modulus: int) -> list[int] | None:
         """Some solution of ``A x = b (mod modulus)``, entries in [0, modulus)."""
         if modulus < 2:
             raise ValueError("modulus must be >= 2")
-        w = [x % modulus for x in self._reduced(b)]
+        w = [x % modulus for x in self.snf.u_inv_times(b)]
         y = [0] * self.A.cols
         for i, d in enumerate(self.diagonal):
             g = gcd(d, modulus)
@@ -689,7 +676,7 @@ class Factorization:
             if g != modulus:
                 m2 = modulus // g
                 y[i] = (w[i] // g) * pow(d // g, -1, m2) % m2
-        return [x % modulus for x in _combine(self.snf.v_inv_columns, y, self.A.cols)]
+        return [x % modulus for x in self.snf.v_inv_times(y)]
 
 
 def integer_solve(A: IntegerHom, b: list[int]) -> list[int] | None:
@@ -725,7 +712,7 @@ def cokernel_presentation(Y: IntegerHom) -> tuple[FGAbelianGroup, list[tuple[lis
         si = diag[i] if i < mn else 0
         if si == 1:
             continue
-        vec = _dense(s.u_columns[i], Y.rows)
+        vec = s.u_times(_unit(i, Y.rows))
         if si == 0:
             rank += 1
             frees.append((vec, 0))
@@ -804,6 +791,13 @@ def solve(
         )
         for i in range(A.cols)
     ]
-    if A.apply(out, coefficient) != target:
-        raise InternalConsistencyError("solve produced x with A x != target")
+    # the same predicate as A.apply(out, coefficient) == target, taken slot
+    # by slot with integer products on the vectors read back from ``out``
+    for k in range(coefficient.rank):
+        if A.apply_int([e.free[k] for e in out]) != [e.free[k] for e in target]:
+            raise InternalConsistencyError("solve produced x with A x != target")
+    for j, d in enumerate(coefficient.torsion):
+        image = A.apply_int([e.tors[j] for e in out])
+        if any((x - e.tors[j]) % d for x, e in zip(image, target)):
+            raise InternalConsistencyError("solve produced x with A x != target")
     return out

@@ -85,9 +85,7 @@ class SymbolDatum:
         return dict(self.codim2_indices)
 
 
-def _check_datum(poset: FacePoset, ktheory: KTheoryInput, datum: SymbolDatum) -> None:
-    codim1 = datum.codim1()
-    codim2 = datum.codim2()
+def _check_datum(poset: FacePoset, ktheory: KTheoryInput, codim1: dict, codim2: dict) -> None:
     want1 = {f.id for f in poset.faces_of_codim(1)}
     want2 = {f.id for f in poset.faces_of_codim(2)}
     if set(codim1) != want1:
@@ -172,8 +170,8 @@ def codim1_vanishes(
     require_valid(poset)
     if poset.codimension() != 1:
         raise UnsupportedCodimensionError("codim1_vanishes needs a codimension-1 poset")
-    _check_datum(poset, ktheory, datum)
     codim1 = datum.codim1()
+    _check_datum(poset, ktheory, codim1, datum.codim2())
     failing = tuple(
         f.id for f in poset.faces_of_codim(1) if not codim1[f.id].is_zero()
     )
@@ -229,15 +227,14 @@ def codim2_vanishes(
     require_valid(poset)
     if poset.codimension() != 2:
         raise UnsupportedCodimensionError("codim2_vanishes needs a codimension-2 poset")
-    _check_datum(poset, ktheory, datum)
+    codim1, codim2 = datum.codim1(), datum.codim2()
+    _check_datum(poset, ktheory, codim1, codim2)
 
-    codim2 = datum.codim2()
     failing2 = tuple(
         f.id for f in poset.faces_of_codim(2) if not codim2[f.id].is_zero()
     )
 
     complex = _build_complex(FilteredPair(poset, 0, 2), ktheory.k1)
-    codim1 = datum.codim1()
     target = [codim1[fid] for fid in complex.bases[1]]
     coords = solve(complex.boundary[2], ktheory.k1, target, cancel=cancel)
     class_vanishes = coords is not None

@@ -89,8 +89,19 @@ def test_canonical_form_idempotent():
 def test_from_cyclics_matches_prime_power_reference():
     rng = random.Random(31)
     pool = [0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 18, 25, 27, 30, 36, 49, 60, 64, 97, 210, 1024]
-    for _ in range(500):
-        moduli = [rng.choice(pool) * rng.choice([1, 1, 1, -1]) for _ in range(rng.randint(0, 7))]
+    inputs = [
+        [rng.choice(pool) * rng.choice([1, 1, 1, -1]) for _ in range(rng.randint(0, 7))] for _ in range(500)
+    ]
+    # divisibility chains in shuffled order, which take the early return
+    # once sorted, and long lists of repeated moduli
+    for chain in ([2, 4, 8, 24], [3, 3, 6, 6, 30], [1, 2, 0, 2, 10, 0, 60], [5, 5, 5, 25, 0]):
+        for _ in range(10):
+            inputs.append(rng.sample(chain, len(chain)))
+    for n in (2, 6, 12, 97):
+        inputs.append([n] * 40)
+        inputs.append([n, -n, 0, 1] * 12)
+    inputs.append([rng.choice((2, 4, 6, 12)) for _ in range(60)])
+    for moduli in inputs:
         assert FGAbelianGroup.from_cyclics(moduli) == prime_power_canonical(moduli), moduli
 
 
@@ -288,9 +299,43 @@ def test_sparse_reads_match_dense_products(inputs):
             assert cokernel_presentation(A) == reference_cokernel_presentation(A, s)
 
 
+def _log_shapes():
+    """Empty, all-zero (rank-0) and unit matrices of every shape kind."""
+    out = [IntegerHom.zero(rows, cols) for rows, cols in ((0, 0), (0, 5), (5, 0), (1, 1), (4, 6), (6, 4))]
+    return out + [IntegerHom.identity(3), hom([[0, 0, 1], [0, 0, 0]])]
+
+
+def test_log_replays_match_reference_products():
+    # each replay of a log on a vector equals the product with the dense
+    # transform of the frozen reference kernel; the inputs include non-unit
+    # pivots and witness-row pulls, which the counts below confirm
+    rng = random.Random(608)
+    non_unit = pulls = 0
+    for A in _random_snf_inputs() + _log_shapes():
+        s = smith_normal_form(A)
+        ref = reference_smith_normal_form(A)
+        non_unit += any(d > 1 for d in s.diagonal)
+        pulls += any(q and i < k for i, k, q in s.row_log)
+        for _ in range(3):
+            for n, products in (
+                (A.rows, ((s.u_times, ref.U), (s.u_inv_times, ref.U_inv))),
+                (A.cols, ((s.v_times, ref.V), (s.v_inv_times, ref.V_inv))),
+            ):
+                x = [rng.choice((0, 0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(n)]
+                for replay, dense in products:
+                    assert replay(x) == dense.apply_int(x)
+        assert not {"U", "D", "V", "U_inv", "V_inv"} & set(vars(s))
+        with pytest.raises(DimensionError):
+            s.u_inv_times([0] * (A.rows + 1))
+        with pytest.raises(DimensionError):
+            s.v_inv_times([0] * (A.cols + 1))
+    assert non_unit >= 20 and pulls >= 4, (non_unit, pulls)
+
+
 def test_factorization_answers_build_no_dense_matrix(monkeypatch):
-    # solving, kernels, coordinates, cokernels and kernel groups read the
-    # sparse transforms only; the dense fields stay unbuilt until read
+    # solving, kernels, coordinates, cokernels, kernel groups and the
+    # group-valued solve replay the logs only; the dense fields stay
+    # unbuilt until read
     decompositions = []
     real = abelian.smith_normal_form
 
@@ -307,7 +352,10 @@ def test_factorization_answers_build_no_dense_matrix(monkeypatch):
         factored.column_coordinates(b), factored.column_basis()
         factored.kernel_coordinates(factored.kernel().column(0)), factored.kernel()
         cokernel_presentation(A), kernel_group(A, FGAbelianGroup(1, (2,)))
-    assert len(decompositions) == 6
+    D2, G = incidence_matrix(kgon(64), 2), FGAbelianGroup(1, (2,))
+    x = [G.element([rng.randint(-2, 2)], [rng.randint(0, 1)]) for _ in range(D2.cols)]
+    assert solve(D2, G, D2.apply(x, G)) is not None
+    assert len(decompositions) == 7
     for s in decompositions:
         assert not {"U", "D", "V", "U_inv", "V_inv"} & set(vars(s))
     s = decompositions[0]
