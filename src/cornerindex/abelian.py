@@ -6,9 +6,10 @@ coordinatewise on each cyclic summand of ``G``, and all normal forms and
 solvers run on Python's arbitrary-precision integers.  No floats anywhere.
 
 The workhorse is :func:`smith_normal_form`, which returns a full decomposition
-``A = U * D * V`` together with the exact inverses of ``U`` and ``V``; kernel,
-cokernel and solving routines for arbitrary coefficient groups are derived
-from it summand by summand.  The decomposition holds D and the logs of the
+``A = U * D * V`` together with the exact inverses of ``U`` and ``V``.  It is
+taken only through :class:`Factorization`, one per matrix, and kernels and
+cokernels over any coefficient group follow from that one factorization over
+Z by the tensor and Tor formulas.  The decomposition holds D and the logs of the
 elementary row and column operations that produced it, not the transforms:
 a product of ``U``, ``U_inv``, ``V`` or ``V_inv`` with a vector replays one
 log on that vector, and a dense transform is built only when it is read.
@@ -701,18 +702,15 @@ def cokernel_presentation(Y: IntegerHom) -> tuple[FGAbelianGroup, list[tuple[lis
     whose classes generate the quotient, order 0 meaning infinite.  Torsion
     generators come first, in ascending invariant-factor order.
     """
-    s = smith_normal_form(Y)
-    mn = min(Y.rows, Y.cols)
-    diag = s.diagonal
+    factored = Factorization(Y)
     rank = 0
     torsion = []
     gens: list[tuple[list[int], int]] = []
     frees: list[tuple[list[int], int]] = []
-    for i in range(Y.rows):
-        si = diag[i] if i < mn else 0
+    for i, si in enumerate(factored.diagonal):
         if si == 1:
             continue
-        vec = s.u_times(_unit(i, Y.rows))
+        vec = factored.snf.u_times(_unit(i, Y.rows))
         if si == 0:
             rank += 1
             frees.append((vec, 0))
@@ -723,28 +721,22 @@ def cokernel_presentation(Y: IntegerHom) -> tuple[FGAbelianGroup, list[tuple[lis
 
 
 def cokernel(A: IntegerHom, coefficient: FGAbelianGroup) -> FGAbelianGroup:
-    """Canonical form of G^rows / A(G^cols)."""
-    parts = []
-    for c in coefficient.cyclic_summands():
-        M = A.with_multiples(c) if c else A
-        parts.append(cokernel_presentation(M)[0])
-    return direct_sum(*parts)
+    """Canonical form of G^rows / A(G^cols): the integer cokernel of A,
+    read off one factorization, tensored with G (tensoring is right exact)."""
+    return tensor(FGAbelianGroup.from_cyclics(Factorization(A).diagonal), coefficient)
 
 
 def kernel_group(A: IntegerHom, coefficient: FGAbelianGroup) -> FGAbelianGroup:
-    """Canonical form of the kernel of A acting on G^cols."""
-    s = smith_normal_form(A)
-    diag = s.diagonal
-    mn = min(A.rows, A.cols)
-    parts = []
-    for c in coefficient.cyclic_summands():
-        if c == 0:
-            parts.append(FGAbelianGroup(A.cols - s.rank))
-        else:
-            cyclics = [gcd(diag[j], c) for j in range(mn)]
-            cyclics.extend([c] * (A.cols - mn))
-            parts.append(FGAbelianGroup.from_cyclics(cyclics))
-    return direct_sum(*parts)
+    """Canonical form of the kernel of A acting on G^cols.
+
+    With A = U D V, it is the kernel of D: G for each zero column of D and
+    the d-torsion of G, Tor(Z/d, G), for each nonzero diagonal entry d.
+    """
+    factored = Factorization(A)
+    return direct_sum(
+        power(coefficient, A.cols - factored.rank),
+        tor(FGAbelianGroup.from_cyclics(factored.diagonal), coefficient),
+    )
 
 
 def solve(

@@ -2,9 +2,10 @@
 
 Subcommands: validate, homology, family, obstruction, gallery.  Reports are
 fully deterministic; timing lives in a separate top-level field that golden
-comparisons drop.  Exit codes: 0 success, 1 domain failure, 2 parse failure,
-3 unsupported codimension, 4 internal error (a failed cross-check, always a
-bug).  Set CORNER_INDEX_LOG=debug for diagnostics on standard error.
+comparisons drop.  Exit codes: 0 success, 1 domain failure, 2 parse failure
+or an unwritable ``--out`` path, 3 unsupported codimension, 4 internal error
+(a failed cross-check, always a bug).  Set CORNER_INDEX_LOG=debug for
+diagnostics on standard error.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import time
 from . import documents
 from .abelian import InternalConsistencyError
 from .conormal import build_complex, homology
-from .documents import InputError, canonical_json
+from .documents import InputError, canonical_json, group_to_payload
 from .faces import FilteredPair, require_valid, validate
 from .families import GALLERY_NAMES, check_embeddable, gallery, quotient_family, validate_automorphism
 from .obstruction import (
@@ -74,8 +75,16 @@ def _load(path: str, expected_kind: str) -> dict:
     return payload
 
 
-def _group_json(group) -> dict:
-    return documents.group_to_payload(group)
+def _write(path: str, text: str) -> bool:
+    """Write ``text`` to ``path``; when that fails, say why on standard
+    error and return False."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _chain_json(vector) -> list:
@@ -120,16 +129,16 @@ def _cmd_homology(args):
     for p in complex.degrees:
         degrees[str(p)] = {
             "faces": list(complex.bases[p]),
-            "group": _group_json(result_obj.groups[p]),
+            "group": group_to_payload(result_obj.groups[p]),
             "representatives": [_chain_json(v) for v in result_obj.representatives[p]],
         }
     result = {
         "pair": [low, high],
-        "coefficient": _group_json(coefficient),
+        "coefficient": group_to_payload(coefficient),
         "degrees": degrees,
         "periodized": {
-            "H0_pcn": _group_json(result_obj.periodized[0]),
-            "H1_pcn": _group_json(result_obj.periodized[1]),
+            "H0_pcn": group_to_payload(result_obj.periodized[0]),
+            "H1_pcn": group_to_payload(result_obj.periodized[1]),
         },
     }
     return result, EXIT_OK
@@ -172,11 +181,9 @@ def _cmd_obstruction(args):
     if args.symbol:
         datum = documents.symbol_from_payload(_load(args.symbol, "symbol"), ktheory)
 
+    require_valid(poset)
     d = poset.codimension()
     if d not in (1, 2):
-        # the codimension-1 and -2 calls below validate first themselves;
-        # here an invalid poset still fails as invalid, not as unsupported
-        require_valid(poset)
         raise UnsupportedCodimensionError(
             f"poset has codimension {d}; this calculator covers codimension 1 and 2 only "
             "(torsion obstructs the reduction beyond that)"
@@ -188,9 +195,9 @@ def _cmd_obstruction(args):
     if d == 1:
         groups = codim1_groups(poset, ktheory)
         result["groups"] = {
-            "KA0": [_group_json(g) for g in groups.ka0],
-            "KA1_over_A0": [_group_json(g) for g in groups.ka1_over_a0],
-            "KA1": [_group_json(g) for g in groups.ka1],
+            "KA0": [group_to_payload(g) for g in groups.ka0],
+            "KA1_over_A0": [group_to_payload(g) for g in groups.ka1_over_a0],
+            "KA1": [group_to_payload(g) for g in groups.ka1],
         }
         if datum is not None:
             verdict = codim1_vanishes(poset, ktheory, datum)
@@ -198,9 +205,9 @@ def _cmd_obstruction(args):
     else:
         report = codim2_obstruction_space(poset, ktheory)
         result["obstruction_space"] = {
-            "left": _group_json(report.left),
-            "right": _group_json(report.right),
-            "middle": _group_json(report.middle) if report.middle is not None else None,
+            "left": group_to_payload(report.left),
+            "right": group_to_payload(report.right),
+            "middle": group_to_payload(report.middle) if report.middle is not None else None,
             "status": report.middle_status,
         }
         if datum is not None:
@@ -224,8 +231,8 @@ def _cmd_gallery(args):
     doc = documents.document("family", documents.family_to_payload(spec))
     text = canonical_json(doc)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if not _write(args.out, text):
+            return None, EXIT_PARSE
         return {"name": args.name, "written": args.out}, EXIT_OK
     sys.stdout.write(text)
     return None, EXIT_OK
@@ -346,8 +353,8 @@ def main(argv=None) -> int:
     else:
         text = "\n".join(_render_table(result)) + "\n"
     if args.out and args.command != "gallery":
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if not _write(args.out, text):
+            return EXIT_PARSE
     else:
         sys.stdout.write(text)
     return code

@@ -89,13 +89,7 @@ class ConormalChainComplex:
 
 
 def build_complex(pair: FilteredPair, coefficient: FGAbelianGroup) -> ConormalChainComplex:
-    require_valid(pair.base)
-    return _build_complex(pair, coefficient)
-
-
-def _build_complex(pair: FilteredPair, coefficient: FGAbelianGroup) -> ConormalChainComplex:
-    """:func:`build_complex` for a pair whose base is already validated."""
-    poset = pair.base
+    poset = require_valid(pair.base)
     degrees = tuple(pair.degrees())
     bases = {p: tuple(f.id for f in poset.faces_of_codim(p)) for p in degrees}
     boundary = {}
@@ -338,9 +332,8 @@ def _node_exact(f_in: IntegerHom, src, node, f_out: IntegerHom, tgt) -> bool:
 def _periodized(
     poset: FacePoset, low: int, high: int, G: FGAbelianGroup
 ) -> tuple[FGAbelianGroup, FGAbelianGroup]:
-    """(even, odd) periodized homology of the pair (X_high, X_low) of an
-    already validated poset."""
-    return homology(_build_complex(FilteredPair(poset, low, high), G)).periodized
+    """(even, odd) periodized homology of the pair (X_high, X_low)."""
+    return homology(build_complex(FilteredPair(poset, low, high), G)).periodized
 
 
 @dataclass
@@ -374,9 +367,9 @@ def _check_triple(poset: FacePoset, q: int, m: int, l: int) -> None:
 
 
 def _triple(poset: FacePoset, q: int, m: int, l: int, G: FGAbelianGroup):
-    """Complexes of the pairs (X_m, X_q), (X_l, X_q), (X_l, X_m) of a triple
-    of an already validated poset, and ``arrow(j, p)``, the part of the long
-    exact sequence that leaves degree p of complex j.
+    """Complexes of the pairs (X_m, X_q), (X_l, X_q), (X_l, X_m) of a triple,
+    and ``arrow(j, p)``, the part of the long exact sequence that leaves
+    degree p of complex j.
 
     For j < 2 it is the identity into degree p of complex j + 1 where both
     complexes have that degree, zero otherwise.  For j = 2 it goes into
@@ -384,7 +377,7 @@ def _triple(poset: FacePoset, q: int, m: int, l: int, G: FGAbelianGroup):
     complex, the one of the three that does not zero it.
     """
     complexes = tuple(
-        _build_complex(FilteredPair(poset, low, high), G) for low, high in ((q, m), (q, l), (m, l))
+        build_complex(FilteredPair(poset, low, high), G) for low, high in ((q, m), (q, l), (m, l))
     )
 
     def arrow(j: int, p: int) -> IntegerHom:

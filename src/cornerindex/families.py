@@ -44,7 +44,9 @@ class FiberAutomorphism:
 def validate_automorphism(fiber: FacePoset, aut: FiberAutomorphism) -> list[str]:
     """Violations of the automorphism axioms against the given fiber poset.
 
-    Parent maps are read from the fiber's parent-map index."""
+    The fiber must be valid (:class:`InvalidPosetError` otherwise); parent
+    maps are read from its parent-map index."""
+    require_valid(fiber)
     violations = []
     fmap = aut.faces()
     smap = aut.hypersurfaces()

@@ -24,8 +24,8 @@ from .abelian import (
 from .conormal import (
     ChainVector,
     InternalConsistencyError,
-    _build_complex,
     _periodized,
+    build_complex,
     incidence_matrix,
 )
 from .faces import FacePoset, FilteredPair, require_valid
@@ -234,7 +234,7 @@ def codim2_vanishes(
         f.id for f in poset.faces_of_codim(2) if not codim2[f.id].is_zero()
     )
 
-    complex = _build_complex(FilteredPair(poset, 0, 2), ktheory.k1)
+    complex = build_complex(FilteredPair(poset, 0, 2), ktheory.k1)
     target = [codim1[fid] for fid in complex.bases[1]]
     coords = solve(complex.boundary[2], ktheory.k1, target, cancel=cancel)
     class_vanishes = coords is not None

@@ -1,4 +1,5 @@
 import ast
+import math
 import random
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from cornerindex.conormal import incidence_matrix
 from helpers import (
     DenseFactorization,
     bareiss_det,
+    count_calls,
     cube,
     exhaustive_solve,
     gallery_posets,
@@ -413,8 +415,12 @@ def test_kernel_by_enumeration():
         g = rng.choice([zmod(2), zmod(4), zmod(6), zmod(2, 4)])
         kernel = kernel_group(A, g)
         zero = [g.zero()] * rows
-        count = sum(1 for x in _vectors(g, cols) if A.apply(list(x), g) == zero)
-        assert kernel.order() == count
+        elements = [x for x in _vectors(g, cols) if A.apply(list(x), g) == zero]
+        assert kernel.order() == len(elements)
+        # a finite group's type is fixed by how many of its elements each k kills
+        for k in range(2, g.torsion[-1]):
+            killed = sum(1 for x in elements if all(e.scale(k).is_zero() for e in x))
+            assert killed == math.prod(math.gcd(d, k) for d in kernel.torsion)
 
 
 def _vectors(group, length):
@@ -448,6 +454,19 @@ def test_cokernel_per_summand_consistency():
             *(cokernel(A, FGAbelianGroup.from_cyclics([c])) for c in g.cyclic_summands())
         )
         assert cokernel(A, g) == per_summand
+        # independent of the tensor formula: over Z/c, [A | c*I] presents it
+        presented = direct_sum(
+            *(cokernel_presentation(A.with_multiples(c) if c else A)[0] for c in g.cyclic_summands())
+        )
+        assert cokernel(A, g) == presented
+
+
+@pytest.mark.parametrize("group_op", [cokernel, kernel_group])
+def test_cokernel_and_kernel_factor_once_whatever_the_group(monkeypatch, group_op):
+    snfs = count_calls(monkeypatch, abelian, "smith_normal_form")
+    A = incidence_matrix(cube(2), 2)
+    group_op(A, FGAbelianGroup(2, (2, 6)))
+    assert snfs == [(A,)]
 
 
 # ---------------------------------------------------------------------------
@@ -640,6 +659,35 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_smith_normal_form_is_taken_only_through_factorization():
+    # one factorization object: outside Factorization, no code of the
+    # package names smith_normal_form, so none can call it
+    sources = sorted(Path(abelian.__file__).parent.glob("*.py"))
+
+    def references(tree):
+        return [
+            node
+            for node in ast.walk(tree)
+            if getattr(node, "id", getattr(node, "attr", None)) == "smith_normal_form"
+            and isinstance(node, (ast.Name, ast.Attribute))
+        ]
+
+    inside, outside = [], []
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "Factorization"
+            for node in references(cls)
+        }
+        for node in references(tree):
+            where = f"{path.name}:{node.lineno}"
+            (inside if id(node) in allowed else outside).append(where)
+    assert outside == []
+    assert len(inside) == 1
 
 
 @pytest.mark.parametrize("r, k, c", [(2, 0, 3), (0, 0, 4), (0, 2, 3), (3, 2, 0), (2, 0, 0)])

@@ -272,16 +272,19 @@ def test_obstruction_codim3_exit(capsys):
     [
         pytest.param(
             (DATA / "square_poset.json", DATA / "ktheory_circle.json", DATA / "symbol_square_boundary.json"),
-            2,
+            1,
             id="symbol",
         ),
         pytest.param((DATA / "square_poset.json", DATA / "ktheory_circle.json"), 1, id="no-symbol"),
     ],
 )
 def test_obstruction_validates_once_per_library_call(capsys, monkeypatch, argv, validations):
-    calls = count_calls(monkeypatch, faces, "validate")
+    # one validation pass per poset object: the command parses one poset,
+    # and every later check of it, in the command or the library, reads the
+    # verdict kept on that object
+    passes = count_calls(monkeypatch, faces, "_violations")
     code, _, _ = run(capsys, "obstruction", *argv)
-    assert (code, len(calls)) == (0, validations)
+    assert (code, len(passes)) == (0, validations)
 
 
 def test_obstruction_invalid_codim2_poset_exits_as_invalid(capsys):
@@ -325,6 +328,19 @@ def test_gallery_roundtrip(capsys, tmp_path):
     assert code == 0
     code2, report2, _ = run_json(capsys, "validate", out_file)
     assert code2 == 0 and report2["result"]["valid"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("validate", DATA / "square_poset.json"), ("gallery", "mobius")],
+    ids=["report", "gallery"],
+)
+def test_unwritable_out_path_exits_as_parse_failure(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, *argv, "--out", target)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+    assert not target.parent.exists()
 
 
 def test_gallery_stdout_matches_fixture(capsys):

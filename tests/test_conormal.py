@@ -410,8 +410,9 @@ def test_six_term_connected_boundary_triple():
 
 
 def test_six_term_and_boundary_ses_compute_each_pair_once(monkeypatch):
+    # one homology per pair and one validation pass per poset object
     homologies = count_calls(monkeypatch, conormal, "homology")
-    validations = count_calls(monkeypatch, faces, "validate")
+    validations = count_calls(monkeypatch, faces, "_violations")
     six_term(square(), -1, 0, 2, FGAbelianGroup(1, (4,)))
     assert (len(homologies), len(validations)) == (3, 1)
     connected_boundary_ses(square(), FGAbelianGroup(1, (4,)))

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from cornerindex.conormal import incidence_matrix
-from cornerindex.faces import Face, validate
+from cornerindex.faces import Face, FacePoset, InvalidPosetError, validate
 from cornerindex.families import (
     FamilySpec,
     FiberAutomorphism,
@@ -91,6 +91,18 @@ def test_bad_generator_rejected():
     assert validate_automorphism(spec.fiber, broken) != []
     with pytest.raises(ValueError):
         quotient_family(FamilySpec(spec.fiber, (broken,), "circle"))
+
+
+def test_automorphism_of_an_invalid_fiber_raises_invalid_poset():
+    # the interval with e1's parent left out, and the Mobius flip
+    fiber = FacePoset.build(
+        ["r1", "r2"],
+        [("int", 0, (), {}), ("e1", 1, ("r1",), {}), ("e2", 1, ("r2",), {"r2": "int"})],
+    )
+    flip = gallery("mobius").generators[0]
+    with pytest.raises(InvalidPosetError) as info:
+        validate_automorphism(fiber, flip)
+    assert info.value.violations == validate(fiber)
 
 
 def test_orbit_counts_invariant_under_conjugation():

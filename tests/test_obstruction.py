@@ -77,8 +77,9 @@ def test_codim1_groups_mobius_over_circle():
 
 @pytest.mark.parametrize("ktheory, pairs_times_groups", [(KTheoryInput.circle(), 3), (KTheoryInput.point(), 6)])
 def test_codim1_groups_homology_once_per_pair_and_group(monkeypatch, ktheory, pairs_times_groups):
+    # one homology per (pair, group) and one validation pass per poset object
     homologies = count_calls(monkeypatch, conormal, "homology")
-    validations = count_calls(monkeypatch, faces, "validate")
+    validations = count_calls(monkeypatch, faces, "_violations")
     codim1_groups(interval(), ktheory)
     assert (len(homologies), len(validations)) == (pairs_times_groups, 1)
 
@@ -164,8 +165,9 @@ def test_obstruction_space_trivial_ktheory():
 
 @pytest.mark.parametrize("ktheory, groups", [(KTheoryInput.circle(), 1), (KTheoryInput.point(), 2)])
 def test_obstruction_space_homology_once_per_group(monkeypatch, ktheory, groups):
+    # one homology per group and one validation pass per poset object
     homologies = count_calls(monkeypatch, conormal, "homology")
-    validations = count_calls(monkeypatch, faces, "validate")
+    validations = count_calls(monkeypatch, faces, "_violations")
     codim2_obstruction_space(square(), ktheory)
     assert (len(homologies), len(validations)) == (groups, 1)
 
