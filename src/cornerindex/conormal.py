@@ -62,12 +62,11 @@ def incidence_matrix(poset: FacePoset, p: int) -> IntegerHom:
     rows = poset.faces_of_codim(p - 1) if p >= 1 else []
     cols = poset.faces_of_codim(p)
     row_index = {f.id: i for i, f in enumerate(rows)}
-    by_id = poset._id_index
     entries = [[0] * len(cols) for _ in rows]
     for j, f in enumerate(cols):
-        pmap = by_id[f.id][1]
-        for k, i in enumerate(f.index_tuple):
-            entries[row_index[pmap[i]]][j] = -1 if k % 2 else 1
+        # a valid face's parents run in the order of its index tuple
+        for k, (_, gid) in enumerate(f.parents):
+            entries[row_index[gid]][j] = -1 if k % 2 else 1
     return IntegerHom.from_rows(entries, width=len(cols))
 
 

@@ -114,7 +114,7 @@ def poset_from_payload(payload: dict) -> FacePoset:
         parents = entry.get("parents", {})
         if not _is_str_map(parents):
             raise InputError(f"face {fid}: parents must map strings to strings")
-        faces.append(Face(fid, codim, tuple(tup), tuple(sorted(parents.items()))))
+        faces.append(Face(fid, codim, tup, parents))
     return FacePoset(tuple(hyps), tuple(faces), connected)
 
 

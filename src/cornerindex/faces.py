@@ -5,12 +5,15 @@ hypersurface tuple of each face and, for every index of that tuple, the unique
 parent face obtained by dropping it.  Hypersurface identifiers are opaque
 strings ordered lexicographically; that order is what "sorted tuple" means.
 
-A poset is immutable: its fields are tuples and frozen faces, whatever
-sequences it was built from.  So its validation verdict, its
-per-codimension index and its parent-map index (each face's parent map,
-and id -> (face, parent map)) are built on first read and kept on the
-object; validation, the automorphism check, the quotient and the incidence
-matrices all read the one parent-map index, and none of them mutates it.
+A face owns its parents: whatever mapping or pairs it is given, it keeps
+them as one canonical tuple of (index, parent id) pairs sorted by index,
+the last pair winning on a repeated index as in ``dict``.  On a valid face
+those keys are its sorted index tuple, so every reader after validation
+takes a face's parents by position.  A poset is immutable: its fields are
+tuples and frozen faces, whatever sequences it was built from.  So its
+validation verdict, its per-codimension index and its id -> face index are
+built on first read and kept on the object; validation builds each face's
+parent map on the fly and keeps none of them.
 
 Validation checks grandparent commutation pair by pair only when it can
 fail.  If every per-face check passes and no two faces share an index
@@ -45,8 +48,8 @@ class Face:
     def __post_init__(self):
         if type(self.index_tuple) is not tuple:
             object.__setattr__(self, "index_tuple", tuple(self.index_tuple))
-        if type(self.parents) is not tuple:
-            object.__setattr__(self, "parents", tuple(map(tuple, self.parents)))
+        pmap = self.parents if isinstance(self.parents, dict) else dict(self.parents)
+        object.__setattr__(self, "parents", tuple(sorted(pmap.items())))
 
     def parent_map(self) -> dict[str, str]:
         return dict(self.parents)
@@ -56,9 +59,8 @@ class Face:
         index, else 0."""
         if self.codim != g.codim + 1:
             raise ValueError(f"codim mismatch: {self.id} has codim {self.codim}, {g.id} has {g.codim}")
-        pmap = self.parent_map()
         for k, i in enumerate(self.index_tuple):
-            if pmap.get(i) == g.id:
+            if (i, g.id) in self.parents:
                 return -1 if k % 2 else 1
         return 0
 
@@ -87,28 +89,15 @@ class FacePoset:
         return {p: tuple(fs) for p, fs in index.items()}
 
     @cached_property
-    def _parent_maps(self) -> tuple[dict[str, str], ...]:
-        """Each face's parent map, aligned with ``faces``; read-only."""
-        return tuple(f.parent_map() for f in self.faces)
-
-    @cached_property
-    def _id_index(self) -> dict[str, tuple[Face, dict[str, str]]]:
-        """id -> (face, parent map), the last face winning on a repeated id;
-        read-only."""
-        return {f.id: (f, pmap) for f, pmap in zip(self.faces, self._parent_maps)}
+    def _id_index(self) -> dict[str, Face]:
+        """id -> face, the last face winning on a repeated id; read-only."""
+        return {f.id: f for f in self.faces}
 
     @classmethod
     def build(cls, hypersurfaces, faces, connected=True) -> "FacePoset":
-        """Assemble from loose data; parents may be given as dicts."""
-        built = []
-        for f in faces:
-            if isinstance(f, Face):
-                built.append(f)
-            else:
-                fid, codim, tup, parents = f
-                built.append(
-                    Face(fid, codim, tuple(tup), tuple(sorted(parents.items())))
-                )
+        """Assemble from faces or (id, codim, tuple, parents) records; each
+        ``Face`` puts its parents, a dict or pairs, in canonical form."""
+        built = [f if isinstance(f, Face) else Face(*f) for f in faces]
         return cls(tuple(hypersurfaces), tuple(built), connected)
 
     def by_id(self) -> dict[str, Face]:
@@ -138,8 +127,9 @@ def validate(poset: FacePoset) -> list[str]:
 def _violations(poset: FacePoset) -> list[str]:
     """The one indexed pass behind :func:`validate`.
 
-    One pass checks every face and its parents against the poset's
-    parent-map index.  Grandparent commutation follows, its messages after
+    One pass checks every face and its parents against the poset's id
+    index, building each face's parent map as it goes; the maps live only
+    as long as the pass.  Grandparent commutation follows, its messages after
     all the per-face ones; it is settled by the distinct-tuple argument of
     the module docstring when that pass found nothing and no index tuple
     repeats, and checked pair by pair otherwise.
@@ -164,7 +154,7 @@ def _violations(poset: FacePoset) -> list[str]:
     elif poset.connected and n_codim0 > 1:
         violations.append("disconnected-interior: connected poset has several codimension-0 faces")
 
-    pmaps = poset._parent_maps
+    pmaps = [f.parent_map() for f in poset.faces]
     for f, pmap in zip(poset.faces, pmaps):
         idx = f.index_tuple
         if f.codim < 0:
@@ -196,7 +186,7 @@ def _violations(poset: FacePoset) -> list[str]:
             if gid not in by_id:
                 violations.append(f"unknown-parent: {f.id} names missing face {gid}")
                 continue
-            g = by_id[gid][0]
+            g = by_id[gid]
             if g.codim != f.codim - 1:
                 violations.append(f"parent-codim: {f.id} parent {gid} has codim {g.codim}")
                 continue
@@ -210,6 +200,7 @@ def _violations(poset: FacePoset) -> list[str]:
     # tuple minus both indices (module docstring), so no pair can disagree.
     if not violations and len({f.index_tuple for f in poset.faces}) == len(poset.faces):
         return violations
+    pmap_of = {f.id: pmap for f, pmap in zip(poset.faces, pmaps)}
     for f, pmap in zip(poset.faces, pmaps):
         idx = f.index_tuple
         members = set(idx)
@@ -217,7 +208,7 @@ def _violations(poset: FacePoset) -> list[str]:
         if f.codim < 2 or len(members) != len(idx) or pmap.keys() != members:
             continue
         # (index, parent map of the parent dropping it), for known parents
-        known = [(i, by_id[pmap[i]][1]) for i in idx if pmap[i] in by_id]
+        known = [(i, pmap_of[pmap[i]]) for i in idx if pmap[i] in pmap_of]
         for a, (i, via) in enumerate(known):
             for j, other in known[a + 1 :]:
                 via_i = via.get(j)
@@ -247,7 +238,7 @@ def filtration(poset: FacePoset, k: int) -> FacePoset:
 
 def incidence_sign(poset: FacePoset, f_id: str, g_id: str) -> int:
     """(-1)^(k-1) when g is the parent of f dropping the k-th index, else 0."""
-    by_id = poset.by_id()
+    by_id = poset._id_index
     return by_id[f_id].incidence_sign(by_id[g_id])
 
 

@@ -9,6 +9,7 @@ meet pairwise distinct total hypersurfaces.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .abelian import InternalConsistencyError
@@ -44,8 +45,8 @@ class FiberAutomorphism:
 def validate_automorphism(fiber: FacePoset, aut: FiberAutomorphism) -> list[str]:
     """Violations of the automorphism axioms against the given fiber poset.
 
-    The fiber must be valid (:class:`InvalidPosetError` otherwise); parent
-    maps are read from its parent-map index."""
+    The fiber must be valid (:class:`InvalidPosetError` otherwise), so each
+    face's parents run in the order of its sorted index tuple."""
     require_valid(fiber)
     violations = []
     fmap = aut.faces()
@@ -59,16 +60,18 @@ def validate_automorphism(fiber: FacePoset, aut: FiberAutomorphism) -> list[str]
     if set(smap) != hyps or set(smap.values()) != hyps:
         violations.append("hypersurface-map: not a bijection of the hypersurfaces")
         return violations
-    for f, pmap in zip(fiber.faces, fiber._parent_maps):
-        image, image_pmap = by_id[fmap[f.id]]
+    for f in fiber.faces:
+        image = by_id[fmap[f.id]]
         if image.codim != f.codim:
             violations.append(f"codim-change: {f.id} -> {image.id}")
             continue
         if tuple(sorted(smap[i] for i in f.index_tuple)) != image.index_tuple:
             violations.append(f"tuple-mismatch: {f.id} -> {image.id}")
             continue
-        for i in f.index_tuple:
-            if fmap[pmap[i]] != image_pmap[smap[i]]:
+        for i, gid in f.parents:
+            # the image's parent for smap[i] sits at that index's position
+            image_parent = image.parents[bisect_left(image.index_tuple, smap[i])][1]
+            if fmap[gid] != image_parent:
                 violations.append(f"parent-mismatch: {f.id} at index {i}")
     return violations
 
@@ -138,16 +141,16 @@ def quotient_family(spec: FamilySpec) -> QuotientResult:
             total_hyps.append(h)
 
     total_faces = []
-    for f, pmap in zip(spec.fiber.faces, spec.fiber._parent_maps):
+    for f in spec.fiber.faces:
         if face_rep[f.id] != f.id:
             continue
         tup = tuple(sorted(hyp_rep[i] for i in f.index_tuple))
         parents = {}
-        for i in f.index_tuple:
+        for i, gid in f.parents:
             h = hyp_rep[i]
             if h not in parents:  # lowest fiber index wins when orbits repeat
-                parents[h] = face_rep[pmap[i]]
-        total_faces.append(Face(f.id, f.codim, tup, tuple(sorted(parents.items()))))
+                parents[h] = face_rep[gid]
+        total_faces.append(Face(f.id, f.codim, tup, parents))
 
     total = FacePoset(tuple(total_hyps), tuple(total_faces), spec.fiber.connected)
     return QuotientResult(

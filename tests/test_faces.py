@@ -193,6 +193,15 @@ def test_incidence_sign_corner():
         incidence_sign(sq, "c13", "int")
 
 
+
+def test_incidence_sign_reads_the_id_index(monkeypatch):
+    rebuilt = count_calls(monkeypatch, FacePoset, "by_id")
+    sq = square()
+    signs = [incidence_sign(sq, f.id, g.id) for f in sq.faces_of_codim(2) for g in sq.faces_of_codim(1)]
+    assert sorted(signs) == [-1] * 4 + [0] * 8 + [1] * 4
+    assert rebuilt == []
+
+
 def test_filtered_pair_ranges():
     sq = square()
     FilteredPair(sq, -1, 2)
@@ -278,6 +287,23 @@ def _list_built_poset() -> FacePoset:
             Face("e2", 1, ("s2",), [["s2", "int"]]),
         ],
     )
+
+
+def test_face_parents_take_one_canonical_form():
+    canonical = Face("c13", 2, ("s1", "s3"), (("s1", "e3"), ("s3", "e1")))
+    for parents in (
+        {"s3": "e1", "s1": "e3"},
+        [["s3", "e1"], ["s1", "e3"]],
+        (("s3", "e1"), ("s1", "e3")),
+        [("s1", "e2"), ("s3", "e1"), ("s1", "e3")],  # the last pair wins, as in dict
+    ):
+        face = Face("c13", 2, ("s1", "s3"), parents)
+        assert face == canonical and hash(face) == hash(canonical)
+        assert face.parent_map() == {"s1": "e3", "s3": "e1"}
+    # a dict's single entry is one pair, not the characters of its key
+    edge = Face("e1", 1, ("s1",), {"s1": "int"})
+    assert edge.parents == (("s1", "int"),)
+    assert validate(FacePoset(("s1",), (Face("int", 0, (), {}), edge))) == []
 
 
 def test_list_built_poset_holds_tuples_and_equals_its_twin():

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from cornerindex.conormal import incidence_matrix
+from cornerindex.documents import poset_from_payload, poset_to_payload
 from cornerindex.faces import Face, FacePoset, InvalidPosetError, validate
 from cornerindex.families import (
     FamilySpec,
@@ -194,3 +195,34 @@ def test_parent_map_index_is_built_once_per_poset(monkeypatch):
     # an equal but distinct object builds its own
     validate(cube(3))
     assert set(built.values()) == {2}
+
+
+def test_no_parent_map_outlives_the_readers():
+    fiber = cube(3)
+    aut = cube_automorphism(3, (1, 0, 2), (True, False, False))
+    assert validate(fiber) == []
+    assert validate_automorphism(fiber, aut) == []
+    quotient_family(FamilySpec(fiber, (aut,), "circle"))
+    for p in range(1, 4):
+        incidence_matrix(fiber, p)
+    assert "_parent_maps" not in vars(fiber)
+    assert all(type(f) is Face for f in fiber._id_index.values())
+
+
+def test_built_faces_key_their_parents_by_their_index_tuple():
+    built = cube(3)
+    payload = poset_to_payload(built)
+    for entry in payload["faces"]:
+        entry["parents"] = dict(reversed(entry["parents"].items()))
+    parsed = poset_from_payload(payload)
+    assert parsed == built
+    totals = []
+    for perm in itertools.permutations(range(3)):
+        aut = cube_automorphism(3, perm, (True, False, False))
+        quotient = quotient_family(FamilySpec(built, (aut,), "circle"))
+        if check_embeddable(quotient).embeddable:
+            totals.append(quotient.total)
+    assert totals
+    for poset in (parsed, built, *totals):
+        for f in poset.faces:
+            assert tuple(i for i, _ in f.parents) == f.index_tuple
