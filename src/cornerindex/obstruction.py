@@ -3,7 +3,29 @@
 Face indices are inputs: computing them would take analytic index theory.
 What is decided here is the reduction — pointwise vanishing in the top
 codimension, plus (in codimension 2) vanishing of the codimension-1 index
-vector as a relative homology class, certified by an explicit preimage chain.
+vector as a relative homology class, certified either way: by an explicit
+preimage chain, or by a functional that kills every boundary but not the
+index vector.
+
+Codimension 2 is a graph problem.  A valid corner with sorted tuple (i, j)
+has two distinct codim-1 parents, and in the relative complex (X_2, X_0)
+its column of D_2 holds +1 at the parent dropping i, -1 at the parent
+dropping j and 0 elsewhere.  So D_2 is the incidence matrix of a directed
+graph Γ, the corner graph: its vertices are the codim-1 faces and its edges
+the corners.  Such a matrix is totally unimodular (Schrijver, *Theory of
+Linear and Integer Programming*, §19.3), and for every coefficient group G
+
+    H_1(X_2, X_0; G) = G^c(Γ),   c(Γ) the number of components of Γ,
+    H_2(X_2, X_0; G) = G^b_1(Γ), b_1(Γ) = E - V + c(Γ).
+
+The codim-1 index vector b is a boundary iff on every component of Γ the
+indices sum to 0 in K^1(B).  :func:`codim2_vanishes` decides this by a
+spanning-forest solve: in each slot of K^1 a sweep from the leaves to the
+root fixes the tree edges one by one, and the root is left holding its
+component's sum.  A positive verdict's chain x is checked by D_2 x = b over
+the corners' parent pairs; a negative verdict's functional, the indicator
+of the failing component, is checked to vanish on every column of D_2 and
+not on b.  Both checks are plain integer sums.
 
 Codimension 3 and higher is out of reach for this reduction strategy because
 torsion can enter the relevant homology groups; callers get a clean error.
@@ -12,6 +34,7 @@ torsion can enter the relevant homology groups; callers get a clean error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .abelian import (
     FGAbelianGroup,
@@ -19,7 +42,6 @@ from .abelian import (
     IntegerHom,
     direct_sum,
     power,
-    solve,
 )
 from .conormal import (
     ChainVector,
@@ -102,11 +124,16 @@ def _check_datum(poset: FacePoset, ktheory: KTheoryInput, codim1: dict, codim2: 
 
 @dataclass(frozen=True)
 class VanishingVerdict:
+    """``certificate`` is the preimage chain of a vanishing codim-1 class;
+    ``witness`` lists the codim-1 faces of a corner-graph component whose
+    indices do not sum to zero when the class does not vanish."""
+
     vanishes: bool
     failing_codim2: tuple[str, ...]
     failing_codim1: tuple[str, ...]
     codim1_class_vanishes: bool
     certificate: ChainVector | None
+    witness: tuple[str, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -182,6 +209,7 @@ def codim1_vanishes(
         failing_codim1=failing,
         codim1_class_vanishes=ok,
         certificate=None,
+        witness=None,
     )
 
 
@@ -203,6 +231,15 @@ def codim2_obstruction_space(poset: FacePoset, ktheory: KTheoryInput) -> Obstruc
     periodized = {G: _periodized(poset, 0, 2, G) for G in {ktheory.k0, ktheory.k1}}
     left = periodized[ktheory.k1][1]
     right = periodized[ktheory.k0][0]
+    graph = _corner_graph(poset)
+    for formula, computed in (
+        (power(ktheory.k1, len(graph.roots)), left),
+        (power(ktheory.k0, graph.betti1), right),
+    ):
+        if formula != computed:
+            raise InternalConsistencyError(
+                f"corner-graph closed form {formula} disagrees with homology {computed}"
+            )
     if left.is_trivial():
         return ObstructionReport(left, right, right, MIDDLE_LEFT_TRIVIAL)
     if not right.torsion:
@@ -222,7 +259,11 @@ def codim2_vanishes(
     read as a 1-chain with K^1(B) coefficients, to be a boundary of the
     relative complex (every 1-chain is a relative cycle there).  On success
     the preimage 2-chain is returned; applying the boundary to it reproduces
-    the codim-1 vector exactly.
+    the codim-1 vector exactly.  Otherwise ``witness`` names the codim-1
+    faces of the first corner-graph component, in the order of their first
+    faces, whose indices do not sum to zero.  ``cancel``, when given, is
+    polled once per slot of K^1 and once per component read, and aborts by
+    raising the callable's exception.
     """
     require_valid(poset)
     if poset.codimension() != 2:
@@ -234,12 +275,13 @@ def codim2_vanishes(
         f.id for f in poset.faces_of_codim(2) if not codim2[f.id].is_zero()
     )
 
-    complex = build_complex(FilteredPair(poset, 0, 2), ktheory.k1)
-    target = [codim1[fid] for fid in complex.bases[1]]
-    coords = solve(complex.boundary[2], ktheory.k1, target, cancel=cancel)
+    graph = _corner_graph(poset)
+    coords, witness = _forest_solve(graph, ktheory.k1, [codim1[v] for v in graph.vertices], cancel)
     class_vanishes = coords is not None
     certificate = (
-        ChainVector(complex, 2, tuple(coords)) if class_vanishes else None
+        ChainVector(build_complex(FilteredPair(poset, 0, 2), ktheory.k1), 2, coords)
+        if class_vanishes
+        else None
     )
     return VanishingVerdict(
         vanishes=(not failing2) and class_vanishes,
@@ -247,7 +289,122 @@ def codim2_vanishes(
         failing_codim1=(),
         codim1_class_vanishes=class_vanishes,
         certificate=certificate,
+        witness=witness,
     )
+
+
+class _CornerGraph(NamedTuple):
+    """The corner graph Γ of a codimension-2 poset and its BFS forest.
+
+    Vertex v is the v-th codim-1 face and edge e the e-th corner, both in
+    declaration order; edge e runs from ``ends[e][0]`` (D_2 entry +1) to
+    ``ends[e][1]`` (entry -1).  The forest is found by BFS in declaration
+    order from the first face of each component, its root.  ``sweep`` holds
+    (v, e, s, u) for every non-root vertex v, leaves first: e is the tree
+    edge joining v to its BFS parent u and s = D_2[v, e].
+    """
+
+    vertices: tuple[str, ...]
+    ends: tuple[tuple[int, int], ...]
+    roots: tuple[int, ...]
+    component: tuple[int, ...]  # component number of each vertex
+    sweep: tuple[tuple[int, int, int, int], ...]
+
+    @property
+    def betti1(self) -> int:
+        return len(self.ends) - len(self.vertices) + len(self.roots)
+
+
+def _corner_graph(poset: FacePoset) -> _CornerGraph:
+    vertices = poset.faces_of_codim(1)
+    position = {f.id: v for v, f in enumerate(vertices)}
+    ends = []
+    adjacent: list[list[tuple[int, int, int]]] = [[] for _ in vertices]
+    for e, f in enumerate(poset.faces_of_codim(2)):
+        # the sign rule of incidence_matrix: parent 0 carries +1, parent 1 -1
+        try:
+            (_, plus), (_, minus) = f.parents
+            a, b = position[plus], position[minus]
+        except (ValueError, KeyError):
+            a = b = None
+        if a is None or a == b:
+            raise InternalConsistencyError(
+                f"the D_2 column of corner {f.id} is not one +1 and one -1"
+            )
+        ends.append((a, b))
+        adjacent[a].append((b, e, -1))
+        adjacent[b].append((a, e, 1))
+    component = [-1] * len(vertices)
+    roots: list[int] = []
+    down = []  # (v, e, s, u) in BFS order
+    for r in range(len(vertices)):
+        if component[r] >= 0:
+            continue
+        component[r] = len(roots)
+        queue = [r]
+        for u in queue:
+            for v, e, s in adjacent[u]:
+                if component[v] < 0:
+                    component[v] = len(roots)
+                    queue.append(v)
+                    down.append((v, e, s, u))
+        roots.append(r)
+    return _CornerGraph(
+        tuple(f.id for f in vertices), tuple(ends), tuple(roots), tuple(component), tuple(reversed(down))
+    )
+
+
+def _forest_solve(graph: _CornerGraph, group: FGAbelianGroup, target: list[GroupElement], cancel):
+    """(x, None) with D_2 x = target in group^E, or (None, witness).
+
+    Each slot of the group is one integer system, over Z for a free slot and
+    mod d for an invariant factor d.  Solving vertex v's equation fixes its
+    tree edge, x_e = s * r_v, and hands v's residual r_v on to its parent, so
+    each root ends up holding its component's sum and x is 0 off the forest.
+    """
+    slots = [([t.free[k] for t in target], 0) for k in range(group.rank)]
+    slots += [([t.tors[j] for t in target], d) for j, d in enumerate(group.torsion)]
+    solutions = []
+    for values, d in slots:
+        if cancel is not None:
+            cancel()
+        residual = list(values)
+        x = [0] * len(graph.ends)
+        for v, e, s, u in graph.sweep:
+            x[e] = s * residual[v]
+            residual[u] += residual[v]
+        solutions.append((x, [residual[r] % d if d else residual[r] for r in graph.roots]))
+    for c in range(len(graph.roots)):
+        if cancel is not None:
+            cancel()
+        for (values, d), (_, sums) in zip(slots, solutions):
+            if sums[c]:
+                return None, _component_witness(graph, c, values, d)
+    for (values, d), (x, _) in zip(slots, solutions):
+        image = [0] * len(values)
+        for (a, b), xe in zip(graph.ends, x):
+            image[a] += xe
+            image[b] -= xe
+        if any((i - w) % d if d else i != w for i, w in zip(image, values)):
+            raise InternalConsistencyError("forest solve produced x with D_2 x != target")
+    if not solutions:
+        return tuple(group.zero() for _ in graph.ends), None
+    rank = group.rank
+    # one row of slot values per corner
+    rows = zip(*(x for x, _ in solutions))
+    return tuple(GroupElement(group, row[:rank], row[rank:]) for row in rows), None
+
+
+def _component_witness(graph: _CornerGraph, c: int, values: list[int], d: int) -> tuple[str, ...]:
+    """The faces of component c, once its indicator phi is checked to kill
+    every column of D_2 and not the slot ``values`` (mod d when d > 0)."""
+    phi = [int(k == c) for k in graph.component]
+    if any(phi[a] - phi[b] for a, b in graph.ends):
+        raise InternalConsistencyError(f"component {c} indicator does not kill D_2")
+    total = sum(p * w for p, w in zip(phi, values))
+    if not (total % d if d else total):
+        raise InternalConsistencyError(f"component {c} indicator kills the index vector")
+    return tuple(fid for fid, p in zip(graph.vertices, phi) if p)
 
 
 def connection_matrices(poset: FacePoset, p: int) -> IntegerHom:

@@ -256,6 +256,23 @@ def test_obstruction_with_symbol(capsys):
     assert verdict["certificate"] is not None
 
 
+def test_obstruction_negative_verdict_keeps_the_json_keys(capsys, tmp_path):
+    # the library verdict's witness stays out of the JSON verdict
+    symbol = json.loads((DATA / "symbol_square_boundary.json").read_text())
+    symbol["payload"]["codim1_indices"]["e2"]["free"] = [1]
+    path = tmp_path / "symbol.json"
+    path.write_text(json.dumps(symbol))
+    code, report, _ = run_json(
+        capsys, "obstruction", DATA / "square_poset.json", DATA / "ktheory_circle.json", path
+    )
+    assert code == 0
+    verdict = report["result"]["verdict"]
+    assert verdict["codim1_class_vanishes"] is False and verdict["certificate"] is None
+    assert sorted(verdict) == [
+        "certificate", "codim1_class_vanishes", "failing_codim1", "failing_codim2", "vanishes",
+    ]
+
+
 def test_obstruction_codim3_exit(capsys):
     code, out, err = run(
         capsys,

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from cornerindex import abelian, conormal, faces
-from cornerindex.abelian import FGAbelianGroup, smith_normal_form
+from cornerindex import abelian, conormal, faces, obstruction
+from cornerindex.abelian import FGAbelianGroup, InternalConsistencyError, direct_sum, power
 from cornerindex.conormal import build_complex, incidence_matrix
-from cornerindex.faces import FilteredPair
+from cornerindex.faces import FacePoset, FilteredPair, require_valid
 from cornerindex.families import gallery, quotient_family
 from cornerindex.obstruction import (
     KTheoryInput,
@@ -21,7 +21,15 @@ from cornerindex.obstruction import (
     connection_matrices,
 )
 
-from helpers import count_calls, exhaustive_solve, gallery_posets, kgon, random_valid_poset
+from helpers import (
+    count_calls,
+    cube,
+    exhaustive_solve,
+    gallery_posets,
+    kgon,
+    random_codim2_poset,
+    random_valid_poset,
+)
 
 Z = FGAbelianGroup(1)
 TRIVIAL = FGAbelianGroup(0)
@@ -218,6 +226,7 @@ def test_codim2_all_ones_does_not_vanish():
     assert not verdict.vanishes
     assert not verdict.codim1_class_vanishes
     assert verdict.certificate is None
+    assert verdict.witness == ("e1", "e2", "e3", "e4")  # the corner graph is one 4-cycle
 
 
 def test_codim2_failing_codim2_entries():
@@ -297,38 +306,193 @@ def test_codim2_cancellation_token():
 
 
 
-def test_codim2_cancel_interrupts_the_factorization(monkeypatch):
-    # the Smith normal form of D_2 is the one long step of a verdict; cancel
-    # is polled at each of its pivot steps, not only after it returns
-    poset = kgon(48)
-    K = KTheoryInput(Z, Z, "K^1 = Z")
-    D2 = incidence_matrix(poset, 2)
-    rng = random.Random(48)
-    values = D2.apply_int([rng.randint(-3, 3) for _ in range(D2.cols)])
-    edges = [f.id for f in poset.faces_of_codim(1)]
-    datum = datum_for(poset, K, codim1={e: Z.element([x], []) for e, x in zip(edges, values)})
+def test_codim2_cancel_polls_once_per_slot_and_component(monkeypatch):
+    # the forest solve has no pivot steps: cancel is polled before each
+    # slot's sweep of K^1 and before each component's sums are read, and a
+    # raising cancel aborts before the certificate is built
+    poset = two_component_poset()
+    K = KTheoryInput(Z, zmod(0, 0, 4), "K^1 = Z^2 + Z/4")
+    datum = boundary_datum(poset, K, random.Random(48))
     verdict = codim2_vanishes(poset, K, datum)
     assert verdict.vanishes and verdict.certificate is not None
 
     polls = []
     assert codim2_vanishes(poset, K, datum, cancel=lambda: polls.append(1)) == verdict
-    assert len(polls) >= smith_normal_form(D2).rank
+    assert len(polls) == 3 + 2
 
-    returned = []
-    real = abelian.smith_normal_form
+    builds = count_calls(monkeypatch, obstruction, "build_complex")
+    for n in range(1, len(polls) + 1):
+        seen = []
 
-    def recording(*args, **kwargs):
-        result = real(*args, **kwargs)
-        returned.append(result)
-        return result
+        def cancel():
+            seen.append(1)
+            if len(seen) == n:
+                raise TimeoutError("cancelled")
 
-    def cancel():
-        raise TimeoutError("cancelled")
+        with pytest.raises(TimeoutError):
+            codim2_vanishes(poset, K, datum, cancel=cancel)
+    assert builds == []
 
-    monkeypatch.setattr(abelian, "smith_normal_form", recording)
-    with pytest.raises(TimeoutError):
-        codim2_vanishes(poset, K, datum, cancel=cancel)
-    assert returned == []
+
+# ---------------------------------------------------------------------------
+# the corner graph: D_2 of (X_2, X_0) is a signed incidence matrix
+
+
+GROUPS = (Z, zmod(0, 4), zmod(2, 6), zmod(0, 0, 3), TRIVIAL)
+
+
+def two_component_poset():
+    """Edges e0, e1, e2 joined by two corners and e3, e4 by one: a corner
+    graph with two components."""
+    hyps = [f"h{i}" for i in range(5)]
+    faces = [("int", 0, (), {})]
+    faces += [(f"e{i}", 1, (h,), {h: "int"}) for i, h in enumerate(hyps)]
+    for c, (a, b) in enumerate(((0, 1), (1, 2), (3, 4))):
+        faces.append((f"c{c}", 2, (hyps[a], hyps[b]), {hyps[a]: f"e{b}", hyps[b]: f"e{a}"}))
+    return FacePoset.build(hyps, faces)
+
+
+def random_element(rng, group):
+    return group.element(
+        [rng.randint(-3, 3) for _ in range(group.rank)], [rng.randrange(d) for d in group.torsion]
+    )
+
+
+def generator(group):
+    """The first canonical generator: 1 in the first slot."""
+    slots = [0] * (group.rank + len(group.torsion))
+    slots[0] = 1
+    return group.element(slots[: group.rank], slots[group.rank :])
+
+
+def codim1_datum(poset, K, vector):
+    return datum_for(poset, K, codim1=dict(zip((f.id for f in poset.faces_of_codim(1)), vector)))
+
+
+def boundary_datum(poset, K, rng):
+    """A symbol whose codim-1 vector is D_2 of a random 2-chain."""
+    D2 = incidence_matrix(poset, 2)
+    return codim1_datum(poset, K, D2.apply([random_element(rng, K.k1) for _ in range(D2.cols)], K.k1))
+
+
+def corner_graph_counts(poset) -> tuple[int, int]:
+    """(c, b_1) of the corner graph, by union-find over the columns of D_2."""
+    D2 = incidence_matrix(poset, 2)
+    root = list(range(D2.rows))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for col in D2.columns():
+        a, b = (i for i, x in enumerate(col) if x)
+        root[find(a)] = find(b)
+    c = sum(find(v) == v for v in range(D2.rows))
+    return c, D2.cols - D2.rows + c
+
+
+def test_codim2_boundary_is_a_signed_incidence_matrix():
+    # every corner column of D_2 holds one +1 and one -1, nothing else
+    rng = random.Random(2026)
+    posets = [kgon(k) for k in (3, 4, 7, 12, 31)] + [cube(d) for d in range(2, 6)]
+    posets += [random_codim2_poset(rng, rng.randint(6, 60)) for _ in range(200)]
+    for poset in posets:
+        require_valid(poset)
+        for col in incidence_matrix(poset, 2).columns():
+            assert sorted(x for x in col if x) == [-1, 1]
+
+
+def test_obstruction_space_matches_the_corner_graph_closed_forms():
+    rng = random.Random(153)
+    posets = [square(), kgon(9), two_component_poset()]
+    posets += [random_codim2_poset(rng, rng.randint(8, 40)) for _ in range(30)]
+    for poset in posets:
+        c, b1 = corner_graph_counts(poset)
+        for _ in range(2):
+            k0, k1 = rng.choice(GROUPS), rng.choice(GROUPS)
+            rep = codim2_obstruction_space(poset, KTheoryInput(k0, k1))
+            assert (rep.left, rep.right) == (power(k1, c), power(k0, b1))
+
+
+def test_obstruction_space_raises_when_homology_leaves_the_closed_form(monkeypatch):
+    real = obstruction._periodized
+
+    def one_z_too_many(*args):
+        even, odd = real(*args)
+        return even, direct_sum(odd, Z)
+
+    monkeypatch.setattr(obstruction, "_periodized", one_z_too_many)
+    with pytest.raises(InternalConsistencyError):
+        codim2_obstruction_space(square(), KTheoryInput.circle())
+
+
+def test_codim2_verdict_agrees_with_the_smith_solve():
+    # the SNF solve of D_2 x = b is the oracle of the forest solve, and
+    # both kinds of certificate are checked here without the forest
+    rng = random.Random(1103)
+    n_posets, negatives = 40, 0
+    for _ in range(n_posets):
+        poset = random_codim2_poset(rng, rng.randint(8, 50))
+        edges = [f.id for f in poset.faces_of_codim(1)]
+        D2 = incidence_matrix(poset, 2)
+        for group in GROUPS:
+            K = KTheoryInput(Z, group)
+            boundary = D2.apply([random_element(rng, group) for _ in range(D2.cols)], group)
+            bumped = list(boundary)
+            if not group.is_trivial():
+                bumped[rng.randrange(len(edges))] += generator(group)
+            noise = [random_element(rng, group) for _ in edges]
+            for b in (boundary, bumped, noise):
+                verdict = codim2_vanishes(poset, K, codim1_datum(poset, K, b))
+                assert verdict.codim1_class_vanishes == (abelian.solve(D2, group, b) is not None)
+                if verdict.codim1_class_vanishes:
+                    assert verdict.witness is None
+                    assert verdict.certificate.boundary() == b
+                    continue
+                negatives += 1
+                assert verdict.certificate is None
+                phi = [int(e in verdict.witness) for e in edges]
+                assert all(sum(p * x for p, x in zip(phi, col)) == 0 for col in D2.columns())
+                assert not sum((e for p, e in zip(phi, b) if p), group.zero()).is_zero()
+    # every bumped boundary over a nontrivial group is negative
+    assert negatives >= n_posets * 4
+
+
+def test_codim2_witness_is_the_first_failing_component():
+    poset = two_component_poset()
+    K = KTheoryInput.circle()
+    one = generator(K.k1)
+    zero = K.k1.zero()
+    # sums: e0 + e1 + e2 on the first component, e3 + e4 on the second
+    for vector, witness in (
+        ([one, zero, -one, one, zero], ("e3", "e4")),
+        ([zero, one, zero, one, one], ("e0", "e1", "e2")),
+        ([one, -one, zero, zero, zero], None),
+    ):
+        verdict = codim2_vanishes(poset, K, codim1_datum(poset, K, vector))
+        assert verdict.witness == witness
+        assert verdict.codim1_class_vanishes == (witness is None)
+    verdict = codim1_vanishes(interval(), K, datum_for(interval(), K, codim1={"e1": one}))
+    assert not verdict.vanishes and verdict.witness is None
+
+
+def test_corner_graph_rejects_a_column_that_is_not_plus_minus_one():
+    # unvalidated posets: a corner with one parent, with both parents the
+    # same edge, or with the interior as a parent
+    for parents in ({"h0": "e1"}, {"h0": "e1", "h1": "e1"}, {"h0": "int", "h1": "e0"}):
+        poset = FacePoset.build(
+            ["h0", "h1"],
+            [
+                ("int", 0, (), {}),
+                ("e0", 1, ("h0",), {"h0": "int"}),
+                ("e1", 1, ("h1",), {"h1": "int"}),
+                ("c0", 2, ("h0", "h1"), parents),
+            ],
+        )
+        with pytest.raises(InternalConsistencyError):
+            obstruction._corner_graph(poset)
+
 
 # ---------------------------------------------------------------------------
 # connection matrices
