@@ -4,15 +4,19 @@ Everything here is integer-exact: groups live in canonical invariant-factor
 form, maps between powers ``G^cols -> G^rows`` are integer matrices acting
 coordinatewise on each cyclic summand of ``G``, and all normal forms and
 solvers run on Python's arbitrary-precision integers.  No floats anywhere.
+A vector of elements of ``G`` becomes one integer vector per cyclic summand
+by :meth:`FGAbelianGroup.split`, and :meth:`FGAbelianGroup.join` puts such
+vectors back together; the solvers and certificates go through that pair.
+:meth:`IntegerHom.apply` reads the elements directly, so it stays an
+independent check of their answers.
 
-The workhorse is :func:`smith_normal_form`, which returns a full decomposition
-``A = U * D * V`` together with the exact inverses of ``U`` and ``V``.  It is
-taken only through :class:`Factorization`, one per matrix, and kernels and
-cokernels over any coefficient group follow from that one factorization over
-Z by the tensor and Tor formulas.  The decomposition holds D and the logs of the
-elementary row and column operations that produced it, not the transforms:
-a product of ``U``, ``U_inv``, ``V`` or ``V_inv`` with a vector replays one
-log on that vector, and a dense transform is built only when it is read.
+The workhorse is :func:`smith_normal_form`, which returns a decomposition
+``A = U * D * V``.  It is taken only through :class:`Factorization`, one per
+matrix, and kernels and cokernels over any coefficient group follow from
+that one factorization over Z by the tensor and Tor formulas.  The
+decomposition holds D and the logs of the elementary row and column
+operations that produced it, not the transforms: a product of ``U``,
+``U_inv``, ``V`` or ``V_inv`` with a vector replays one log on that vector.
 """
 
 from __future__ import annotations
@@ -161,6 +165,39 @@ class FGAbelianGroup:
 
         yield from rec(0, [])
 
+    def split(self, elements) -> list[tuple[list[int], int]]:
+        """One ``(vector, modulus)`` per cyclic summand, in
+        :meth:`cyclic_summands` order: the summand's coordinate of each
+        element, and the summand's modulus, 0 for Z.
+
+        >>> G = FGAbelianGroup(1, (2,))
+        >>> G.split([G.element([3], [1]), G.element([-1], [0])])
+        [([3, -1], 0), ([1, 0], 2)]
+        """
+        elements = list(elements)
+        for e in elements:
+            if e.group != self:
+                raise GroupMismatchError("element parent differs from the group")
+        slots = [([e.free[k] for e in elements], 0) for k in range(self.rank)]
+        return slots + [([e.tors[j] for e in elements], d) for j, d in enumerate(self.torsion)]
+
+    def join(self, vectors, n: int) -> list["GroupElement"]:
+        """The inverse of :meth:`split`: ``n`` elements whose coordinate in
+        summand k is read from ``vectors[k]``, reduced mod its modulus.
+
+        >>> G = FGAbelianGroup(1, (2,))
+        >>> [(e.free, e.tors) for e in G.join([[3, -1], [1, 2]], 2)]
+        [((3,), (1,)), ((-1,), (0,))]
+        >>> FGAbelianGroup(0).join([], 2) == [FGAbelianGroup(0).zero()] * 2
+        True
+        """
+        vectors = [tuple(v) for v in vectors]
+        if len(vectors) != self.rank + len(self.torsion) or any(len(v) != n for v in vectors):
+            raise DimensionError("need one vector of length n per cyclic summand")
+        rank = self.rank
+        rows = zip(*vectors) if vectors else [()] * n
+        return [GroupElement(self, row[:rank], row[rank:]) for row in rows]
+
     def __str__(self):
         parts = []
         if self.rank == 1:
@@ -203,6 +240,16 @@ def tor(a: FGAbelianGroup, b: FGAbelianGroup) -> FGAbelianGroup:
     """Torsion product Tor_1(a, b); free summands contribute nothing."""
     cyclics = [gcd(x, y) for x in a.torsion for y in b.torsion]
     return FGAbelianGroup.from_cyclics(cyclics)
+
+
+def congruent(a: list[int], b: list[int], d: int) -> bool:
+    """Are the integer vectors ``a`` and ``b`` equal entry by entry, or
+    equal mod ``d`` when ``d > 0``?
+
+    >>> congruent([1, 5], [1, 5], 0), congruent([1, 5], [3, 1], 2), congruent([1, 5], [3, 1], 0)
+    (True, True, False)
+    """
+    return len(a) == len(b) and all((x - y) % d == 0 if d else x == y for x, y in zip(a, b))
 
 
 @dataclass(frozen=True)
@@ -357,33 +404,22 @@ class IntegerHom:
 class SNFDecomposition:
     """Exact decomposition A = U * D * V with unimodular U, V.
 
-    No transform is stored: the elimination leaves the rows of D and two
-    logs of elementary operations, in order.  ``row_log`` holds the row
-    operations on D, whose product is ``U_inv``; ``column_log`` holds, for
-    each column operation on D, the row operation V absorbs, and their
-    product is ``V``.  An entry ``(i, k, q)`` adds ``q`` times entry k to
-    entry i; with ``q == 0`` it swaps entries i and k, or negates entry i
-    when ``i == k``.  A product with a transform is one replay of one log
-    on one vector: forward for ``U_inv`` and ``V``, undone backward for
-    ``U`` and ``V_inv``.  The dense ``U``, ``D``, ``V``, ``U_inv`` and
-    ``V_inv`` are replayed on unit vectors on first read, then kept.  The
-    constructor takes the five dense matrices of a reference decomposition,
-    which has no logs; equality compares the dense matrices.
+    No transform is stored: the elimination leaves ``d``, the rows of D,
+    ``cols``, its width, and two logs of elementary operations, in order.
+    ``row_log`` holds the row operations on D, whose product is ``U_inv``;
+    ``column_log`` holds, for each column operation on D, the row operation
+    V absorbs, and their product is ``V``.  An entry ``(i, k, q)`` adds
+    ``q`` times entry k to entry i; with ``q == 0`` it swaps entries i and
+    k, or negates entry i when ``i == k``.  A product with a transform is
+    one replay of one log on one vector: forward for ``U_inv`` and ``V``,
+    undone backward for ``U`` and ``V_inv``.  The library reads only these
+    products; the dense ``U``, ``D`` and ``V`` are replayed on unit vectors
+    on first read, for inspection, then kept.
     """
 
-    def __init__(self, U: IntegerHom, D: IntegerHom, V: IntegerHom, U_inv: IntegerHom, V_inv: IntegerHom):
-        self.U, self.D, self.V, self.U_inv, self.V_inv = U, D, V, U_inv, V_inv
-        self._d, self._cols = D.entries, D.cols
-        self.row_log = self.column_log = None
-
-    @classmethod
-    def _from_logs(cls, d, cols: int, row_log, column_log) -> "SNFDecomposition":
-        """The decomposition as the elimination leaves it: ``d`` the rows of
-        D, ``cols`` its width; nothing dense is built."""
-        self = cls.__new__(cls)
+    def __init__(self, d, cols: int, row_log, column_log):
         self._d, self._cols = d, cols
         self.row_log, self.column_log = row_log, column_log
-        return self
 
     def u_times(self, x: list[int]) -> list[int]:
         """``U * x``: the row log, undone backward."""
@@ -412,25 +448,6 @@ class SNFDecomposition:
     @cached_property
     def V(self) -> IntegerHom:
         return _from_products(self.v_times, self._cols)
-
-    @cached_property
-    def U_inv(self) -> IntegerHom:
-        return _from_products(self.u_inv_times, len(self._d))
-
-    @cached_property
-    def V_inv(self) -> IntegerHom:
-        return _from_products(self.v_inv_times, self._cols)
-
-    def _matrices(self) -> tuple[IntegerHom, ...]:
-        return self.U, self.D, self.V, self.U_inv, self.V_inv
-
-    def __eq__(self, other):
-        if not isinstance(other, SNFDecomposition):
-            return NotImplemented
-        return self._matrices() == other._matrices()
-
-    def __repr__(self):
-        return "SNFDecomposition(U={!r}, D={!r}, V={!r}, U_inv={!r}, V_inv={!r})".format(*self._matrices())
 
     @cached_property
     def diagonal(self) -> tuple[int, ...]:
@@ -588,7 +605,7 @@ def smith_normal_form(A: IntegerHom, cancel=None) -> SNFDecomposition:
                 continue
         t += 1
 
-    return SNFDecomposition._from_logs(d, n, row_log, column_log)
+    return SNFDecomposition(d, n, row_log, column_log)
 
 
 # ---------------------------------------------------------------------------
@@ -747,49 +764,29 @@ def solve(
 ) -> list[GroupElement] | None:
     """Some x in G^cols with A x = target in G^rows, or None.
 
-    The system splits summand by summand: one integer system per free slot of
-    G and one modular system per invariant factor.  ``cancel``, when given, is
-    polled at every pivot step of the factorization and between slots, and
-    aborts by raising the callable's exception.
+    The system splits summand by summand (:meth:`FGAbelianGroup.split`): one
+    integer system per free slot of G and one modular system per invariant
+    factor.  ``cancel``, when given, is polled at every pivot step of the
+    factorization and between slots, and aborts by raising the callable's
+    exception.
     """
     target = list(target)
     if len(target) != A.rows:
         raise DimensionError("target length does not match rows")
-    for e in target:
-        if e.group != coefficient:
-            raise GroupMismatchError("target parent differs from the coefficient group")
-    factored = Factorization(A, cancel=cancel) if coefficient.cyclic_summands() else None
-    free_parts: list[list[int]] = []
-    for k in range(coefficient.rank):
+    slots = coefficient.split(target)
+    factored = Factorization(A, cancel=cancel) if slots else None
+    parts: list[list[int]] = []
+    for b, d in slots:
         if cancel is not None:
             cancel()
-        sol = factored.solve([e.free[k] for e in target])
+        sol = factored.solve_mod(b, d) if d else factored.solve(b)
         if sol is None:
             return None
-        free_parts.append(sol)
-    tors_parts: list[list[int]] = []
-    for j, d in enumerate(coefficient.torsion):
-        if cancel is not None:
-            cancel()
-        sol = factored.solve_mod([e.tors[j] for e in target], d)
-        if sol is None:
-            return None
-        tors_parts.append(sol)
-    out = [
-        GroupElement(
-            coefficient,
-            tuple(part[i] for part in free_parts),
-            tuple(part[i] for part in tors_parts),
-        )
-        for i in range(A.cols)
-    ]
+        parts.append(sol)
+    out = coefficient.join(parts, A.cols)
     # the same predicate as A.apply(out, coefficient) == target, taken slot
     # by slot with integer products on the vectors read back from ``out``
-    for k in range(coefficient.rank):
-        if A.apply_int([e.free[k] for e in out]) != [e.free[k] for e in target]:
-            raise InternalConsistencyError("solve produced x with A x != target")
-    for j, d in enumerate(coefficient.torsion):
-        image = A.apply_int([e.tors[j] for e in out])
-        if any((x - e.tors[j]) % d for x, e in zip(image, target)):
+    for (x, d), (b, _) in zip(coefficient.split(out), slots):
+        if not congruent(A.apply_int(x), b, d):
             raise InternalConsistencyError("solve produced x with A x != target")
     return out

@@ -206,18 +206,12 @@ def _homology_gens(Dp: IntegerHom, Dp1: IntegerHom, c: int):
 def _embed_chain(
     complex: ConormalChainComplex, p: int, slot: int, vector: list[int]
 ) -> ChainVector:
+    """The chain of degree p whose cyclic slot ``slot`` holds ``vector``
+    and every other slot 0."""
     group = complex.coefficient
-    rank = group.rank
-    coords = []
-    for value in vector:
-        free = [0] * rank
-        tors = [0] * len(group.torsion)
-        if slot < rank:
-            free[slot] = value
-        else:
-            tors[slot - rank] = value
-        coords.append(GroupElement(group, tuple(free), tuple(tors)))
-    return ChainVector(complex, p, tuple(coords))
+    vectors = [[0] * len(vector) for _ in group.cyclic_summands()]
+    vectors[slot] = vector
+    return ChainVector(complex, p, tuple(group.join(vectors, len(vector))))
 
 
 def homology(complex: ConormalChainComplex) -> HomologyResult:
@@ -319,10 +313,8 @@ def _node_exact(f_in: IntegerHom, src, node, f_out: IntegerHom, tgt) -> bool:
     (src_cycles, _), (cycles, relations), (_, tgt_relations) = src, node, tgt
     image = f_in.compose(src_cycles).hstack(relations)
     moved = f_out.compose(cycles)
-    negated = IntegerHom.from_rows(
-        [[-x for x in row] for row in tgt_relations.entries], width=tgt_relations.cols
-    )
-    combo_kernel = integer_kernel_basis(moved.hstack(negated))
+    # the first block {a : moved a in span(tgt_relations)} is blind to the sign of the second
+    combo_kernel = integer_kernel_basis(moved.hstack(tgt_relations))
     a_part = IntegerHom.from_rows(combo_kernel.entries[: cycles.cols], width=combo_kernel.cols)
     kernel = cycles.compose(a_part).hstack(relations)
     return _lattice_subset(image, kernel) and _lattice_subset(kernel, image)
@@ -481,7 +473,7 @@ def connected_boundary_ses(poset: FacePoset, G: FGAbelianGroup) -> BoundarySESRe
     if not poset.connected:
         raise ValueError("the boundary sequence requires a connected poset")
     d = poset.codimension()
-    if d < 1 or not poset.faces_of_codim(1):
+    if d < 1:
         raise ValueError("the boundary sequence requires a nonempty boundary")
 
     # the sequence is the odd part of the triple (-1, 0, d) from H_odd(X) on;

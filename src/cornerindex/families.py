@@ -98,9 +98,6 @@ class QuotientResult:
     def face_orbit(self) -> dict[str, str]:
         return dict(self.orbit_map)
 
-    def hypersurface_orbit(self) -> dict[str, str]:
-        return dict(self.hypersurface_orbit_map)
-
 
 def _orbits(items: list[str], maps: list[dict[str, str]]) -> dict[str, str]:
     """Breadth-first closure under the generators; representative = first item

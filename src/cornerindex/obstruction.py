@@ -40,6 +40,7 @@ from .abelian import (
     FGAbelianGroup,
     GroupElement,
     IntegerHom,
+    congruent,
     direct_sum,
     power,
 )
@@ -163,8 +164,6 @@ def codim1_groups(poset: FacePoset, ktheory: KTheoryInput) -> Codim1Groups:
         raise UnsupportedCodimensionError("codim1_groups needs a codimension-1 poset")
     n0 = len(poset.faces_of_codim(0))
     n1 = len(poset.faces_of_codim(1))
-    if n1 < 1:
-        raise ValueError("no codimension-1 faces")
 
     ka0 = tuple(power(ktheory.by_degree(i), n0) for i in (0, 1))
     ka1_over_a0 = tuple(power(ktheory.by_degree(1 - i), n1) for i in (0, 1))
@@ -362,8 +361,7 @@ def _forest_solve(graph: _CornerGraph, group: FGAbelianGroup, target: list[Group
     tree edge, x_e = s * r_v, and hands v's residual r_v on to its parent, so
     each root ends up holding its component's sum and x is 0 off the forest.
     """
-    slots = [([t.free[k] for t in target], 0) for k in range(group.rank)]
-    slots += [([t.tors[j] for t in target], d) for j, d in enumerate(group.torsion)]
+    slots = group.split(target)
     solutions = []
     for values, d in slots:
         if cancel is not None:
@@ -385,14 +383,9 @@ def _forest_solve(graph: _CornerGraph, group: FGAbelianGroup, target: list[Group
         for (a, b), xe in zip(graph.ends, x):
             image[a] += xe
             image[b] -= xe
-        if any((i - w) % d if d else i != w for i, w in zip(image, values)):
+        if not congruent(image, values, d):
             raise InternalConsistencyError("forest solve produced x with D_2 x != target")
-    if not solutions:
-        return tuple(group.zero() for _ in graph.ends), None
-    rank = group.rank
-    # one row of slot values per corner
-    rows = zip(*(x for x, _ in solutions))
-    return tuple(GroupElement(group, row[:rank], row[rank:]) for row in rows), None
+    return tuple(group.join([x for x, _ in solutions], len(graph.ends))), None
 
 
 def _component_witness(graph: _CornerGraph, c: int, values: list[int], d: int) -> tuple[str, ...]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from math import gcd
 from types import SimpleNamespace
+from typing import NamedTuple
 
 from cornerindex.abelian import (
     FGAbelianGroup,
@@ -160,7 +161,38 @@ def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def reference_smith_normal_form(A: IntegerHom) -> SNFDecomposition:
+class DenseSNF(NamedTuple):
+    """A decomposition A = U * D * V as five dense matrices, the inverses of
+    U and V included; equality compares all five."""
+
+    U: IntegerHom
+    D: IntegerHom
+    V: IntegerHom
+    U_inv: IntegerHom
+    V_inv: IntegerHom
+
+    @property
+    def diagonal(self) -> tuple[int, ...]:
+        return tuple(self.D.entries[i][i] for i in range(min(self.D.rows, self.D.cols)))
+
+    @property
+    def rank(self) -> int:
+        return sum(1 for d in self.diagonal if d != 0)
+
+
+def _replayed(product, n: int) -> IntegerHom:
+    """The ``n x n`` matrix whose column k is ``product`` of unit vector k."""
+    return IntegerHom.from_columns([product([int(i == k) for i in range(n)]) for k in range(n)], n)
+
+
+def dense_snf(s: SNFDecomposition) -> DenseSNF:
+    """The dense record of a log decomposition: its cached U, D and V, and
+    U_inv and V_inv replayed on every unit vector."""
+    m, n = s.D.rows, s.D.cols
+    return DenseSNF(s.U, s.D, s.V, _replayed(s.u_inv_times, m), _replayed(s.v_inv_times, n))
+
+
+def reference_smith_normal_form(A: IntegerHom) -> DenseSNF:
     """The library's Smith normal form kernel as it stood before unit pivots
     took fast paths, kept verbatim as the reference for its pivot order:
     every pivot step scans the whole block and every operation runs over
@@ -265,7 +297,7 @@ def reference_smith_normal_form(A: IntegerHom) -> SNFDecomposition:
             continue
         t += 1
 
-    return SNFDecomposition(
+    return DenseSNF(
         U=IntegerHom.from_rows(u, width=m),
         D=IntegerHom.from_rows(d, width=n),
         V=IntegerHom.from_rows(v, width=n),
@@ -285,12 +317,13 @@ def _dense_mat_vec(a, v: list[int]) -> list[int]:
 class DenseFactorization:
     """``abelian.Factorization`` as it stood before it read the sparse
     transforms, its logic kept verbatim (method docstrings dropped, and the
-    decomposition ``snf`` of ``A`` passed in) as the reference for its
-    answers: every product walks the dense rows of U, U_inv, V or V_inv."""
+    decomposition ``snf`` of ``A`` passed in and made dense) as the reference
+    for its answers: every product walks the dense rows of U, U_inv, V or
+    V_inv."""
 
     def __init__(self, A: IntegerHom, snf: SNFDecomposition):
         self.A = A
-        self.snf = snf
+        self.snf = dense_snf(snf)
         self.rank = self.snf.rank
         diagonal = self.snf.diagonal
         # padded with zeros to one entry per row of A

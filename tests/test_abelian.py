@@ -20,6 +20,7 @@ from cornerindex.abelian import (
     integer_solve,
     kernel_group,
     lattice_column_basis,
+    modular_solve,
     power,
     smith_normal_form,
     solve,
@@ -34,6 +35,7 @@ from helpers import (
     bareiss_det,
     count_calls,
     cube,
+    dense_snf,
     exhaustive_solve,
     gallery_posets,
     integer_solvable,
@@ -183,8 +185,9 @@ def test_snf_two_by_two_brute_force_oracle():
 def _check_decomposition(A):
     s = smith_normal_form(A)
     assert s.U.compose(s.D).compose(s.V) == A
-    assert s.U.compose(s.U_inv) == IntegerHom.identity(A.rows)
-    assert s.V.compose(s.V_inv) == IntegerHom.identity(A.cols)
+    dense = dense_snf(s)
+    assert s.U.compose(dense.U_inv) == IntegerHom.identity(A.rows)
+    assert s.V.compose(dense.V_inv) == IntegerHom.identity(A.cols)
     assert abs(bareiss_det(s.U.row_list())) == 1
     assert abs(bareiss_det(s.V.row_list())) == 1
     diag = s.diagonal
@@ -216,7 +219,7 @@ def test_snf_deterministic():
     rng = random.Random(5)
     for _ in range(50):
         A = IntegerHom.from_rows([[rng.randint(-9, 9) for _ in range(5)] for _ in range(4)])
-        assert smith_normal_form(A) == smith_normal_form(A)
+        assert dense_snf(smith_normal_form(A)) == dense_snf(smith_normal_form(A))
 
 
 def test_snf_empty_dimensions():
@@ -258,7 +261,7 @@ def test_snf_matches_frozen_reference_kernel(inputs):
     # the fast paths keep the pivot sequence, so U, D, V and both inverses
     # are the ones the unoptimized kernel computes, at any size
     for A in inputs():
-        assert smith_normal_form(A) == reference_smith_normal_form(A)
+        assert dense_snf(smith_normal_form(A)) == reference_smith_normal_form(A)
 
 
 def _gallery_and_cube_boundaries():
@@ -514,6 +517,36 @@ def test_solve_dimension_mismatch():
         solve(hom([[1, 1]]), Z, [])
 
 
+def test_solve_rejects_an_element_of_another_group():
+    with pytest.raises(GroupMismatchError):
+        solve(hom([[1]]), Z, [zmod(2).element([], [1])])
+
+
+@pytest.mark.parametrize(
+    "group", [TRIVIAL, Z, zmod(4), FGAbelianGroup(2, (2, 6))], ids=["0", "Z", "Z/4", "Z^2+Z/2+Z/6"]
+)
+def test_split_and_join_are_inverse(group):
+    rng = random.Random(41)
+    summands = group.cyclic_summands()
+    for n in range(4):
+        for _ in range(5):
+            vectors = [[rng.randint(-7, 7) for _ in range(n)] for _ in summands]
+            elements = group.join(vectors, n)
+            assert len(elements) == n and all(e.group == group for e in elements)
+            # join reduces each torsion slot mod its modulus, split reads it back
+            reduced = [[x % d if d else x for x in v] for v, d in zip(vectors, summands)]
+            assert group.split(elements) == list(zip(reduced, summands))
+            assert group.join([v for v, _ in group.split(elements)], n) == elements
+    assert TRIVIAL.join([], 3) == [TRIVIAL.zero()] * 3
+    with pytest.raises(GroupMismatchError):
+        group.split([FGAbelianGroup(3).zero()])
+    if summands:
+        with pytest.raises(DimensionError):
+            group.join([[0, 0]] * len(summands), 3)
+    with pytest.raises(DimensionError):
+        group.join([[0]] * (len(summands) + 1), 1)
+
+
 def test_apply_int_checks_the_vector_length():
     # a matrix with no rows still has columns to match, as in apply
     empty = IntegerHom.zero(0, 3)
@@ -580,6 +613,7 @@ def test_factorization_solve_mod_matches_minor_oracle():
         A, b = _random_system(rng)
         modulus = rng.choice([2, 3, 4, 6, 8, 9, 12])
         x = Factorization(A).solve_mod(b, modulus)
+        assert modular_solve(A, b, modulus) == x
         if modular_solvable(A, b, modulus):
             assert x is not None and all(0 <= v < modulus for v in x)
             assert all((u - v) % modulus == 0 for u, v in zip(A.apply_int(x), b))

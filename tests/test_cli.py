@@ -127,6 +127,17 @@ def test_homology_bad_coefficient(capsys):
     assert code == 2
 
 
+def test_parse_coefficient_drops_zero_terms():
+    assert documents.parse_coefficient("Z + 0") == FGAbelianGroup(1)
+    assert documents.parse_coefficient("0") == FGAbelianGroup(0)
+
+
+def test_homology_of_a_document_of_the_wrong_kind(capsys):
+    code, out, err = run(capsys, "homology", DATA / "ktheory_point.json")
+    assert (code, out) == (2, "")
+    assert "expected a poset document, found ktheory" in err
+
+
 def test_homology_invalid_poset(capsys):
     code, out, err = run(capsys, "homology", DATA / "unsorted_poset.json")
     assert code == 1

@@ -6,6 +6,7 @@ import pytest
 from cornerindex import abelian, conormal, faces
 from cornerindex.abelian import FGAbelianGroup, IntegerHom, InternalConsistencyError
 from cornerindex.conormal import (
+    ChainVector,
     _homology_gens,
     build_complex,
     connected_boundary_ses,
@@ -112,6 +113,17 @@ def test_empty_pair_complex():
     assert c.degrees == ()
     result = homology(c)
     assert result.periodized == (TRIVIAL, TRIVIAL)
+
+
+def test_chain_vector_checks_degree_length_and_group():
+    complex = build_complex(FilteredPair(square(), 0, 2), Z)
+    ChainVector(complex, 2, (Z.zero(),) * complex.dim(2))
+    with pytest.raises(ValueError, match="outside the complex"):
+        ChainVector(complex, 0, ())
+    with pytest.raises(ValueError, match="coordinate count"):
+        ChainVector(complex, 2, (Z.zero(),) * (complex.dim(2) + 1))
+    with pytest.raises(ValueError, match="coordinate parent"):
+        ChainVector(complex, 2, (zmod(2).zero(),) * complex.dim(2))
 
 
 def test_build_complex_rejects_invalid_poset():

@@ -145,6 +145,50 @@ def test_datum_validation():
         codim1_vanishes(interval(), K, wrong_parent)
 
 
+def test_codim2_datum_validation():
+    K = KTheoryInput.circle()
+    ones = {f.id: K.k1.zero() for f in square().faces_of_codim(1)}
+    with pytest.raises(ValueError, match="codim-2 index keys"):
+        codim2_vanishes(square(), K, SymbolDatum.build(ones, {"c13": K.k0.zero()}))
+    twos = {f.id: zmod(2).zero() for f in square().faces_of_codim(2)}
+    with pytest.raises(ValueError, match="codim-2 indices must live in K\\^0"):
+        codim2_vanishes(square(), K, SymbolDatum.build(ones, twos))
+
+
+def test_vanishing_and_space_reject_wrong_codimension():
+    K = KTheoryInput.circle()
+    with pytest.raises(UnsupportedCodimensionError):
+        codim1_vanishes(square(), K, datum_for(square(), K))
+    with pytest.raises(UnsupportedCodimensionError):
+        codim2_obstruction_space(interval(), K)
+    with pytest.raises(UnsupportedCodimensionError):
+        codim2_vanishes(interval(), K, datum_for(interval(), K))
+
+
+def test_formulas_reject_disconnected_posets():
+    # two interiors: a with one edge, b with two edges that meet at corner c
+    disconnected = FacePoset.build(
+        ["s1", "s2"],
+        [
+            ("a", 0, (), {}),
+            ("b", 0, (), {}),
+            ("ea", 1, ("s1",), {"s1": "a"}),
+            ("e1", 1, ("s1",), {"s1": "b"}),
+            ("e2", 1, ("s2",), {"s2": "b"}),
+            ("c", 2, ("s1", "s2"), {"s1": "e2", "s2": "e1"}),
+        ],
+        connected=False,
+    )
+    codim1 = FacePoset.build(
+        ["s1"], [("a", 0, (), {}), ("b", 0, (), {}), ("e", 1, ("s1",), {"s1": "a"})], connected=False
+    )
+    assert require_valid(disconnected).codimension() == 2 and require_valid(codim1).codimension() == 1
+    with pytest.raises(ValueError, match="connected poset"):
+        codim1_groups(codim1, KTheoryInput.circle())
+    with pytest.raises(ValueError, match="connected poset"):
+        codim2_obstruction_space(disconnected, KTheoryInput.circle())
+
+
 # ---------------------------------------------------------------------------
 # codimension 2 obstruction space
 
