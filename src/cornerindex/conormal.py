@@ -150,23 +150,24 @@ class HomologyResult:
 
 
 def _cycle_basis(Dp: IntegerHom, c: int):
-    """Basis of the cycles of Dp over Z (c = 0) or mod c, and the function
-    that gives a cycle's coordinates in it.
+    """Basis of the cycles of Dp over Z (c = 0) or mod c, the top ``Dp.cols``
+    rows of ker M for M = Dp or [Dp | c*I], and a cycle's coordinates in it.
 
-    Both come from the one factorization that produced the basis: the kernel
-    of Dp, or over Z/c the column lattice of the top block of a kernel basis
-    of [Dp | c*I].  The basis has full column rank, so the coordinates are
-    the unique solution of ``basis * y = cycle``.
+    For c > 0, (x, y) in ker M forces y = -Dp x / c, so dropping y is
+    one-to-one; c*I has full row rank, so the ``Dp.cols`` columns of ker M
+    drop to a basis of {x : Dp x = 0 mod c}.  Unless c divides Dp x, the
+    lift (x, -Dp x // c) is not in ker M and has no coordinates (None).
     """
-    if c == 0:
-        factored = Factorization(Dp)
-        return factored.kernel(), factored.kernel_coordinates
-    full = integer_kernel_basis(Dp.with_multiples(c))
-    top = Factorization(IntegerHom.from_rows(full.entries[: Dp.cols], width=full.cols))
-    basis = top.column_basis()
-    if basis.cols != Dp.cols:
+    factored = Factorization(Dp.with_multiples(c) if c else Dp)
+    kernel = factored.kernel()
+    if c and kernel.cols != Dp.cols:
         raise InternalConsistencyError("cycle lattice mod c is not full rank")
-    return basis, top.column_coordinates
+
+    def coordinates(x: list[int]) -> list[int] | None:
+        lift = [-v // c for v in Dp.apply_int(x)] if c else []
+        return factored.kernel_coordinates(list(x) + lift)
+
+    return IntegerHom.from_rows(kernel.entries[: Dp.cols], width=kernel.cols), coordinates
 
 
 def _lattices(Dp: IntegerHom, Dp1: IntegerHom, c: int, bases: dict | None = None):
@@ -174,12 +175,11 @@ def _lattices(Dp: IntegerHom, Dp1: IntegerHom, c: int, bases: dict | None = None
     (c = 0) or Z/c is the quotient of the first column lattice by the
     second, and ``coordinates`` expresses a cycle in the first.
 
-    Over Z these are ker(Dp) and im(Dp1); over Z/c, the cycles mod c and the
-    boundaries plus c-multiples, so that all of it stays an integer lattice.
-    ``bases``, when given, memoizes :func:`_cycle_basis` by (Dp, c).
+    Over Z these are ker(Dp) and im(Dp1); over Z/c, the cycles mod c and
+    im [Dp1 | c*I], integer lattices both.  ``bases``, when given, memoizes
+    :func:`_cycle_basis` by (Dp, c).
     """
-    if bases is None:
-        bases = {}
+    bases = {} if bases is None else bases
     if (Dp, c) not in bases:
         bases[Dp, c] = _cycle_basis(Dp, c)
     cycles, coordinates = bases[Dp, c]

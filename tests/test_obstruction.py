@@ -538,6 +538,37 @@ def test_corner_graph_rejects_a_column_that_is_not_plus_minus_one():
             obstruction._corner_graph(poset)
 
 
+def test_forest_solve_raises_when_its_answer_misses_the_target():
+    # negative control: a tree edge whose sign is flipped in the sweep gives
+    # an x with D_2 x != target, which the solve's own check must refuse
+    for poset in (square(), kgon(7), two_component_poset()):
+        graph = obstruction._corner_graph(poset)
+        (v, e, s, u), *rest = graph.sweep
+        flipped = graph._replace(sweep=((v, e, -s, u), *rest))
+        a, b = graph.ends[e]
+        for group in (Z, zmod(4), zmod(0, 3)):
+            # the leaf v's residual is its own entry, +-1 in the first slot
+            target = [group.zero()] * len(graph.vertices)
+            target[a], target[b] = generator(group), -generator(group)
+            assert obstruction._forest_solve(graph, group, target, None)[1] is None
+            with pytest.raises(InternalConsistencyError, match="forest solve produced x with D_2 x != target"):
+                obstruction._forest_solve(flipped, group, target, None)
+
+
+def test_component_witness_refuses_a_wrong_indicator():
+    # negative controls: a component tuple that splits a corner's two
+    # edges, and a component whose indices sum to 0 (mod d)
+    graph = obstruction._corner_graph(two_component_poset())
+    assert graph.component == (0, 0, 0, 1, 1)
+    assert obstruction._component_witness(graph, 0, [1, 0, 0, 0, 0], 0) == ("e0", "e1", "e2")
+    corrupted = graph._replace(component=(0, 1, 0, 1, 1))
+    with pytest.raises(InternalConsistencyError, match="component 0 indicator does not kill D_2"):
+        obstruction._component_witness(corrupted, 0, [1, 0, 0, 0, 0], 0)
+    for values, d in (([1, -1, 0, 5, 0], 0), ([3, 0, 1, 0, 0], 4), ([0] * 5, 2)):
+        with pytest.raises(InternalConsistencyError, match="component 0 indicator kills the index vector"):
+            obstruction._component_witness(graph, 0, values, d)
+
+
 # ---------------------------------------------------------------------------
 # connection matrices
 
