@@ -13,6 +13,11 @@ raises instead of reporting.  It is checked at every degree of the triple's
 long exact sequence, one chain module at a time, on the lattice pair (cycles,
 relations) that :func:`_lattices` builds for homology over Z and Z/c alike,
 from the boundary matrices of the complex of each filtered pair.
+
+A bottom degree, whose D_p is zeroed, takes no Smith normal form for its
+cycles.  :func:`homology` keeps each degree's answer on the poset, keyed by
+(degree, bottom, top, modulus); the exactness checks keep their cycle bases
+for one call only and never read that memo, so the two stay independent.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from itertools import accumulate
 # integer_solve is no longer called here; it stays importable from this
 # module, where callers and the benchmark's tracer self-test look it up
 from .abelian import (  # noqa: F401
+    DimensionError,
     Factorization,
     FGAbelianGroup,
     GroupElement,
@@ -93,10 +99,10 @@ def build_complex(pair: FilteredPair, coefficient: FGAbelianGroup) -> ConormalCh
     bases = {p: tuple(f.id for f in poset.faces_of_codim(p)) for p in degrees}
     boundary = {}
     for p in degrees:
-        mat = incidence_matrix(poset, p)
         if p - 1 <= pair.low:
-            mat = IntegerHom.zero(mat.rows, mat.cols)
-        boundary[p] = mat
+            boundary[p] = IntegerHom.zero(len(poset.faces_of_codim(p - 1)), len(bases[p]))
+        else:
+            boundary[p] = incidence_matrix(poset, p)
     for p in degrees:
         if p + 1 in boundary and not boundary[p].compose(boundary[p + 1]).is_zero():
             raise InternalConsistencyError(
@@ -157,7 +163,17 @@ def _cycle_basis(Dp: IntegerHom, c: int):
     one-to-one; c*I has full row rank, so the ``Dp.cols`` columns of ker M
     drop to a basis of {x : Dp x = 0 mod c}.  Unless c divides Dp x, the
     lift (x, -Dp x // c) is not in ker M and has no coordinates (None).
+    A zero Dp takes no SNF: every chain is a cycle, over Z and mod c, so
+    the basis is the identity and a cycle is its own coordinates.
     """
+    if Dp.is_zero():
+
+        def own_coordinates(x: list[int]) -> list[int]:
+            if len(x) != Dp.cols:
+                raise DimensionError("vector length does not match columns")
+            return list(x)
+
+        return IntegerHom.identity(Dp.cols), own_coordinates
     factored = Factorization(Dp.with_multiples(c) if c else Dp)
     kernel = factored.kernel()
     if c and kernel.cols != Dp.cols:
@@ -218,28 +234,38 @@ def homology(complex: ConormalChainComplex) -> HomologyResult:
     """Exact per-degree homology over the coefficient group.
 
     Computed summand by summand, then cross-checked against the assembly
-    (H_p(Z) tensor G) + Tor(H_{p-1}(Z), G); a mismatch raises.
+    (H_p(Z) tensor G) + Tor(H_{p-1}(Z), G) on every call; a mismatch raises.
+
+    Each summand is read from the poset's memo when there.  A complex from
+    :func:`build_complex` is fixed at degree p by whether p is its bottom
+    (D_p zeroed) and whether p is its top (D_{p+1} empty), so the memo
+    keys (p, bottom, top, c); it holds (group, representative vectors) as
+    tuples, and each result gets its own lists.
     """
     G = complex.coefficient
-    integer_results = {}
-    for p in complex.degrees:
-        integer_results[p] = _homology_gens(
-            complex.boundary[p], complex.boundary_or_zero(p + 1), 0
-        )
+    pair = complex.pair
+    memo = pair.base._homology_memo
+
+    def gens(p: int, c: int):
+        key = (p, p == pair.low + 1, p == pair.high, c)
+        if key not in memo:
+            group, reps = _homology_gens(complex.boundary[p], complex.boundary_or_zero(p + 1), c)
+            memo[key] = group, tuple((tuple(vec), order) for vec, order in reps)
+        return memo[key]
+
+    integer_results = {p: gens(p, 0) for p in complex.degrees}
     groups: dict[int, FGAbelianGroup] = {}
     cycles: dict[int, list[tuple[int, list[int]]]] = {}
     for p in complex.degrees:
         by_modulus = {0: integer_results[p]}
         for c in set(G.torsion):
-            by_modulus[c] = _homology_gens(
-                complex.boundary[p], complex.boundary_or_zero(p + 1), c
-            )
+            by_modulus[c] = gens(p, c)
         parts = []
         vectors = []
         for slot, c in enumerate(G.cyclic_summands()):
-            grp, gens = by_modulus[c]
+            grp, reps = by_modulus[c]
             parts.append(grp)
-            vectors.extend((slot, vec) for vec, _order in gens)
+            vectors.extend((slot, list(vec)) for vec, _order in reps)
         direct = direct_sum(*parts)
         previous = (
             integer_results[p - 1][0] if (p - 1) in integer_results else FGAbelianGroup(0)
@@ -391,8 +417,8 @@ def _exactness(complexes, arrow, c: int, bases: dict):
 
     Lattices are built when a check reads them, and ``bases`` is the memo of
     cycle bases that one call shares among its checks (see
-    :func:`_lattices`); :func:`homology` never sees it, so the two
-    computations stay independent.
+    :func:`_lattices`); :func:`homology` never sees it, nor does this read
+    the poset's homology memo, so the two computations stay independent.
     """
     zero = (IntegerHom.zero(0, 0),) * 2
 

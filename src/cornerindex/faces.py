@@ -11,9 +11,10 @@ the last pair winning on a repeated index as in ``dict``.  On a valid face
 those keys are its sorted index tuple, so every reader after validation
 takes a face's parents by position.  A poset is immutable: its fields are
 tuples and frozen faces, whatever sequences it was built from.  So its
-validation verdict, its per-codimension index and its id -> face index are
-built on first read and kept on the object; validation builds each face's
-parent map on the fly and keeps none of them.
+validation verdict, its per-codimension index, its id -> face index and
+the homology memo of ``conormal.homology`` are built on first read and kept
+on the object; validation builds each face's parent map on the fly and
+keeps none of them.
 
 Validation checks grandparent commutation pair by pair only when it can
 fail.  If every per-face check passes and no two faces share an index
@@ -92,6 +93,12 @@ class FacePoset:
     def _id_index(self) -> dict[str, Face]:
         """id -> face, the last face winning on a repeated id; read-only."""
         return {f.id: f for f in self.faces}
+
+    @cached_property
+    def _homology_memo(self) -> dict:
+        """(p, bottom, top, c) -> (group, representative vectors), read and
+        written by ``conormal.homology`` only."""
+        return {}
 
     @classmethod
     def build(cls, hypersurfaces, faces, connected=True) -> "FacePoset":

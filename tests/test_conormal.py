@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from math import gcd, prod
@@ -346,7 +347,8 @@ def test_cycle_basis_mod_c_matches_an_independent_oracle(monkeypatch, c):
         )
         snfs.clear()
         basis, coordinates = _cycle_basis(Dp, c)
-        assert snfs == [(Dp.with_multiples(c),)]
+        # a zero Dp has the identity basis, with no SNF at all
+        assert snfs == ([] if Dp.is_zero() else [(Dp.with_multiples(c),)])
         assert all(v % c == 0 for x in basis.columns() for v in Dp.apply_int(x))
         index = prod(c // gcd(c, d) for d in reference_smith_normal_form(Dp).diagonal if d)
         assert abs(bareiss_det(basis.row_list())) == index
@@ -363,6 +365,20 @@ def test_cycle_basis_mod_c_matches_an_independent_oracle(monkeypatch, c):
         for j, column in enumerate(Dp.columns()):
             if any(v % c for v in column):
                 assert coordinates([int(i == j) for i in range(cols)]) is None
+
+
+@pytest.mark.parametrize("c", [0, 2, 4])
+@pytest.mark.parametrize(("rows", "cols"), [(0, 3), (2, 3), (2, 0), (0, 0)])
+def test_cycle_basis_of_a_zero_boundary_is_the_identity(monkeypatch, rows, cols, c):
+    # every chain is a cycle, over Z and mod c: no SNF, and a cycle is its
+    # own coordinates; a vector of the wrong length raises
+    snfs = count_calls(monkeypatch, abelian, "smith_normal_form")
+    basis, coordinates = _cycle_basis(IntegerHom.zero(rows, cols), c)
+    assert snfs == [] and basis == IntegerHom.identity(cols)
+    x = [3, -1, 4][:cols]
+    assert coordinates(x) == x and coordinates(tuple(x)) == x
+    with pytest.raises(abelian.DimensionError):
+        coordinates(x + [0])
 
 
 def _lift_cases():
@@ -499,33 +515,137 @@ def test_six_term_and_boundary_ses_compute_each_pair_once(monkeypatch):
 
 
 def test_six_term_and_boundary_ses_read_each_pair_complex(monkeypatch):
-    # the three pairs of the triple build their incidence matrices once;
-    # homology, presentations and arrows read them from those complexes,
-    # and the presentations of one call share each (matrix, c) cycle basis
+    # the three pairs of the triple build their incidence matrices once,
+    # and none at a bottom degree, whose D_p is zero; homology, presentations
+    # and arrows read them from those complexes, and the presentations of
+    # one call share each (matrix, c) cycle basis
     incidences = count_calls(monkeypatch, conormal, "incidence_matrix")
     snfs = count_calls(monkeypatch, abelian, "smith_normal_form")
     six_term(square(), -1, 0, 2, FGAbelianGroup(1, (4,)))
-    assert (len(incidences), len(snfs)) == (6, 68)
+    assert (len(incidences), len(snfs)) == (3, 54)
     connected_boundary_ses(square(), FGAbelianGroup(1, (4,)))
-    assert (len(incidences), len(snfs)) == (12, 68 + 48)
+    assert (len(incidences), len(snfs)) == (6, 54 + 34)
 
 
-def test_cycle_basis_memo_lives_within_one_call(monkeypatch):
-    # the memo shared by one call's presentations is made inside the call:
-    # a second call, and homology of the triple's pairs, factor in full
-    G = FGAbelianGroup(1, (4,))
+def _snf_split(monkeypatch):
+    """``split(run)``: the SNFs ``run`` takes inside :func:`homology` and
+    outside it, in the exactness checks."""
     snfs = count_calls(monkeypatch, abelian, "smith_normal_form")
+    inside = []
+    homology_of = conormal.homology
 
-    def snf_count(run):
+    def counted(complex):
         before = len(snfs)
-        run()
-        return len(snfs) - before
+        result = homology_of(complex)
+        inside.append(len(snfs) - before)
+        return result
 
-    pairs = [FilteredPair(square(), low, high) for low, high in ((-1, 0), (-1, 2), (0, 2))]
-    homologies = [snf_count(lambda: homology(build_complex(pair, G))) for pair in pairs]
-    assert [snf_count(lambda: six_term(square(), -1, 0, 2, G)) for _ in range(2)] == [68, 68]
-    assert [snf_count(lambda: connected_boundary_ses(square(), G)) for _ in range(2)] == [48, 48]
-    assert [snf_count(lambda: homology(build_complex(pair, G))) for pair in pairs] == homologies
+    monkeypatch.setattr(conormal, "homology", counted)
+
+    def split(run):
+        before, seen = len(snfs), len(inside)
+        run()
+        in_homology = sum(inside[seen:])
+        return in_homology, len(snfs) - before - in_homology
+
+    return split
+
+
+def test_exactness_memo_lives_for_one_call_and_homology_memo_on_the_poset(monkeypatch):
+    G = FGAbelianGroup(1, (4,))
+    split = _snf_split(monkeypatch)
+
+    # the exactness memo is made inside each call and never reads the
+    # poset's: a second call takes the same exactness SNFs, cold or warm
+    poset = square()
+    assert [split(lambda: six_term(poset, -1, 0, 2, G)) for _ in range(2)] == [(14, 40), (0, 40)]
+    poset = square()
+    assert [split(lambda: connected_boundary_ses(poset, G)) for _ in range(2)] == [(14, 20), (0, 20)]
+    warm = square()
+    six_term(warm, -1, 0, 2, G)
+    assert split(lambda: connected_boundary_ses(warm, G)) == (0, 20)
+
+    # the homology memo lives on the poset object
+    poset = square()
+    shown = (repr(poset), hash(poset))
+    pair = FilteredPair(poset, -1, 2)
+    assert [split(lambda: conormal.homology(build_complex(pair, G))) for _ in range(2)] == [(10, 0), (0, 0)]
+    assert (repr(poset), hash(poset)) == shown and poset == square()
+    anew, copied = square(), dataclasses.replace(poset)
+    assert anew == poset == copied and (repr(copied), hash(copied)) == shown
+    for other in (anew, copied):
+        assert split(lambda: conormal.homology(build_complex(FilteredPair(other, -1, 2), G))) == (10, 0)
+
+
+def test_homology_of_a_six_cube_pair_cold_and_warm(monkeypatch):
+    # (X_6, X_4): the bottom degree 5 takes no SNF, the top degree 6 one
+    # per modulus to factor and one to present; warm, none at all
+    snfs = count_calls(monkeypatch, abelian, "smith_normal_form")
+    pair = FilteredPair(cube(6), 4, 6)
+    cold = homology(build_complex(pair, FGAbelianGroup(1, (4,))))
+    assert len(snfs) == 6
+    warm = homology(build_complex(pair, FGAbelianGroup(1, (4,))))
+    assert len(snfs) == 6
+    assert (warm.groups, warm.cycles) == (cold.groups, cold.cycles)
+
+
+def test_degrees_that_share_a_memo_key_share_their_matrices():
+    # the lemma behind the homology memo: in a complex build_complex makes,
+    # degree p's (D_p, D_{p+1}) depends only on p, on whether p is the
+    # bottom and on whether it is the top
+    rng = random.Random(1600)
+    posets = [poset for _, poset in gallery_posets()] + [cube(d) for d in (1, 2, 3, 4)]
+    posets += [kgon(k) for k in range(3, 10)] + [random_valid_poset(rng) for _ in range(20)]
+    shared = 0
+    for poset in posets:
+        d = poset.codimension()
+        seen = {}
+        for low, high in itertools.combinations_with_replacement(range(-1, d + 1), 2):
+            complex = build_complex(FilteredPair(poset, low, high), Z)
+            for p in complex.degrees:
+                key = (p, p == low + 1, p == high)
+                matrices = (complex.boundary[p], complex.boundary_or_zero(p + 1))
+                shared += key in seen
+                assert seen.setdefault(key, matrices) == matrices
+    assert shared > 60
+
+
+@pytest.mark.parametrize(
+    "G", [Z, zmod(4), FGAbelianGroup(1, (4,)), FGAbelianGroup(2, (2, 6))], ids=["Z", "Z4", "Z+Z4", "Z2+Z2+Z6"]
+)
+def test_homology_with_a_warm_memo_equals_homology_on_a_fresh_poset(G):
+    rng = random.Random(1700)
+    posets = [poset for _, poset in gallery_posets()] + [cube(d) for d in (1, 2, 3)]
+    posets += [kgon(5)] + [random_valid_poset(rng, max_faces=16) for _ in range(6)]
+    for poset in posets:
+        d = poset.codimension()
+        pairs = list(itertools.combinations_with_replacement(range(-1, d + 1), 2))
+        rng.shuffle(pairs)
+        for low, high in pairs:
+            warm = homology(build_complex(FilteredPair(poset, low, high), G))
+            cold = homology(build_complex(FilteredPair(dataclasses.replace(poset), low, high), G))
+            assert (warm.groups, warm.periodized, warm.cycles) == (cold.groups, cold.periodized, cold.cycles)
+            assert warm.representatives == cold.representatives
+        assert poset._homology_memo
+
+
+def test_a_mutated_result_leaves_the_memo_unchanged():
+    G = FGAbelianGroup(1, (4,))
+    poset = cube(3)
+    pair = FilteredPair(poset, 0, 3)
+    first = homology(build_complex(pair, G))
+    for vectors in first.cycles.values():
+        for _, vector in vectors:
+            vector[:] = [x + 1 for x in vector]
+        vectors.append((0, [7]))
+    first.groups.clear()
+    later = homology(build_complex(pair, G))
+    fresh = homology(build_complex(FilteredPair(cube(3), 0, 3), G))
+    assert (later.groups, later.cycles, later.representatives) == (fresh.groups, fresh.cycles, fresh.representatives)
+    # the memo keeps tuples, never a factorization or a cycle basis
+    for group, reps in poset._homology_memo.values():
+        assert isinstance(group, FGAbelianGroup) and type(reps) is tuple
+        assert all(type(vec) is tuple and all(type(x) is int for x in vec) for vec, _ in reps)
 
 
 def test_six_term_exactness_random():
