@@ -1,9 +1,10 @@
 """Exact arithmetic for finitely generated abelian groups.
 
 Everything here is integer-exact: groups live in canonical invariant-factor
-form, maps between powers ``G^cols -> G^rows`` are integer matrices acting
-coordinatewise on each cyclic summand of ``G``, and all normal forms and
-solvers run on Python's arbitrary-precision integers.  No floats anywhere.
+form, maps between powers ``G^cols -> G^rows`` are integer matrices, stored
+by their nonzero columns, acting coordinatewise on each cyclic summand of
+``G``, and all normal forms and solvers run on Python's arbitrary-precision
+integers.  No floats anywhere.
 A vector of elements of ``G`` becomes one integer vector per cyclic summand
 by :meth:`FGAbelianGroup.split`, and :meth:`FGAbelianGroup.join` puts such
 vectors back together; the solvers and certificates go through that pair.
@@ -17,14 +18,15 @@ that one factorization over Z by the tensor and Tor formulas.  The
 decomposition holds D and the logs of the elementary row and column
 operations that produced it, not the transforms: a product of ``U``,
 ``U_inv``, ``V`` or ``V_inv`` with a vector replays one log on that vector.
+Only the elimination works on dense rows, a copy it takes of its input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 from math import gcd
+from operator import itemgetter
 
 
 class GroupMismatchError(ValueError):
@@ -37,37 +39,6 @@ class DimensionError(ValueError):
 
 class InternalConsistencyError(RuntimeError):
     """Two independent computation paths disagreed; this is an algebra bug."""
-
-
-# ---------------------------------------------------------------------------
-# raw integer matrices (lists of rows); empty dimensions are legal everywhere
-
-
-def _zeros(rows: int, cols: int) -> list[list[int]]:
-    return [[0] * cols for _ in range(rows)]
-
-
-def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _mat_mul(a: list[list[int]], b: list[list[int]], cols: int) -> list[list[int]]:
-    """``a * b`` with ``cols`` columns; the width is passed, since ``b`` has
-    no row to read it from when the inner dimension is 0."""
-    rows, inner = len(a), len(b)
-    if a and len(a[0]) != inner:
-        raise DimensionError("inner dimensions differ")
-    out = _zeros(rows, cols)
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            aik = ai[k]
-            if aik:
-                bk = b[k]
-                for j in range(cols):
-                    oi[j] += aik * bk[j]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -307,73 +278,126 @@ class GroupElement:
 
 @dataclass(frozen=True)
 class IntegerHom:
-    """An integer matrix, read as a map G^cols -> G^rows for any coefficient G."""
+    """An integer matrix, read as a map G^cols -> G^rows for any coefficient G.
+
+    Stored by columns: ``nonzero[j]`` holds the ``(row, value)`` pairs of
+    the nonzero entries of column j, rows ascending.  That form is
+    canonical, so ``==`` and ``hash`` compare matrices, and every operation
+    costs time in the nonzero entries it reads: a boundary column has at
+    most ``codim`` of them.  ``entries``, :meth:`row_list`, :meth:`column`
+    and :meth:`columns` are dense views, for reading only.
+    """
 
     rows: int
     cols: int
-    entries: tuple[tuple[int, ...], ...]
+    nonzero: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self):
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
-            raise DimensionError("entry shape does not match the declared size")
+        if len(self.nonzero) != self.cols:
+            raise DimensionError("column count does not match the declared size")
+        rows = self.rows
+        for column in self.nonzero:
+            last = -1
+            for i, x in column:
+                if not last < i < rows or not x:
+                    raise DimensionError("stored entries must be nonzero, in range, rows ascending")
+                last = i
 
     @classmethod
     def from_rows(cls, rows, width: int | None = None) -> "IntegerHom":
         rows = [tuple(r) for r in rows]
         cols = len(rows[0]) if rows else (width or 0)
-        return cls(len(rows), cols, tuple(rows))
+        if any(len(r) != cols for r in rows):
+            raise DimensionError("entry shape does not match the declared size")
+        return cls.from_columns(list(zip(*rows)) if rows else [()] * cols, len(rows))
 
     @classmethod
-    def from_columns(cls, columns: list[list[int]], rows: int) -> "IntegerHom":
+    def from_columns(cls, columns, rows: int) -> "IntegerHom":
         """The matrix whose columns are ``columns``, each of length ``rows``."""
-        return cls.from_rows([[c[i] for c in columns] for i in range(rows)], width=len(columns))
+        columns = [tuple(c) for c in columns]
+        if any(len(c) != rows for c in columns):
+            raise DimensionError("column length does not match the declared size")
+        nonzero = tuple(tuple((i, x) for i, x in enumerate(c) if x) for c in columns)
+        return cls(rows, len(columns), nonzero)
 
     @classmethod
     def identity(cls, n: int) -> "IntegerHom":
-        return cls.from_rows(_identity(n), width=n)
+        return cls(n, n, tuple(((j, 1),) for j in range(n)))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntegerHom":
-        return cls.from_rows(_zeros(rows, cols), width=cols)
+        return cls(rows, cols, ((),) * cols)
+
+    @cached_property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """The dense rows, built on first read, for inspection."""
+        return tuple(zip(*self.columns())) if self.cols else ((),) * self.rows
 
     def row_list(self) -> list[list[int]]:
-        return [list(r) for r in self.entries]
+        """A fresh dense copy of the rows: the working copy of
+        :func:`smith_normal_form`."""
+        out = [[0] * self.cols for _ in range(self.rows)]
+        for j, column in enumerate(self.nonzero):
+            for i, x in column:
+                out[i][j] = x
+        return out
 
     def column(self, j: int) -> list[int]:
-        return [r[j] for r in self.entries]
+        out = [0] * self.rows
+        for i, x in self.nonzero[j]:
+            out[i] = x
+        return out
 
     def columns(self) -> list[list[int]]:
         return [self.column(j) for j in range(self.cols)]
+
+    def top_rows(self, k: int) -> "IntegerHom":
+        """The matrix of the first ``k`` rows."""
+        if not 0 <= k <= self.rows:
+            raise DimensionError("row count out of range")
+        kept = tuple(tuple(e for e in column if e[0] < k) for column in self.nonzero)
+        return IntegerHom(k, self.cols, kept)
 
     def hstack(self, other: "IntegerHom") -> "IntegerHom":
         """The block matrix ``[self | other]``."""
         if self.rows != other.rows:
             raise DimensionError("hstack row mismatch")
-        return IntegerHom.from_rows(
-            [a + b for a, b in zip(self.entries, other.entries)], width=self.cols + other.cols
-        )
+        return IntegerHom(self.rows, self.cols + other.cols, self.nonzero + other.nonzero)
 
     def with_multiples(self, c: int) -> "IntegerHom":
         """``[self | c*I]``, whose columns span im(self) + c*Z^rows."""
-        scaled = [[c * x for x in row] for row in _identity(self.rows)]
-        return self.hstack(IntegerHom.from_rows(scaled, width=self.rows))
+        scaled = tuple(((i, c),) if c else () for i in range(self.rows))
+        return self.hstack(IntegerHom(self.rows, self.rows, scaled))
 
     def compose(self, other: "IntegerHom") -> "IntegerHom":
         if self.cols != other.rows:
             raise DimensionError("composition shape mismatch")
-        product = _mat_mul(self.row_list(), other.row_list(), other.cols)
-        return IntegerHom.from_rows(product, width=other.cols)
+        if self.is_zero() or other.is_zero():
+            return IntegerHom.zero(self.rows, other.cols)
+        out = []
+        for column in other.nonzero:
+            # column j of the product sums the columns of self that column j
+            # of other selects; entries that cancel to 0 are dropped
+            acc: dict[int, int] = {}
+            for k, y in column:
+                for i, x in self.nonzero[k]:
+                    acc[i] = acc.get(i, 0) + x * y
+            out.append(tuple(sorted(filter(itemgetter(1), acc.items()))))
+        return IntegerHom(self.rows, other.cols, tuple(out))
 
     def is_zero(self) -> bool:
-        return all(all(e == 0 for e in r) for r in self.entries)
+        return not any(self.nonzero)
 
     def apply_int(self, vector: list[int]) -> list[int]:
         vector = list(vector)
         if len(vector) != self.cols:
             raise DimensionError("vector length does not match columns")
-        # only the nonzero entries of the vector are read
-        nonzero = [(j, x) for j, x in enumerate(vector) if x]
-        return [sum(row[j] * x for j, x in nonzero) for row in self.entries]
+        out = [0] * self.rows
+        for column, y in zip(self.nonzero, vector):
+            if y:
+                for i, x in column:
+                    out[i] += x * y
+        return out
 
     def apply(self, elements, group: FGAbelianGroup) -> list[GroupElement]:
         """Coordinatewise action on a vector of elements of ``group``."""
@@ -383,18 +407,16 @@ class IntegerHom:
         for e in elements:
             if e.group != group:
                 raise GroupMismatchError("element parent differs from the coefficient group")
-        out = []
-        for row in self.entries:
-            free = [0] * group.rank
-            tors = [0] * len(group.torsion)
-            # compress skips the zero entries of the row without a Python step
-            for a, e in compress(zip(row, elements), row):
-                for k, x in enumerate(e.free):
-                    free[k] += a * x
-                for k, x in enumerate(e.tors):
-                    tors[k] += a * x
-            out.append(GroupElement(group, tuple(free), tuple(tors)))
-        return out
+        rank = group.rank
+        sums = [[0] * (rank + len(group.torsion)) for _ in range(self.rows)]
+        for column, e in zip(self.nonzero, elements):
+            coords = e.free + e.tors
+            if any(coords):
+                for i, a in column:
+                    s = sums[i]
+                    for k, x in enumerate(coords):
+                        s[k] += a * x
+        return [GroupElement(group, tuple(s[:rank]), tuple(s[rank:])) for s in sums]
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ Subcommands: validate, homology, family, obstruction, gallery.  Reports are
 fully deterministic; timing lives in a separate top-level field that golden
 comparisons drop.  Exit codes: 0 success, 1 domain failure, 2 parse failure
 or an unwritable ``--out`` path, 3 unsupported codimension, 4 internal error
-(a failed cross-check, always a bug).  Set CORNER_INDEX_LOG=debug for
-diagnostics on standard error.
+(a failed cross-check or a shape error inside the algebra, always a bug).
+Set CORNER_INDEX_LOG=debug for diagnostics on standard error.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import sys
 import time
 
 from . import documents
-from .abelian import InternalConsistencyError
+from .abelian import DimensionError, GroupMismatchError, InternalConsistencyError
 from .conormal import build_complex, homology
 from .documents import InputError, canonical_json, group_to_payload
 from .faces import FilteredPair, require_valid, validate
@@ -334,6 +334,11 @@ def main(argv=None) -> int:
     except UnsupportedCodimensionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except (DimensionError, GroupMismatchError) as exc:
+        # input is checked before it reaches the algebra, so a shape error
+        # is a bug, not a domain failure
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

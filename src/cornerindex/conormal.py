@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
+from operator import itemgetter
 
 # integer_solve is no longer called here; it stays importable from this
 # module, where callers and the benchmark's tracer self-test look it up
@@ -33,6 +34,7 @@ from .abelian import (  # noqa: F401
     Factorization,
     FGAbelianGroup,
     GroupElement,
+    GroupMismatchError,
     IntegerHom,
     InternalConsistencyError,
     cokernel_presentation,
@@ -67,13 +69,14 @@ def incidence_matrix(poset: FacePoset, p: int) -> IntegerHom:
     """Signed incidence matrix from codim-p faces to codim-(p-1) faces."""
     rows = poset.faces_of_codim(p - 1) if p >= 1 else []
     cols = poset.faces_of_codim(p)
-    row_index = {f.id: i for i, f in enumerate(rows)}
-    entries = [[0] * len(cols) for _ in rows]
-    for j, f in enumerate(cols):
-        # a valid face's parents run in the order of its index tuple
-        for k, (_, gid) in enumerate(f.parents):
-            entries[row_index[gid]][j] = -1 if k % 2 else 1
-    return IntegerHom.from_rows(entries, width=len(cols))
+    # a valid face's parents run in the order of its index tuple, and parent
+    # k carries (-1)^k: by_sign[k] maps a parent id to its (row, sign) entry
+    by_sign = [{g.id: (i, s) for i, g in enumerate(rows)} for s in (1, -1)] * p
+    parent_id = itemgetter(1)
+    columns = tuple(
+        tuple(sorted(map(dict.__getitem__, by_sign, map(parent_id, f.parents)))) for f in cols
+    )
+    return IntegerHom(len(rows), len(cols), columns)
 
 
 @dataclass
@@ -119,12 +122,12 @@ class ChainVector:
 
     def __post_init__(self):
         if self.degree not in self.complex.degrees:
-            raise ValueError(f"degree {self.degree} outside the complex")
+            raise DimensionError(f"degree {self.degree} outside the complex")
         if len(self.coords) != self.complex.dim(self.degree):
-            raise ValueError("coordinate count does not match the face basis")
+            raise DimensionError("coordinate count does not match the face basis")
         for e in self.coords:
             if e.group != self.complex.coefficient:
-                raise ValueError("coordinate parent differs from the coefficient group")
+                raise GroupMismatchError("coordinate parent differs from the coefficient group")
 
     def boundary(self) -> list[GroupElement]:
         return self.complex.boundary[self.degree].apply(
@@ -183,7 +186,7 @@ def _cycle_basis(Dp: IntegerHom, c: int):
         lift = [-v // c for v in Dp.apply_int(x)] if c else []
         return factored.kernel_coordinates(list(x) + lift)
 
-    return IntegerHom.from_rows(kernel.entries[: Dp.cols], width=kernel.cols), coordinates
+    return kernel.top_rows(Dp.cols), coordinates
 
 
 def _lattices(Dp: IntegerHom, Dp1: IntegerHom, c: int, bases: dict | None = None):
@@ -318,13 +321,14 @@ def _block_map(src, tgt, parts: dict[tuple[int, int], IntegerHom]) -> IntegerHom
         return dict(zip((p for p, _ in blocks), accumulate((n for _, n in blocks), initial=0)))
 
     src_at, tgt_at = offsets(src), offsets(tgt)
-    width = sum(n for _, n in src)
-    entries = [[0] * width for _ in range(sum(n for _, n in tgt))]
+    columns = [()] * sum(n for _, n in src)
     for (p, q), mat in parts.items():
         if p in src_at and q in tgt_at:
-            for i, row in enumerate(mat.entries):
-                entries[tgt_at[q] + i][src_at[p] : src_at[p] + mat.cols] = row
-    return IntegerHom.from_rows(entries, width=width)
+            shift = tgt_at[q]
+            for j, column in enumerate(mat.nonzero, src_at[p]):
+                columns[j] += tuple((i + shift, x) for i, x in column)
+    rows = sum(n for _, n in tgt)
+    return IntegerHom(rows, len(columns), tuple(tuple(sorted(c)) for c in columns))
 
 
 def _lattice_subset(gens_a: IntegerHom, gens_b: IntegerHom) -> bool:
@@ -341,8 +345,7 @@ def _node_exact(f_in: IntegerHom, src, node, f_out: IntegerHom, tgt) -> bool:
     moved = f_out.compose(cycles)
     # the first block {a : moved a in span(tgt_relations)} is blind to the sign of the second
     combo_kernel = integer_kernel_basis(moved.hstack(tgt_relations))
-    a_part = IntegerHom.from_rows(combo_kernel.entries[: cycles.cols], width=combo_kernel.cols)
-    kernel = cycles.compose(a_part).hstack(relations)
+    kernel = cycles.compose(combo_kernel.top_rows(cycles.cols)).hstack(relations)
     return _lattice_subset(image, kernel) and _lattice_subset(kernel, image)
 
 

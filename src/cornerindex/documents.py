@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 
-from .abelian import FGAbelianGroup, GroupElement
+from .abelian import DimensionError, FGAbelianGroup, GroupElement
 from .faces import Face, FacePoset
 from .families import FamilySpec, FiberAutomorphism
 from .obstruction import KTheoryInput, SymbolDatum
@@ -224,7 +224,10 @@ def element_from_payload(payload, group: FGAbelianGroup, what: str) -> GroupElem
         )
     # length mismatches against the coefficient group are cross-file issues,
     # so they surface as domain errors, not parse errors
-    return GroupElement(group, tuple(free), tuple(tors))
+    try:
+        return GroupElement(group, tuple(free), tuple(tors))
+    except DimensionError as exc:
+        raise ValueError(f"{what}: {exc}") from None
 
 
 def element_to_payload(element: GroupElement) -> dict:

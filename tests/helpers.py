@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 from cornerindex.abelian import (
     FGAbelianGroup,
+    GroupElement,
     IntegerHom,
     SNFDecomposition,
     direct_sum,
@@ -304,6 +305,55 @@ def reference_smith_normal_form(A: IntegerHom) -> DenseSNF:
         U_inv=IntegerHom.from_rows(uinv, width=m),
         V_inv=IntegerHom.from_rows(vinv, width=n),
     )
+
+
+class DenseHom(NamedTuple):
+    """An integer matrix as dense rows, the reference for the storage by
+    columns of ``abelian.IntegerHom``: every operation walks the full
+    rows x cols, and ``apply`` sums elements with their own arithmetic."""
+
+    rows: int
+    cols: int
+    entries: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def from_rows(cls, rows, width: int) -> "DenseHom":
+        return cls(len(rows), width, tuple(map(tuple, rows)))
+
+    def columns(self) -> list[list[int]]:
+        return [[r[j] for r in self.entries] for j in range(self.cols)]
+
+    def top_rows(self, k: int) -> "DenseHom":
+        return DenseHom(k, self.cols, self.entries[:k])
+
+    def hstack(self, other: "DenseHom") -> "DenseHom":
+        return DenseHom(self.rows, self.cols + other.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
+
+    def with_multiples(self, c: int) -> "DenseHom":
+        scaled = [[c * x for x in row] for row in _identity(self.rows)]
+        return self.hstack(DenseHom.from_rows(scaled, self.rows))
+
+    def compose(self, other: "DenseHom") -> "DenseHom":
+        product = [
+            [sum(a[k] * other.entries[k][j] for k in range(self.cols)) for j in range(other.cols)]
+            for a in self.entries
+        ]
+        return DenseHom.from_rows(product, other.cols)
+
+    def is_zero(self) -> bool:
+        return all(all(e == 0 for e in r) for r in self.entries)
+
+    def apply_int(self, vector: list[int]) -> list[int]:
+        return [sum(a * x for a, x in zip(row, vector)) for row in self.entries]
+
+    def apply(self, elements, group: FGAbelianGroup) -> list[GroupElement]:
+        out = []
+        for row in self.entries:
+            total = group.zero()
+            for a, e in zip(row, elements):
+                total = total + e.scale(a)
+            out.append(total)
+        return out
 
 
 def _dense_mat_vec(a, v: list[int]) -> list[int]:

@@ -32,6 +32,7 @@ from cornerindex.conormal import incidence_matrix
 
 from helpers import (
     DenseFactorization,
+    DenseHom,
     bareiss_det,
     count_calls,
     cube,
@@ -729,3 +730,78 @@ def test_compose_keeps_outer_shape_with_empty_dimensions(r, k, c):
     left = IntegerHom.from_rows([[i + j + 1 for j in range(k)] for i in range(r)], width=k)
     right = IntegerHom.from_rows([[i - j for j in range(c)] for i in range(k)], width=c)
     assert left.compose(right) == IntegerHom.zero(r, c)
+
+
+def _random_rows(rng, rows: int, cols: int) -> list[list[int]]:
+    return [[rng.choice((0, 0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(cols)] for _ in range(rows)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_integer_hom_matches_the_dense_reference(seed):
+    rng = random.Random(seed)
+    G = FGAbelianGroup(1, (2, 6))
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1)] + [(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(6)]
+    for m, n in shapes:
+        rows = _random_rows(rng, m, n)
+        A, R = IntegerHom.from_rows(rows, width=n), DenseHom.from_rows(rows, n)
+        # the same matrix from rows, from columns and as its own storage
+        stored = tuple(tuple((i, r[j]) for i, r in enumerate(rows) if r[j]) for j in range(n))
+        for B in (IntegerHom.from_columns(R.columns(), m), IntegerHom(m, n, stored)):
+            assert B == A and hash(B) == hash(A)
+        assert A.entries == R.entries and A.row_list() == [list(r) for r in R.entries]
+        assert A.columns() == R.columns() and A.is_zero() == R.is_zero()
+        for k in range(m + 1):
+            assert A.top_rows(k).entries == R.top_rows(k).entries
+        for c in (0, 1, 4):
+            assert A.with_multiples(c).entries == R.with_multiples(c).entries
+        for width in (0, 1, 5):
+            right = _random_rows(rng, n, width)
+            got = A.compose(IntegerHom.from_rows(right, width=width))
+            assert (got.rows, got.cols, got.entries) == R.compose(DenseHom.from_rows(right, width))
+            side = _random_rows(rng, m, width)
+            got = A.hstack(IntegerHom.from_rows(side, width=width))
+            assert (got.rows, got.cols, got.entries) == R.hstack(DenseHom.from_rows(side, width))
+        x = [rng.choice((0, rng.randint(-5, 5))) for _ in range(n)]
+        assert A.apply_int(x) == R.apply_int(x)
+        elements = [G.element([rng.randint(-3, 3)], [rng.randint(0, 1), rng.randint(0, 5)]) for _ in range(n)]
+        assert A.apply(elements, G) == R.apply(elements, G)
+
+
+@pytest.mark.parametrize(
+    "rows, cols, stored",
+    [
+        (2, 2, (((0, 1),),)),  # one column short
+        (2, 1, (((2, 1),),)),  # row out of range
+        (2, 1, (((-1, 1),),)),  # negative row
+        (3, 1, (((1, 1), (0, 1)),)),  # rows descending
+        (3, 1, (((1, 1), (1, 2)),)),  # a row twice
+        (2, 1, (((0, 0),),)),  # a stored zero
+    ],
+)
+def test_malformed_storage_raises(rows, cols, stored):
+    with pytest.raises(DimensionError):
+        IntegerHom(rows, cols, stored)
+
+
+def test_dense_rows_are_read_only_by_the_elimination():
+    # matrices are stored by columns: no module reads the dense ``entries``,
+    # and the one dense working copy is taken by smith_normal_form
+    sources = sorted(Path(abelian.__file__).parent.glob("*.py"))
+    entries, inside, outside = [], [], []
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {
+            id(node)
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef) and function.name == "smith_normal_form"
+            for node in ast.walk(function)
+        }
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Attribute) and node.attr == "entries":
+                entries.append(where)
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "row_list":
+                (inside if id(node) in allowed else outside).append(where)
+    assert entries == []
+    assert outside == []
+    assert len(inside) == 1

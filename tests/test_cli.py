@@ -8,7 +8,7 @@ import pytest
 
 import cornerindex
 from cornerindex import conormal, documents, faces, families
-from cornerindex.abelian import FGAbelianGroup
+from cornerindex.abelian import FGAbelianGroup, IntegerHom
 from cornerindex.cli import EXIT_INTERNAL, main
 from cornerindex.documents import canonical_json
 
@@ -181,6 +181,24 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     assert code == EXIT_INTERNAL == 4
     assert out == ""
     assert "internal error" in err and "disagrees" in err
+
+
+def test_shape_error_inside_the_algebra_is_internal(capsys, monkeypatch):
+    # a boundary matrix of the wrong shape is a bug, not a domain failure
+    monkeypatch.setattr(conormal, "incidence_matrix", lambda poset, p: IntegerHom.zero(1, 1))
+    code, out, err = run(capsys, "homology", DATA / "square_poset.json")
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert err.startswith("internal error: ")
+
+
+def test_symbol_coordinate_count_mismatch_is_a_domain_failure(capsys, tmp_path):
+    symbol = json.loads((DATA / "symbol_square_boundary.json").read_text())
+    symbol["payload"]["codim1_indices"]["e1"]["free"] = [1, 0]
+    path = tmp_path / "symbol.json"
+    path.write_text(json.dumps(symbol))
+    code, out, err = run(capsys, "obstruction", DATA / "square_poset.json", DATA / "ktheory_circle.json", path)
+    assert (code, out) == (1, "")
+    assert err == "error: codim1_indices[e1]: coordinate lengths do not match the group\n"
 
 
 # ---------------------------------------------------------------------------
