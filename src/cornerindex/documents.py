@@ -5,12 +5,23 @@ problems (an unreadable, non-UTF-8 or too deeply nested file, bad JSON,
 wrong kind, wrong field types, unparsable coefficient expressions) raise
 :class:`InputError` and map to exit code 2; semantic
 problems in well-shaped data are domain errors and map to exit code 1.
+
+Reports and generated documents are written by :func:`canonical_json` in
+the byte format of ``json.dumps(obj, sort_keys=True, indent=2)`` plus a
+newline.  It is a small writer of its own because ``json``'s C encoder
+ignores ``indent``: with an indent, ``json.dumps`` runs the pure-Python
+encoder, one generator per container.  The writer escapes strings with
+the C ``encode_basestring_ascii`` and follows ``json`` everywhere else:
+keys sorted before non-string keys are coerced, tuples as lists, and a
+``TypeError`` wherever ``json`` raises one.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from itertools import repeat
+from json.encoder import INFINITY, encode_basestring_ascii
 
 from .abelian import DimensionError, FGAbelianGroup, GroupElement
 from .faces import Face, FacePoset
@@ -26,7 +37,72 @@ class InputError(ValueError):
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for byte
+    and with the same ``TypeError`` on what JSON cannot hold."""
+    out = []
+    _write(obj, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, newline: str, emit) -> None:
+    """Emit ``value`` as json's indented encoder does; ``newline`` is the
+    line break and indentation of the line ``value`` starts on."""
+    if isinstance(value, str):
+        emit(encode_basestring_ascii(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            emit("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            emit(sep)
+            _write(item, inner, emit)
+            sep = "," + inner
+        emit(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            emit("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        # sorted before the keys are coerced, as json sorts them
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                key = _key_text(key)
+            emit(sep + encode_basestring_ascii(key) + ": ")
+            _write(item, inner, emit)
+            sep = "," + inner
+        emit(newline + "}")
+    else:
+        emit(_scalar_text(value))
+
+
+def _scalar_text(value) -> str:
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == INFINITY:
+            return "Infinity"
+        if value == -INFINITY:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _key_text(key) -> str:
+    if key is None or isinstance(key, (int, float)):
+        return _scalar_text(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def load_document(path: str) -> tuple[str, dict]:
@@ -69,13 +145,20 @@ def _expect(condition: bool, message: str):
         raise InputError(message)
 
 
+# str, endlessly: ``map(isinstance, items, _STR)`` tests every item at C
+# speed, and one shared iterator saves building a new one per small list
+_STR = repeat(str)
+
+
 def _is_str_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+    return isinstance(value, list) and all(map(isinstance, value, _STR))
 
 
 def _is_str_map(value) -> bool:
-    return isinstance(value, dict) and all(
-        isinstance(k, str) and isinstance(v, str) for k, v in value.items()
+    return (
+        isinstance(value, dict)
+        and all(map(isinstance, value, _STR))
+        and all(map(isinstance, value.values(), _STR))
     )
 
 

@@ -13,8 +13,18 @@ takes a face's parents by position.  A poset is immutable: its fields are
 tuples and frozen faces, whatever sequences it was built from.  So its
 validation verdict, its per-codimension index, its id -> face index and
 the homology memo of ``conormal.homology`` are built on first read and kept
-on the object; validation builds each face's parent map on the fly and
-keeps none of them.
+on the object; validation keeps no parent map.
+
+Validation settles a passing face with one test: its codim equals the
+length of its tuple, every index is a known hypersurface, and its parents,
+read as (index, (parent codim, parent tuple)) pairs, equal (i, (codim - 1,
+tuple minus i)) for the indices i in order.  The parent keys are already
+sorted and distinct, so they equal the tuple only when the tuple is sorted
+and distinct with no stray or missing parent; the rest says each parent
+exists, has codim - 1 and carries the tuple minus its index.  Only a face
+that fails the test goes through the per-message checks, so the messages
+and their order are those of checking every face; no parent map is built
+unless the pairwise grandparent check below runs.
 
 Validation checks grandparent commutation pair by pair only when it can
 fail.  If every per-face check passes and no two faces share an index
@@ -134,12 +144,13 @@ def validate(poset: FacePoset) -> list[str]:
 def _violations(poset: FacePoset) -> list[str]:
     """The one indexed pass behind :func:`validate`.
 
-    One pass checks every face and its parents against the poset's id
-    index, building each face's parent map as it goes; the maps live only
-    as long as the pass.  Grandparent commutation follows, its messages after
-    all the per-face ones; it is settled by the distinct-tuple argument of
-    the module docstring when that pass found nothing and no index tuple
-    repeats, and checked pair by pair otherwise.
+    One pass checks every face and its parents against the poset's
+    id -> (codim, tuple) table: a passing face costs one test, a failing
+    one gets the per-message checks (module docstring).  Grandparent
+    commutation follows, its messages after all the per-face ones; it is
+    settled by the distinct-tuple argument of the module docstring when
+    that pass found nothing and no index tuple repeats, and checked pair by
+    pair otherwise, with each face's parent map built for that loop only.
     """
     violations = []
     if poset.is_empty():
@@ -161,9 +172,18 @@ def _violations(poset: FacePoset) -> list[str]:
     elif poset.connected and n_codim0 > 1:
         violations.append("disconnected-interior: connected poset has several codimension-0 faces")
 
-    pmaps = [f.parent_map() for f in poset.faces]
-    for f, pmap in zip(poset.faces, pmaps):
+    # id -> (codim, index tuple), the last face winning on a repeated id as
+    # in the id index
+    shape = {f.id: (f.codim, f.index_tuple) for f in poset.faces}
+    for f in poset.faces:
         idx = f.index_tuple
+        if (
+            f.codim == len(idx)
+            and hyps.issuperset(idx)
+            and [(i, shape.get(gid)) for i, gid in f.parents]
+            == [(i, (f.codim - 1, idx[:k] + idx[k + 1 :])) for k, i in enumerate(idx)]
+        ):
+            continue
         if f.codim < 0:
             violations.append(f"negative-codim: {f.id}")
             continue
@@ -182,6 +202,7 @@ def _violations(poset: FacePoset) -> list[str]:
             violations.append(f"unsorted-tuple: {f.id} index tuple is not ascending")
         if not distinct or not weakly_sorted:
             continue
+        pmap = f.parent_map()
         extra = pmap.keys() - members
         if extra:
             violations.append(f"stray-parent: {f.id} lists parent for absent index {min(extra)}")
@@ -207,6 +228,7 @@ def _violations(poset: FacePoset) -> list[str]:
     # tuple minus both indices (module docstring), so no pair can disagree.
     if not violations and len({f.index_tuple for f in poset.faces}) == len(poset.faces):
         return violations
+    pmaps = [f.parent_map() for f in poset.faces]
     pmap_of = {f.id: pmap for f, pmap in zip(poset.faces, pmaps)}
     for f, pmap in zip(poset.faces, pmaps):
         idx = f.index_tuple

@@ -401,19 +401,25 @@ def _component_witness(graph: _CornerGraph, c: int, values: list[int], d: int) -
 
 
 def connection_matrices(poset: FacePoset, p: int) -> IntegerHom:
-    """The signed face-incidence matrix in codimension p, built pairwise from
-    the relative signs and asserted against the chain differential."""
+    """The signed face-incidence matrix in codimension p, each column read
+    off a codim-p face's own parents with every sign taken from
+    ``Face.incidence_sign``, and asserted against the chain differential."""
     require_valid(poset)
     d = poset.codimension()
     if not 1 <= p <= d:
         raise ValueError(f"p must lie in [1, {d}]")
     rows = poset.faces_of_codim(p - 1)
-    cols = poset.faces_of_codim(p)
-    entries = [
-        [f.incidence_sign(g) for f in cols]
-        for g in rows
-    ]
-    mat = IntegerHom.from_rows(entries, width=len(cols))
+    row_of = {g.id: (r, g) for r, g in enumerate(rows)}
+    columns = []
+    for f in poset.faces_of_codim(p):
+        column = []
+        for _, gid in f.parents:
+            r, g = row_of[gid]
+            sign = f.incidence_sign(g)
+            if sign:
+                column.append((r, sign))
+        columns.append(tuple(sorted(column)))
+    mat = IntegerHom(len(rows), len(columns), tuple(columns))
     if mat != incidence_matrix(poset, p):
         raise InternalConsistencyError(
             "pairwise relative signs disagree with the chain differential"

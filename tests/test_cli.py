@@ -12,7 +12,7 @@ from cornerindex.abelian import FGAbelianGroup, IntegerHom
 from cornerindex.cli import EXIT_INTERNAL, main
 from cornerindex.documents import canonical_json
 
-from helpers import count_calls
+from helpers import count_calls, cube, cube_automorphism
 
 DATA = Path(__file__).parent / "data"
 GOLDENS = Path(__file__).parent / "goldens"
@@ -447,12 +447,26 @@ def test_golden_reports(capsys, monkeypatch, golden_name):
     argv = GOLDEN_CASES[golden_name]
     code, out, err = run(capsys, *argv, "--format", "json")
     assert code == 0, err
+    # the byte format of json.dumps: sorted keys, 2-space indent, ASCII
+    # escapes and a trailing newline, timing included
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
     produced = _report_without_timing(out)
     golden_path = GOLDENS / golden_name
     if os.environ.get("CORNERINDEX_REGEN_GOLDENS"):
         golden_path.write_text(produced, encoding="utf-8")
     expected = golden_path.read_text(encoding="utf-8")
     assert produced == expected
+
+
+def test_cube_family_report_is_written_in_json_dumps_byte_format(capsys, tmp_path):
+    flip = cube_automorphism(4, (0, 1, 2, 3), (True, False, False, False))
+    spec = families.FamilySpec(cube(4), (flip,), "circle")
+    path = tmp_path / "cube4_family.json"
+    path.write_text(canonical_json(documents.document("family", documents.family_to_payload(spec))))
+    code, out, err = run(capsys, "family", path, "--check-embeddable", "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["result"]["embeddable"] is True
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 def test_reports_are_deterministic(capsys, monkeypatch):

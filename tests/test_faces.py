@@ -29,6 +29,7 @@ from helpers import (
     random_codim2_poset,
     random_valid_poset,
     reference_validate,
+    reference_violations,
 )
 
 
@@ -272,6 +273,27 @@ def test_validate_matches_frozen_reference_on_seeded_mutants():
         assert violations == reference_validate(poset)
         seen.update(v.split(":")[0] for v in violations)
     assert seen == VIOLATION_KINDS
+
+
+def test_validate_matches_the_indexed_pass_on_corrupted_posets():
+    # a passing face is settled by one test; every other face goes through
+    # the per-message checks of the frozen indexed pass, so each message and
+    # its order must match, on posets with one fault and with several
+    rng = random.Random(18)
+    bases = [cube(d) for d in (1, 2, 3, 4)] + [kgon(k) for k in (3, 4, 6, 9)]
+    bases += [random_valid_poset(rng, max_codim=2, connected=c) for c in (True, True, False)]
+    bases += [random_codim2_poset(rng, n) for n in (12, 25)]
+    seen = set()
+    several = 0
+    for t in range(1200):
+        poset = mutate_poset(rng, bases[t % len(bases)], rng.randint(1, 4))
+        violations = validate(poset)
+        assert violations == reference_violations(poset)
+        kinds = {v.split(":")[0] for v in violations}
+        seen |= kinds
+        several += len(kinds) >= 2
+    assert seen == VIOLATION_KINDS
+    assert several >= 600
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -175,7 +176,7 @@ def test_embeddable_cube_totals_validate_like_the_reference():
         assert embeddable > 0
 
 
-def test_parent_map_index_is_built_once_per_poset(monkeypatch):
+def test_parent_maps_are_built_only_by_the_grandparent_pass(monkeypatch):
     built = Counter()
     real = Face.parent_map
 
@@ -191,9 +192,16 @@ def test_parent_map_index_is_built_once_per_poset(monkeypatch):
     quotient_family(FamilySpec(fiber, (aut,), "circle"))
     for p in range(1, 4):
         incidence_matrix(fiber, p)
-    assert built == Counter(f.id for f in fiber.faces)
+    # every face passes the one-test check and no tuple repeats, so no
+    # reader builds a parent map
+    assert built == Counter()
+    # a second edge on x00 repeats a tuple: the pairwise grandparent pass
+    # runs and builds each face's map once per poset object
+    twin = FacePoset(fiber.hypersurfaces, fiber.faces + (Face("twin", 1, ("x00",), {"x00": "f***"}),))
+    assert validate(twin) == validate(twin) == []
+    assert built == Counter(f.id for f in twin.faces)
     # an equal but distinct object builds its own
-    validate(cube(3))
+    validate(dataclasses.replace(twin))
     assert set(built.values()) == {2}
 
 

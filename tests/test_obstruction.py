@@ -597,3 +597,24 @@ def test_connection_matrices_index_the_poset_at_most_once(monkeypatch):
         before = len(lookups)
         connection_matrices(square(), p)
         assert len(lookups) - before <= 1
+
+
+def test_connection_matrices_sign_only_the_nonzero_entries(monkeypatch):
+    # each column is read off its face's own parents: one incidence_sign
+    # call per nonzero entry, two per corner of a k-gon at p = 2
+    signs = count_calls(monkeypatch, faces.Face, "incidence_sign")
+    for k in (3, 8, 64):
+        for p, per_face in ((1, 1), (2, 2)):
+            before = len(signs)
+            mat = connection_matrices(kgon(k), p)
+            assert len(signs) - before == per_face * k == sum(map(len, mat.nonzero))
+    before = len(signs)
+    mat = connection_matrices(cube(3), 3)
+    assert len(signs) - before == 3 * 8 == sum(map(len, mat.nonzero))
+
+
+def test_connection_matrices_report_a_sign_that_disagrees(monkeypatch):
+    monkeypatch.setattr(faces.Face, "incidence_sign", lambda face, parent: 1)
+    connection_matrices(kgon(4), 1)  # every codim-1 sign is +1 anyway
+    with pytest.raises(InternalConsistencyError, match="disagree with the chain differential"):
+        connection_matrices(kgon(4), 2)
