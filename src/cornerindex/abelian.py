@@ -52,6 +52,8 @@ class FGAbelianGroup:
     The constructor insists on canonical input (each ``d_j >= 2``, divisibility
     chain), so group equality is plain field equality.  Use
     :meth:`from_cyclics` to canonicalise an arbitrary list of cyclic orders.
+    ``==`` is still that field equality, with the hash generated from the
+    fields; it only answers at once for the same object.
     """
 
     rank: int
@@ -67,6 +69,13 @@ class FGAbelianGroup:
             if prev is not None and d % prev != 0:
                 raise ValueError("invariant factors must form a divisibility chain")
             prev = d
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rank == other.rank and self.torsion == other.torsion
 
     @classmethod
     def from_cyclics(cls, moduli) -> "FGAbelianGroup":
@@ -236,8 +245,11 @@ class GroupElement:
             object.__setattr__(self, "free", tuple(self.free))
         if len(self.free) != self.group.rank or len(self.tors) != len(self.group.torsion):
             raise DimensionError("coordinate lengths do not match the group")
-        reduced = tuple(t % d for t, d in zip(self.tors, self.group.torsion))
-        object.__setattr__(self, "tors", reduced)
+        if self.group.torsion:
+            reduced = tuple(t % d for t, d in zip(self.tors, self.group.torsion))
+            object.__setattr__(self, "tors", reduced)
+        elif not isinstance(self.tors, tuple):
+            object.__setattr__(self, "tors", tuple(self.tors))
 
     def _check(self, other: "GroupElement"):
         if self.group != other.group:

@@ -66,7 +66,19 @@ def orientation_sign(indices) -> tuple[tuple, int]:
 
 
 def incidence_matrix(poset: FacePoset, p: int) -> IntegerHom:
-    """Signed incidence matrix from codim-p faces to codim-(p-1) faces."""
+    """Signed incidence matrix from codim-p faces to codim-(p-1) faces.
+
+    Built once per (poset, p) and kept in the poset's derived-structure
+    memo; an ``IntegerHom`` is immutable, so every caller may share it.
+    """
+    memo = poset._derived_memo
+    key = ("incidence", p)
+    if key not in memo:
+        memo[key] = _incidence(poset, p)
+    return memo[key]
+
+
+def _incidence(poset: FacePoset, p: int) -> IntegerHom:
     rows = poset.faces_of_codim(p - 1) if p >= 1 else []
     cols = poset.faces_of_codim(p)
     # a valid face's parents run in the order of its index tuple, and parent

@@ -11,9 +11,10 @@ the last pair winning on a repeated index as in ``dict``.  On a valid face
 those keys are its sorted index tuple, so every reader after validation
 takes a face's parents by position.  A poset is immutable: its fields are
 tuples and frozen faces, whatever sequences it was built from.  So its
-validation verdict, its per-codimension index, its id -> face index and
-the homology memo of ``conormal.homology`` are built on first read and kept
-on the object; validation keeps no parent map.
+validation verdict, its per-codimension index, its id -> face index, the
+homology memo of ``conormal.homology`` and the derived-structure memo (its
+incidence matrices and corner graph) are built on first read and kept on
+the object; validation keeps no parent map.
 
 Validation settles a passing face with one test: its codim equals the
 length of its tuple, every index is a known hypersurface, and its parents,
@@ -108,6 +109,14 @@ class FacePoset:
     def _homology_memo(self) -> dict:
         """(p, bottom, top, c) -> (group, representative vectors), read and
         written by ``conormal.homology`` only."""
+        return {}
+
+    @cached_property
+    def _derived_memo(self) -> dict:
+        """Structure that depends on the faces alone, immutable values:
+        ("incidence", p) -> D_p, read and written by
+        ``conormal.incidence_matrix`` only, and "corner_graph" -> the corner
+        graph, by ``obstruction._corner_graph`` only."""
         return {}
 
     @classmethod

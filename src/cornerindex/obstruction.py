@@ -25,7 +25,10 @@ root fixes the tree edges one by one, and the root is left holding its
 component's sum.  A positive verdict's chain x is checked by D_2 x = b over
 the corners' parent pairs; a negative verdict's functional, the indicator
 of the failing component, is checked to vanish on every column of D_2 and
-not on b.  Both checks are plain integer sums.
+not on b.  Both checks are plain integer sums.  The graph and its forest
+depend on the poset alone, so they are built once per poset object and kept
+on it, as is D_2 (see ``conormal.incidence_matrix``); nothing of a verdict
+is kept, and both certificate checks run on every verdict.
 
 Codimension 3 and higher is out of reach for this reduction strategy because
 torsion can enter the relevant homology groups; callers get a clean error.
@@ -315,6 +318,15 @@ class _CornerGraph(NamedTuple):
 
 
 def _corner_graph(poset: FacePoset) -> _CornerGraph:
+    """The corner graph, built on the first read and kept in the poset's
+    derived-structure memo; a poset it rejects stores nothing."""
+    memo = poset._derived_memo
+    if "corner_graph" not in memo:
+        memo["corner_graph"] = _build_corner_graph(poset)
+    return memo["corner_graph"]
+
+
+def _build_corner_graph(poset: FacePoset) -> _CornerGraph:
     vertices = poset.faces_of_codim(1)
     position = {f.id: v for v, f in enumerate(vertices)}
     ends = []

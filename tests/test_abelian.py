@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 import random
 from pathlib import Path
@@ -137,6 +138,39 @@ def test_tensor_and_tor():
     assert tor(Z, zmod(7)) == TRIVIAL
     assert tor(zmod(4), zmod(6)) == zmod(2)
     assert tor(FGAbelianGroup(1, (4,)), FGAbelianGroup(1, (8,))) == zmod(4)
+
+
+def test_group_equality_is_field_equality():
+    # equal groups built apart compare, hash and key like their fields;
+    # the same object answers at once, and a non-group is never equal
+    rng = random.Random(1950)
+    groups = []
+    for _ in range(60):
+        cyclics = [rng.choice((0, 1, 2, 3, 4, 6, 8, 9, 12)) for _ in range(rng.randint(0, 4))]
+        groups.append((FGAbelianGroup.from_cyclics(cyclics), FGAbelianGroup.from_cyclics(list(cyclics))))
+    for a, b in groups:
+        assert a is not b and a == b and not a != b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1 and b in {a}
+    for (a, _), (c, _) in itertools.product(groups, repeat=2):
+        same = (a.rank, a.torsion) == (c.rank, c.torsion)
+        assert (a == c, a != c) == (same, not same)
+        assert (hash(a) == hash(c)) or not same
+    assert len({g for pair in groups for g in pair}) == len({(a.rank, a.torsion) for a, _ in groups})
+    G = FGAbelianGroup(1)
+    assert (G == (1, ())) is False and (G != "Z") is True
+
+
+def test_element_coordinates_are_tuples_reduced_into_range():
+    free = FGAbelianGroup(2)
+    e = abelian.GroupElement(free, [3, -4], [])
+    assert (e.free, e.tors) == ((3, -4), ())
+    assert type(e.free) is tuple and type(e.tors) is tuple
+    g = FGAbelianGroup(1, (2, 6))
+    for raw in ([-1, -7], [2, 6], [5, 13], [-12, 0], [10**20 + 1, -(10**20) - 1]):
+        e = abelian.GroupElement(g, [0], raw)
+        assert type(e.tors) is tuple
+        assert e.tors == tuple(t % d for t, d in zip(raw, g.torsion))
+        assert all(0 <= t < d for t, d in zip(e.tors, g.torsion))
 
 
 # ---------------------------------------------------------------------------

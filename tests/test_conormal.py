@@ -1,8 +1,10 @@
+import ast
 import dataclasses
 import itertools
 import random
 import tracemalloc
 from math import gcd, prod
+from pathlib import Path
 
 import pytest
 
@@ -661,6 +663,69 @@ def test_a_mutated_result_leaves_the_memo_unchanged():
     for group, reps in poset._homology_memo.values():
         assert isinstance(group, FGAbelianGroup) and type(reps) is tuple
         assert all(type(vec) is tuple and all(type(x) is int for x in vec) for vec, _ in reps)
+
+
+def test_incidence_matrices_are_built_once_per_poset_and_degree(monkeypatch):
+    # every call still goes through incidence_matrix, which builds D_p on
+    # the first read only; an equal poset or a copy builds its own
+    calls = count_calls(monkeypatch, conormal, "incidence_matrix")
+    builds = count_calls(monkeypatch, conormal, "_incidence")
+    poset = cube(3)
+    shown = (repr(poset), hash(poset))
+    pairs = list(itertools.combinations_with_replacement(range(-1, 4), 2))
+    for _ in range(2):
+        for low, high in pairs:
+            build_complex(FilteredPair(poset, low, high), Z)
+    assert sorted(p for _, p in builds) == [1, 2, 3]
+    # one call per degree p > low + 1: the bottom degree's D_p is zeroed
+    assert len(calls) == 2 * sum(max(0, high - low - 1) for low, high in pairs)
+    assert (repr(poset), hash(poset)) == shown and poset == cube(3)
+    for other in (cube(3), dataclasses.replace(poset)):
+        build_complex(FilteredPair(other, -1, 3), Z)
+    assert len(builds) == 9
+    assert all(type(value) is IntegerHom for value in poset._derived_memo.values())
+
+
+def test_a_warm_memo_still_checks_that_the_boundary_squares_to_zero():
+    # negative control: a planted D_3 with one sign flipped breaks
+    # D_2 D_3 = 0, and the next build of a complex that holds both says so
+    poset = cube(3)
+    build_complex(FilteredPair(poset, -1, 3), Z)
+    d3 = incidence_matrix(poset, 3)
+    (row, x), *rest = d3.nonzero[0]
+    poset._derived_memo[("incidence", 3)] = IntegerHom(d3.rows, d3.cols, (((row, -x), *rest), *d3.nonzero[1:]))
+    build_complex(FilteredPair(poset, 1, 3), Z)  # D_2 is zeroed there
+    with pytest.raises(InternalConsistencyError, match="boundary squared is nonzero"):
+        build_complex(FilteredPair(poset, -1, 3), Z)
+
+
+def test_each_poset_memo_is_read_only_by_its_owners():
+    # in the package, only incidence_matrix and _corner_graph name the
+    # derived-structure memo, and only homology names the homology memo
+    owners = {
+        "_derived_memo": {("conormal.py", "incidence_matrix"), ("obstruction.py", "_corner_graph")},
+        "_homology_memo": {("conormal.py", "homology")},
+    }
+    found = {name: set() for name in owners}
+    outside = []
+    for path in sorted(Path(conormal.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # ast.walk goes outside in, so each node keeps its outermost function
+        function_of = {}
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef):
+                for node in ast.walk(function):
+                    function_of.setdefault(id(node), function.name)
+        for node in ast.walk(tree):
+            name = getattr(node, "id", getattr(node, "attr", None))
+            if name in owners and isinstance(node, (ast.Name, ast.Attribute)):
+                where = (path.name, function_of.get(id(node)))
+                if where in owners[name]:
+                    found[name].add(where)
+                else:
+                    outside.append(f"{path.name}:{node.lineno}")
+    assert outside == []
+    assert found == owners
 
 
 def test_six_term_exactness_random():

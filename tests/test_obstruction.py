@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -536,6 +537,7 @@ def test_corner_graph_rejects_a_column_that_is_not_plus_minus_one():
         )
         with pytest.raises(InternalConsistencyError):
             obstruction._corner_graph(poset)
+        assert "corner_graph" not in poset._derived_memo  # a rejected poset stores nothing
 
 
 def test_forest_solve_raises_when_its_answer_misses_the_target():
@@ -567,6 +569,71 @@ def test_component_witness_refuses_a_wrong_indicator():
     for values, d in (([1, -1, 0, 5, 0], 0), ([3, 0, 1, 0, 0], 4), ([0] * 5, 2)):
         with pytest.raises(InternalConsistencyError, match="component 0 indicator kills the index vector"):
             obstruction._component_witness(graph, 0, values, d)
+
+
+# ---------------------------------------------------------------------------
+# the derived-structure memo: corner graph and incidence matrices per poset
+
+
+def test_corner_graph_and_incidence_matrices_are_built_once_per_poset(monkeypatch):
+    graphs = count_calls(monkeypatch, obstruction, "_build_corner_graph")
+    matrices = count_calls(monkeypatch, conormal, "_incidence")
+    K = KTheoryInput(Z, zmod(0, 4))
+    rng = random.Random(1900)
+    poset = random_codim2_poset(rng, 40)
+    shown = (repr(poset), hash(poset))
+    for _ in range(3):
+        codim2_vanishes(poset, K, boundary_datum(poset, K, rng))
+        codim2_vanishes(poset, K, codim1_datum(poset, K, [generator(K.k1)] * len(poset.faces_of_codim(1))))
+        codim2_obstruction_space(poset, K)
+        build_complex(FilteredPair(poset, -1, 2), K.k1)
+    assert len(graphs) == 1
+    assert sorted(p for _, p in matrices) == [1, 2]
+    assert (repr(poset), hash(poset)) == shown and poset == dataclasses.replace(poset)
+    # an equal poset built anew, or a copy, starts with a memo of its own
+    anew, copied = random_codim2_poset(random.Random(1900), 40), dataclasses.replace(poset)
+    for other in (anew, copied):
+        assert other == poset and (repr(other), hash(other)) == shown
+        codim2_vanishes(other, K, boundary_datum(other, K, rng))
+    assert len(graphs) == 3 and len(matrices) == 4
+    # the memo keeps only immutable values: matrices and a graph of tuples
+    assert set(poset._derived_memo) == {("incidence", 1), ("incidence", 2), "corner_graph"}
+    for key, value in poset._derived_memo.items():
+        if key == "corner_graph":
+            assert type(value) is obstruction._CornerGraph
+            assert all(type(part) is tuple for part in value)
+        else:
+            assert type(value) is abelian.IntegerHom and value == incidence_matrix(anew, key[1])
+
+
+def test_a_warm_memo_still_checks_the_forest_solve():
+    # negative control: a planted graph with one tree-edge sign flipped
+    # makes the next verdict's D_2 x = b check fire, however warm the memo
+    K = KTheoryInput(Z, zmod(0, 4))
+    for poset in (square(), kgon(7), two_component_poset()):
+        graph = obstruction._corner_graph(poset)
+        (v, e, s, u), *rest = graph.sweep
+        target = [K.k1.zero()] * len(graph.vertices)
+        a, b = graph.ends[e]
+        target[a], target[b] = generator(K.k1), -generator(K.k1)
+        datum = codim1_datum(poset, K, target)
+        assert codim2_vanishes(poset, K, datum).codim1_class_vanishes
+        poset._derived_memo["corner_graph"] = graph._replace(sweep=((v, e, -s, u), *rest))
+        with pytest.raises(InternalConsistencyError, match="forest solve produced x with D_2 x != target"):
+            codim2_vanishes(poset, K, datum)
+
+
+def test_a_warm_memo_still_checks_the_component_witness():
+    # negative control: a planted graph whose component tuple splits a
+    # corner's two edges makes the next negative verdict's witness check fire
+    poset, K = two_component_poset(), KTheoryInput.circle()
+    one, zero = generator(K.k1), K.k1.zero()
+    datum = codim1_datum(poset, K, [one, zero, zero, zero, zero])
+    assert codim2_vanishes(poset, K, datum).witness == ("e0", "e1", "e2")
+    graph = obstruction._corner_graph(poset)
+    poset._derived_memo["corner_graph"] = graph._replace(component=(0, 1, 0, 1, 1))
+    with pytest.raises(InternalConsistencyError, match="component 0 indicator does not kill D_2"):
+        codim2_vanishes(poset, K, datum)
 
 
 # ---------------------------------------------------------------------------
@@ -618,3 +685,15 @@ def test_connection_matrices_report_a_sign_that_disagrees(monkeypatch):
     connection_matrices(kgon(4), 1)  # every codim-1 sign is +1 anyway
     with pytest.raises(InternalConsistencyError, match="disagree with the chain differential"):
         connection_matrices(kgon(4), 2)
+
+
+def test_a_warm_memo_still_checks_the_connection_matrices():
+    # negative control: a planted D_2 with one sign flipped no longer
+    # matches the signs read off the faces, warm memo or not
+    poset = kgon(6)
+    d2 = connection_matrices(poset, 2)
+    (row, x), *rest = d2.nonzero[0]
+    flipped = abelian.IntegerHom(d2.rows, d2.cols, (((row, -x), *rest), *d2.nonzero[1:]))
+    poset._derived_memo[("incidence", 2)] = flipped
+    with pytest.raises(InternalConsistencyError, match="pairwise relative signs disagree"):
+        connection_matrices(poset, 2)
