@@ -8,8 +8,12 @@ integers.  No floats anywhere.
 A vector of elements of ``G`` becomes one integer vector per cyclic summand
 by :meth:`FGAbelianGroup.split`, and :meth:`FGAbelianGroup.join` puts such
 vectors back together; the solvers and certificates go through that pair.
-:meth:`IntegerHom.apply` reads the elements directly, so it stays an
-independent check of their answers.
+``join`` builds its elements from the slot vectors it has checked and
+reduced, without the constructor's per-element checks; every other element
+goes through the checked constructor.  :func:`in_group` decides whether a
+vector of elements lies in a group, comparing each distinct group object
+once.  :meth:`IntegerHom.apply` reads the elements directly and builds with
+the checked constructor, so it stays an independent check of both.
 
 The workhorse is :func:`smith_normal_form`, which returns a decomposition
 ``A = U * D * V``.  It is taken only through :class:`Factorization`, one per
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from math import gcd
 from operator import itemgetter
 
@@ -155,15 +160,18 @@ class FGAbelianGroup:
         [([3, -1], 0), ([1, 0], 2)]
         """
         elements = list(elements)
-        for e in elements:
-            if e.group != self:
-                raise GroupMismatchError("element parent differs from the group")
+        if not in_group(elements, self):
+            raise GroupMismatchError("element parent differs from the group")
         slots = [([e.free[k] for e in elements], 0) for k in range(self.rank)]
         return slots + [([e.tors[j] for e in elements], d) for j, d in enumerate(self.torsion)]
 
     def join(self, vectors, n: int) -> list["GroupElement"]:
         """The inverse of :meth:`split`: ``n`` elements whose coordinate in
         summand k is read from ``vectors[k]``, reduced mod its modulus.
+
+        The counts and lengths are checked and each torsion slot reduced
+        once, so the elements are built from tuples already in shape,
+        without the constructor's per-element checks.
 
         >>> G = FGAbelianGroup(1, (2,))
         >>> [(e.free, e.tors) for e in G.join([[3, -1], [1, 2]], 2)]
@@ -175,8 +183,10 @@ class FGAbelianGroup:
         if len(vectors) != self.rank + len(self.torsion) or any(len(v) != n for v in vectors):
             raise DimensionError("need one vector of length n per cyclic summand")
         rank = self.rank
-        rows = zip(*vectors) if vectors else [()] * n
-        return [GroupElement(self, row[:rank], row[rank:]) for row in rows]
+        free = zip(*vectors[:rank]) if rank else repeat((), n)
+        reduced = [[t % d for t in v] for v, d in zip(vectors[rank:], self.torsion)]
+        tors = zip(*reduced) if reduced else repeat((), n)
+        return list(map(_shaped_element, repeat(self), free, tors))
 
     def __str__(self):
         parts = []
@@ -232,7 +242,7 @@ def congruent(a: list[int], b: list[int], d: int) -> bool:
     return len(a) == len(b) and all((x - y) % d == 0 if d else x == y for x, y in zip(a, b))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupElement:
     """Normalized representative: torsion coordinate j lies in [0, d_j)."""
 
@@ -282,6 +292,36 @@ class GroupElement:
 
     def is_zero(self) -> bool:
         return not any(self.free) and not any(self.tors)
+
+
+_new_object = object.__new__
+_set_group, _set_free, _set_tors = (GroupElement.__dict__[f].__set__ for f in ("group", "free", "tors"))
+
+
+def _shaped_element(group: FGAbelianGroup, free: tuple, tors: tuple) -> GroupElement:
+    """The element with coordinates already in shape: tuples of the group's
+    lengths, torsion reduced.  Only :meth:`FGAbelianGroup.join` builds so;
+    every other element goes through the checked constructor."""
+    e = _new_object(GroupElement)
+    _set_group(e, group)
+    _set_free(e, free)
+    _set_tors(e, tors)
+    return e
+
+
+def in_group(elements, group: FGAbelianGroup) -> bool:
+    """Does every one of ``elements`` belong to ``group``?  Each distinct
+    group object among them, other than ``group`` itself, is compared with
+    ``group`` once.
+
+    >>> G = FGAbelianGroup(1)
+    >>> in_group([G.zero(), FGAbelianGroup(1).zero()], G), in_group([], G)
+    (True, True)
+    >>> in_group([G.zero(), FGAbelianGroup(0, (2,)).zero()], G)
+    False
+    """
+    others = {id(g): g for e in elements if (g := e.group) is not group}
+    return not others or all(g == group for g in others.values())
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +456,8 @@ class IntegerHom:
         elements = list(elements)
         if len(elements) != self.cols:
             raise DimensionError("element vector length does not match columns")
-        for e in elements:
-            if e.group != group:
-                raise GroupMismatchError("element parent differs from the coefficient group")
+        if not in_group(elements, group):
+            raise GroupMismatchError("element parent differs from the coefficient group")
         rank = group.rank
         sums = [[0] * (rank + len(group.torsion)) for _ in range(self.rows)]
         for column, e in zip(self.nonzero, elements):

@@ -39,6 +39,7 @@ from .abelian import (  # noqa: F401
     InternalConsistencyError,
     cokernel_presentation,
     direct_sum,
+    in_group,
     integer_kernel_basis,
     integer_solve,
     tensor,
@@ -137,9 +138,8 @@ class ChainVector:
             raise DimensionError(f"degree {self.degree} outside the complex")
         if len(self.coords) != self.complex.dim(self.degree):
             raise DimensionError("coordinate count does not match the face basis")
-        for e in self.coords:
-            if e.group != self.complex.coefficient:
-                raise GroupMismatchError("coordinate parent differs from the coefficient group")
+        if not in_group(self.coords, self.complex.coefficient):
+            raise GroupMismatchError("coordinate parent differs from the coefficient group")
 
     def boundary(self) -> list[GroupElement]:
         return self.complex.boundary[self.degree].apply(

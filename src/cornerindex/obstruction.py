@@ -28,7 +28,9 @@ of the failing component, is checked to vanish on every column of D_2 and
 not on b.  Both checks are plain integer sums.  The graph and its forest
 depend on the poset alone, so they are built once per poset object and kept
 on it, as is D_2 (see ``conormal.incidence_matrix``); nothing of a verdict
-is kept, and both certificate checks run on every verdict.
+is kept, and both certificate checks run on every verdict.  Whether every
+codim-2 index is zero is one test over all their coordinates; the failing
+corners are listed, in declaration order, only when it fails.
 
 Codimension 3 and higher is out of reach for this reduction strategy because
 torsion can enter the relevant homology groups; callers get a clean error.
@@ -37,6 +39,7 @@ torsion can enter the relevant homology groups; callers get a clean error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 from .abelian import (
@@ -45,6 +48,7 @@ from .abelian import (
     IntegerHom,
     congruent,
     direct_sum,
+    in_group,
     power,
 )
 from .conormal import (
@@ -118,12 +122,10 @@ def _check_datum(poset: FacePoset, ktheory: KTheoryInput, codim1: dict, codim2: 
         raise ValueError("codim-1 index keys must be exactly the codim-1 faces")
     if set(codim2) != want2:
         raise ValueError("codim-2 index keys must be exactly the codim-2 faces")
-    for e in codim1.values():
-        if e.group != ktheory.k1:
-            raise ValueError("codim-1 indices must live in K^1 of the base")
-    for e in codim2.values():
-        if e.group != ktheory.k0:
-            raise ValueError("codim-2 indices must live in K^0 of the base")
+    if not in_group(codim1.values(), ktheory.k1):
+        raise ValueError("codim-1 indices must live in K^1 of the base")
+    if not in_group(codim2.values(), ktheory.k0):
+        raise ValueError("codim-2 indices must live in K^0 of the base")
 
 
 @dataclass(frozen=True)
@@ -273,9 +275,11 @@ def codim2_vanishes(
     codim1, codim2 = datum.codim1(), datum.codim2()
     _check_datum(poset, ktheory, codim1, codim2)
 
-    failing2 = tuple(
-        f.id for f in poset.faces_of_codim(2) if not codim2[f.id].is_zero()
-    )
+    failing2 = ()
+    if any(chain.from_iterable([e.free + e.tors for e in codim2.values()])):
+        failing2 = tuple(
+            f.id for f in poset.faces_of_codim(2) if not codim2[f.id].is_zero()
+        )
 
     graph = _corner_graph(poset)
     coords, witness = _forest_solve(graph, ktheory.k1, [codim1[v] for v in graph.vertices], cancel)

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import itertools
 import math
 import random
@@ -582,6 +583,90 @@ def test_split_and_join_are_inverse(group):
         group.join([[0]] * (len(summands) + 1), 1)
 
 
+def _join_groups():
+    rng = random.Random(2020)
+    chains = [
+        FGAbelianGroup.from_cyclics([rng.choice((0, 2, 3, 4, 6, 9)) for _ in range(rng.randint(1, 4))])
+        for _ in range(4)
+    ]
+    return [TRIVIAL, Z, zmod(4), FGAbelianGroup(2, (2, 6))] + chains
+
+
+def test_join_matches_the_checked_constructor():
+    # join builds its elements without the constructor's checks, so each one
+    # must equal, and hash like, the element the constructor builds
+    rng = random.Random(2021)
+    for group in _join_groups():
+        summands = group.cyclic_summands()
+        for n in range(6):
+            for _ in range(4):
+                vectors = [[rng.randint(-3 * (d or 3), 3 * (d or 3)) for _ in range(n)] for d in summands]
+                if n and summands:
+                    vectors[rng.randrange(len(summands))][rng.randrange(n)] = rng.choice((1, -1)) * 10**20 + 7
+                rows = list(zip(*vectors)) if vectors else [()] * n
+                want = [abelian.GroupElement(group, r[: group.rank], r[group.rank :]) for r in rows]
+                got = group.join(vectors, n)
+                assert got == want and [hash(e) for e in got] == [hash(e) for e in want]
+                for e in got:
+                    assert type(e) is abelian.GroupElement and e.group is group
+                    assert type(e.free) is tuple and type(e.tors) is tuple
+                    assert all(0 <= t < d for t, d in zip(e.tors, group.torsion))
+        with pytest.raises(DimensionError):
+            group.join([[0] * 2] * (len(summands) + 1), 2)
+        if summands:
+            with pytest.raises(DimensionError):
+                group.join([[0] * 2] * (len(summands) - 1), 2)
+            with pytest.raises(DimensionError):
+                group.join([[0] * 2] * (len(summands) - 1) + [[0] * 3], 2)
+
+
+def test_group_elements_are_slotted_and_frozen():
+    g = FGAbelianGroup(1, (2, 6))
+    for e in (g.element([3], [5, 13]), g.join([[3], [5], [13]], 1)[0]):
+        assert not hasattr(e, "__dict__")
+        for name, value in (("free", (0,)), ("tors", (0, 0)), ("group", Z)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(e, name, value)
+        assert (e.free, e.tors) == ((3,), (1, 1))
+        moved = dataclasses.replace(e, tors=(-1, 14))
+        assert moved.tors == (1, 2) and moved.free == (3,)
+        assert moved == g.element([3], [1, 2]) and hash(moved) == hash(g.element([3], [1, 2]))
+        assert repr(e) == "GroupElement(group=FGAbelianGroup(rank=1, torsion=(2, 6)), free=(3,), tors=(1, 1))"
+
+
+def test_in_group_compares_each_distinct_group_object_once(monkeypatch):
+    G = FGAbelianGroup(1, (4,))
+    twins = [FGAbelianGroup(1, (4,)) for _ in range(3)]
+    elements = [g.zero() for g in [G] * 5 + twins + twins + [G]]
+    assert abelian.in_group(elements, G)
+    assert abelian.in_group([], G) and abelian.in_group(iter([]), G)
+    assert abelian.in_group({"a": G.zero(), "b": twins[0].zero()}.values(), G)
+    calls = []
+    real_eq = FGAbelianGroup.__eq__
+    monkeypatch.setattr(FGAbelianGroup, "__eq__", lambda a, b: calls.append((a, b)) or real_eq(a, b))
+    assert abelian.in_group(iter(elements), G)
+    assert len(calls) == len(twins)
+    monkeypatch.undo()
+    for stray in (Z, zmod(4), FGAbelianGroup(2, (4,)), FGAbelianGroup(1, (2,))):
+        for k in (0, len(elements) // 2, len(elements) - 1):
+            mixed = elements[:k] + [stray.zero()] + elements[k + 1 :]
+            assert not abelian.in_group(mixed, G)
+            assert not abelian.in_group(dict(enumerate(mixed)).values(), G)
+
+
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
+def test_split_and_apply_reject_a_stray_element_anywhere(position):
+    G = FGAbelianGroup(1, (2,))
+    elements = [FGAbelianGroup(1, (2,)).element([k], [k]) for k in range(5)]
+    k = {"first": 0, "middle": 2, "last": 4}[position]
+    elements[k] = FGAbelianGroup(0, (2,)).element([], [1])
+    A = IntegerHom.identity(5)
+    with pytest.raises(GroupMismatchError, match="^element parent differs from the group$"):
+        G.split(elements)
+    with pytest.raises(GroupMismatchError, match="^element parent differs from the coefficient group$"):
+        A.apply(elements, G)
+
+
 def test_apply_int_checks_the_vector_length():
     # a matrix with no rows still has columns to match, as in apply
     empty = IntegerHom.zero(0, 3)
@@ -757,6 +842,63 @@ def test_smith_normal_form_is_taken_only_through_factorization():
             (inside if id(node) in allowed else outside).append(where)
     assert outside == []
     assert len(inside) == 1
+
+
+def _scoped_nodes():
+    """(file:line, qualified name of the innermost enclosing def, node) for
+    every node of the package source; the scope of module code is ''."""
+    out = []
+
+    def visit(node, scope, where):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            out.append((f"{where}:{getattr(child, 'lineno', 0)}", inner, child))
+            visit(child, inner, where)
+
+    for path in sorted(Path(abelian.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), "", path.name)
+    return out
+
+
+def _loads_of(nodes, name):
+    return [
+        (where, scope)
+        for where, scope, node in nodes
+        if (isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load))
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+    ]
+
+
+def test_unchecked_elements_are_built_only_by_join():
+    # join is the one caller of the unchecked builder, and the builder the
+    # one reader of the slot setters; apply keeps the checked constructor
+    nodes = _scoped_nodes()
+    builder = _loads_of(nodes, "_shaped_element")
+    assert builder and {scope for _, scope in builder} == {"FGAbelianGroup.join"}
+    for setter in ("_new_object", "_set_group", "_set_free", "_set_tors"):
+        assert {scope for _, scope in _loads_of(nodes, setter)} == {"_shaped_element"}
+    apply_calls = [
+        node.func.id
+        for _, scope, node in nodes
+        if scope == "IntegerHom.apply" and isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    ]
+    assert "GroupElement" in apply_calls
+
+
+def test_element_groups_are_compared_only_by_in_group():
+    # membership goes through abelian.in_group; only it and the pairwise
+    # check of element arithmetic compare an element's group
+    found = [
+        (where, scope)
+        for where, scope, node in _scoped_nodes()
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+        and any(isinstance(x, ast.Attribute) and x.attr == "group" for x in [node.left, *node.comparators])
+    ]
+    scopes = {scope for _, scope in found}
+    assert "GroupElement._check" in scopes and scopes <= {"in_group", "GroupElement._check"}
 
 
 @pytest.mark.parametrize("r, k, c", [(2, 0, 3), (0, 0, 4), (0, 2, 3), (3, 2, 0), (2, 0, 0)])

@@ -156,6 +156,55 @@ def test_codim2_datum_validation():
         codim2_vanishes(square(), K, SymbolDatum.build(ones, twos))
 
 
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
+def test_chain_vectors_and_data_reject_a_stray_element_anywhere(position):
+    # each caller of abelian.in_group keeps its own error type and message
+    poset = kgon(8)
+    K = KTheoryInput(FGAbelianGroup(1, (2,)), FGAbelianGroup(1, (2,)))
+    stray = FGAbelianGroup(0, (2,)).zero()
+    corners = [f.id for f in poset.faces_of_codim(2)]
+    edges = [f.id for f in poset.faces_of_codim(1)]
+    k = {"first": 0, "middle": len(corners) // 2, "last": len(corners) - 1}[position]
+    coords = [FGAbelianGroup(1, (2,)).zero() for _ in corners]
+    coords[k] = stray
+    complex_ = build_complex(FilteredPair(poset, 0, 2), K.k1)
+    with pytest.raises(abelian.GroupMismatchError, match="^coordinate parent differs from the coefficient group$"):
+        conormal.ChainVector(complex_, 2, tuple(coords))
+    with pytest.raises(ValueError, match="^codim-1 indices must live in K\\^1 of the base$"):
+        codim2_vanishes(poset, K, datum_for(poset, K, codim1={edges[k]: stray}))
+    with pytest.raises(ValueError, match="^codim-2 indices must live in K\\^0 of the base$"):
+        codim2_vanishes(poset, K, datum_for(poset, K, codim2={corners[k]: stray}))
+
+
+@pytest.mark.parametrize("k0", [Z, FGAbelianGroup(1, (2,))], ids=["Z", "Z+Z/2"])
+def test_failing_codim2_faces_are_those_of_the_per_face_scan(k0):
+    # the one zero test over every coordinate lists, when it fails, the faces
+    # a per-face is_zero scan lists, in declaration order
+    rng = random.Random(2022)
+    K = KTheoryInput(k0, Z)
+    # a third poset declares its corners out of id order
+    shuffled = list(kgon(9).faces)
+    tail = [f for f in shuffled if f.codim == 2]
+    rng.shuffle(tail)
+    shuffled = [f for f in shuffled if f.codim != 2] + tail
+    unsorted = FacePoset(kgon(9).hypersurfaces, tuple(shuffled))
+    for poset in (kgon(12), random_codim2_poset(rng, 60), unsorted):
+        require_valid(poset)
+        corners = [f.id for f in poset.faces_of_codim(2)]
+        last = len(corners) - 1
+        picks = [{0}, {last // 2}, {last}, {0, last // 2, last}, set(rng.sample(range(last + 1), 5))]
+        for pick in picks:
+            # over Z + Z/2 only the torsion coordinate is nonzero
+            value = k0.element([3], []) if not k0.torsion else k0.element([0], [1])
+            datum = datum_for(poset, K, codim2={corners[i]: value for i in pick})
+            verdict = codim2_vanishes(poset, K, datum)
+            twos = datum.codim2()
+            scan = tuple(f.id for f in poset.faces_of_codim(2) if not twos[f.id].is_zero())
+            assert verdict.failing_codim2 == scan == tuple(corners[i] for i in sorted(pick))
+            assert not verdict.vanishes and verdict.codim1_class_vanishes
+        assert codim2_vanishes(poset, K, datum_for(poset, K)).failing_codim2 == ()
+
+
 def test_vanishing_and_space_reject_wrong_codimension():
     K = KTheoryInput.circle()
     with pytest.raises(UnsupportedCodimensionError):
