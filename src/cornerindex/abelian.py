@@ -21,8 +21,9 @@ matrix, and kernels and cokernels over any coefficient group follow from
 that one factorization over Z by the tensor and Tor formulas.  The
 decomposition holds D and the logs of the elementary row and column
 operations that produced it, not the transforms: a product of ``U``,
-``U_inv``, ``V`` or ``V_inv`` with a vector replays one log on that vector.
-Only the elimination works on dense rows, a copy it takes of its input.
+``U_inv``, ``V`` or ``V_inv`` with a matrix is one walk of one log over all
+of its columns at once, kept sparse.  Only the elimination works on dense
+rows, a copy it takes of its input.
 """
 
 from __future__ import annotations
@@ -374,7 +375,13 @@ class IntegerHom:
 
     @classmethod
     def identity(cls, n: int) -> "IntegerHom":
-        return cls(n, n, tuple(((j, 1),) for j in range(n)))
+        return cls.unit_columns(n, range(n))
+
+    @classmethod
+    def unit_columns(cls, n: int, ks) -> "IntegerHom":
+        """The ``n``-row matrix whose columns are the unit vectors e_k, for
+        k in the range or list ``ks``, in that order."""
+        return cls(n, len(ks), tuple(((k, 1),) for k in ks))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntegerHom":
@@ -484,35 +491,35 @@ class SNFDecomposition:
     V absorbs, and their product is ``V``.  An entry ``(i, k, q)`` adds
     ``q`` times entry k to entry i; with ``q == 0`` it swaps entries i and
     k, or negates entry i when ``i == k``.  A product with a transform is
-    one replay of one log on one vector: forward for ``U_inv`` and ``V``,
-    undone backward for ``U`` and ``V_inv``.  The library reads only these
-    products; the dense ``U``, ``D`` and ``V`` are replayed on unit vectors
-    on first read, for inspection, then kept.
+    one walk of one log over all columns of a matrix (:func:`_replay`):
+    forward for ``U_inv`` and ``V``, undone backward for ``U`` and
+    ``V_inv``.  The library reads only these products; the dense ``U``,
+    ``D`` and ``V`` are built on first read, for inspection, then kept.
     """
 
     def __init__(self, d, cols: int, row_log, column_log):
         self._d, self._cols = d, cols
         self.row_log, self.column_log = row_log, column_log
 
-    def u_times(self, x: list[int]) -> list[int]:
-        """``U * x``: the row log, undone backward."""
-        return _backward(self.row_log, _checked(x, len(self._d)))
+    def u_times(self, X: IntegerHom) -> IntegerHom:
+        """``U * X``: the row log, undone backward."""
+        return _replay(self.row_log, X, len(self._d), backward=True)
 
-    def u_inv_times(self, b: list[int]) -> list[int]:
-        """``U_inv * b``: the row log, forward."""
-        return _forward(self.row_log, _checked(b, len(self._d)))
+    def u_inv_times(self, B: IntegerHom) -> IntegerHom:
+        """``U_inv * B``: the row log, forward."""
+        return _replay(self.row_log, B, len(self._d))
 
-    def v_times(self, b: list[int]) -> list[int]:
-        """``V * b``: the column log, forward."""
-        return _forward(self.column_log, _checked(b, self._cols))
+    def v_times(self, B: IntegerHom) -> IntegerHom:
+        """``V * B``: the column log, forward."""
+        return _replay(self.column_log, B, self._cols)
 
-    def v_inv_times(self, y: list[int]) -> list[int]:
-        """``V_inv * y``: the column log, undone backward."""
-        return _backward(self.column_log, _checked(y, self._cols))
+    def v_inv_times(self, Y: IntegerHom) -> IntegerHom:
+        """``V_inv * Y``: the column log, undone backward."""
+        return _replay(self.column_log, Y, self._cols, backward=True)
 
     @cached_property
     def U(self) -> IntegerHom:
-        return _from_products(self.u_times, len(self._d))
+        return self.u_times(IntegerHom.identity(len(self._d)))
 
     @cached_property
     def D(self) -> IntegerHom:
@@ -520,7 +527,7 @@ class SNFDecomposition:
 
     @cached_property
     def V(self) -> IntegerHom:
-        return _from_products(self.v_times, self._cols)
+        return self.v_times(IntegerHom.identity(self._cols))
 
     @cached_property
     def diagonal(self) -> tuple[int, ...]:
@@ -532,51 +539,40 @@ class SNFDecomposition:
         return sum(1 for d in self.diagonal if d != 0)
 
 
-def _checked(vector, length: int) -> list[int]:
-    """A copy of ``vector``, which must have ``length`` entries."""
-    vector = list(vector)
-    if len(vector) != length:
-        raise DimensionError("vector length does not match the transform")
-    return vector
+def _replay(log, X: IntegerHom, n: int, backward: bool = False) -> IntegerHom:
+    """The operations of ``log`` applied to the ``n`` rows of ``X``, in
+    order, or undone backward: the inverse operations in reverse order.
 
-
-def _forward(log, vector: list[int]) -> list[int]:
-    """Apply the operations of ``log`` to ``vector`` in order, in place."""
-    for i, k, q in log:
+    The batch is kept by rows, as ``{column: value}`` dicts without zeros,
+    so an add costs the nonzeros of its source row, whatever the width.
+    """
+    if X.rows != n:
+        raise DimensionError("matrix rows do not match the transform")
+    rows: list[dict[int, int]] = [{} for _ in range(n)]
+    for j, column in enumerate(X.nonzero):
+        for i, x in column:
+            rows[i][j] = x
+    sign = -1 if backward else 1
+    for i, k, q in reversed(log) if backward else log:
         if q:
-            x = vector[k]
-            if x:
-                vector[i] += q * x
+            source = rows[k]
+            if source:
+                target, q = rows[i], sign * q
+                for j, x in source.items():
+                    y = target.get(j, 0) + q * x
+                    if y:
+                        target[j] = y
+                    else:
+                        del target[j]
         elif i == k:
-            vector[i] = -vector[i]
+            rows[i] = {j: -x for j, x in rows[i].items()}
         else:
-            vector[i], vector[k] = vector[k], vector[i]
-    return vector
-
-
-def _backward(log, vector: list[int]) -> list[int]:
-    """Undo :func:`_forward`: the inverse operations, in reverse order."""
-    for i, k, q in reversed(log):
-        if q:
-            x = vector[k]
-            if x:
-                vector[i] -= q * x
-        elif i == k:
-            vector[i] = -vector[i]
-        else:
-            vector[i], vector[k] = vector[k], vector[i]
-    return vector
-
-
-def _unit(k: int, n: int) -> list[int]:
-    out = [0] * n
-    out[k] = 1
-    return out
-
-
-def _from_products(product, n: int) -> IntegerHom:
-    """The ``n x n`` matrix whose column k is ``product`` of unit vector k."""
-    return IntegerHom.from_columns([product(_unit(k, n)) for k in range(n)], n)
+            rows[i], rows[k] = rows[k], rows[i]
+    columns: list[list[tuple[int, int]]] = [[] for _ in range(X.cols)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            columns[j].append((i, x))
+    return IntegerHom(n, X.cols, tuple(map(tuple, columns)))
 
 
 def _pivot(d: list[list[int]], t: int, n: int) -> tuple[int, int] | None:
@@ -696,12 +692,14 @@ class Factorization:
     Solving ``A x = b`` reduces to ``U_inv * b``, a divisibility test against
     the diagonal and one product with ``V_inv``; none of it refactors ``A``.
     The same decomposition gives bases of the kernel and of the column
-    lattice of ``A``, and the coordinates of a vector in either basis, so a
-    basis it produced never needs a factorization of its own.
-    ``cancel`` is passed to :func:`smith_normal_form`.
+    lattice of ``A``, and the coordinates of the columns of a matrix in
+    either basis, so a basis it produced never needs a factorization of its
+    own.  ``cancel`` is passed to :func:`smith_normal_form`.
 
-    Every answer replays the decomposition's logs, one replay per
-    right-hand side or basis vector, and never builds a dense transform.
+    Every answer is one product with one transform, whatever the number of
+    columns it covers: a basis is the product with unit columns, and a
+    batch of right-hand sides goes as one matrix.  No dense transform is
+    built.
     """
 
     def __init__(self, A: IntegerHom, cancel=None):
@@ -716,49 +714,53 @@ class Factorization:
         """Columns form a basis of the integer kernel of ``A``: the last
         ``cols - rank`` columns of ``V_inv``."""
         n = self.A.cols
-        columns = [self.snf.v_inv_times(_unit(j, n)) for j in range(self.rank, n)]
-        return IntegerHom.from_columns(columns, n)
+        return self.snf.v_inv_times(IntegerHom.unit_columns(n, range(self.rank, n)))
 
-    def kernel_coordinates(self, b: list[int]) -> list[int] | None:
-        """The coordinates of ``b`` in :meth:`kernel`, or None when
-        ``A b != 0``."""
-        z = self.snf.v_times(b)
-        return None if any(z[: self.rank]) else z[self.rank :]
+    def kernel_coordinates(self, B: IntegerHom) -> IntegerHom | None:
+        """The coordinates of the columns of ``B`` in :meth:`kernel`, or
+        None when ``A B != 0``: the last rows of ``V * B``."""
+        r, Z = self.rank, self.snf.v_times(B)
+        if any(column and column[0][0] < r for column in Z.nonzero):
+            return None
+        shifted = tuple(tuple((i - r, x) for i, x in column) for column in Z.nonzero)
+        return IntegerHom(Z.rows - r, Z.cols, shifted)
 
     def column_basis(self) -> IntegerHom:
         """Columns form a basis of the lattice spanned by the columns of
         ``A``: the first ``rank`` columns of ``U``, scaled by the diagonal."""
-        m = self.A.rows
-        columns = [self.snf.u_times(_unit(k, m)) for k in range(self.rank)]
-        return IntegerHom.from_columns(
-            [[d * x for x in column] for column, d in zip(columns, self.diagonal)], m
-        )
+        U = self.snf.u_times(IntegerHom.unit_columns(self.A.rows, range(self.rank)))
+        scaled = tuple(tuple((i, d * x) for i, x in column) for column, d in zip(U.nonzero, self.diagonal))
+        return IntegerHom(U.rows, U.cols, scaled)
 
-    def column_coordinates(self, b: list[int]) -> list[int] | None:
-        """The coordinates of ``b`` in :meth:`column_basis`, or None when
-        ``b`` is not in the column lattice of ``A``."""
-        w = self.snf.u_inv_times(b)
-        r = self.rank
-        if any(w[r:]) or any(w[i] % self.diagonal[i] for i in range(r)):
+    def column_coordinates(self, B: IntegerHom) -> IntegerHom | None:
+        """The coordinates of the columns of ``B`` in :meth:`column_basis`,
+        or None when some column is not in the column lattice of ``A``."""
+        r, diagonal, W = self.rank, self.diagonal, self.snf.u_inv_times(B)
+        if any(column and column[-1][0] >= r for column in W.nonzero):
             return None
-        return [w[i] // self.diagonal[i] for i in range(r)]
+        if any(x % diagonal[i] for column in W.nonzero for i, x in column):
+            return None
+        divided = tuple(tuple((i, x // diagonal[i]) for i, x in column) for column in W.nonzero)
+        return IntegerHom(r, W.cols, divided)
 
-    def contains(self, b: list[int]) -> bool:
-        """Is ``b`` in the lattice spanned by the columns of ``A``?"""
-        return self.column_coordinates(b) is not None
+    def contains(self, B: IntegerHom) -> bool:
+        """Is every column of ``B`` in the column lattice of ``A``?"""
+        return self.column_coordinates(B) is not None
 
     def solve(self, b: list[int]) -> list[int] | None:
         """Some integer solution of ``A x = b``, or None when there is none."""
-        y = self.column_coordinates(b)
+        y = self.column_coordinates(IntegerHom.from_columns([b], self.A.rows))
         if y is None:
             return None
-        return self.snf.v_inv_times(y + [0] * (self.A.cols - self.rank))
+        # the rank rows of y, padded with zeros to one row per column of A
+        return self.snf.v_inv_times(IntegerHom(self.A.cols, 1, y.nonzero)).column(0)
 
     def solve_mod(self, b: list[int], modulus: int) -> list[int] | None:
         """Some solution of ``A x = b (mod modulus)``, entries in [0, modulus)."""
         if modulus < 2:
             raise ValueError("modulus must be >= 2")
-        w = [x % modulus for x in self.snf.u_inv_times(b)]
+        reduced = self.snf.u_inv_times(IntegerHom.from_columns([b], self.A.rows))
+        w = [x % modulus for x in reduced.column(0)]
         y = [0] * self.A.cols
         for i, d in enumerate(self.diagonal):
             g = gcd(d, modulus)
@@ -767,7 +769,8 @@ class Factorization:
             if g != modulus:
                 m2 = modulus // g
                 y[i] = (w[i] // g) * pow(d // g, -1, m2) % m2
-        return [x % modulus for x in self.snf.v_inv_times(y)]
+        x = self.snf.v_inv_times(IntegerHom.from_columns([y], self.A.cols))
+        return [v % modulus for v in x.column(0)]
 
 
 def integer_solve(A: IntegerHom, b: list[int]) -> list[int] | None:
@@ -790,24 +793,17 @@ def cokernel_presentation(Y: IntegerHom) -> tuple[FGAbelianGroup, list[tuple[lis
 
     Returns the group and a list of (vector, order) pairs: vectors in Z^rows
     whose classes generate the quotient, order 0 meaning infinite.  Torsion
-    generators come first, in ascending invariant-factor order.
+    generators come first, in ascending invariant-factor order.  They are
+    the columns of ``U`` whose diagonal entry is not 1, in one product: the
+    diagonal is a divisibility chain with its zeros last, so index order is
+    already that order.
     """
     factored = Factorization(Y)
-    rank = 0
-    torsion = []
-    gens: list[tuple[list[int], int]] = []
-    frees: list[tuple[list[int], int]] = []
-    for i, si in enumerate(factored.diagonal):
-        if si == 1:
-            continue
-        vec = factored.snf.u_times(_unit(i, Y.rows))
-        if si == 0:
-            rank += 1
-            frees.append((vec, 0))
-        else:
-            torsion.append(si)
-            gens.append((vec, si))
-    return FGAbelianGroup(rank, tuple(torsion)), gens + frees
+    kept = [i for i, d in enumerate(factored.diagonal) if d != 1]
+    gens = factored.snf.u_times(IntegerHom.unit_columns(Y.rows, kept))
+    orders = [factored.diagonal[i] for i in kept]
+    group = FGAbelianGroup(orders.count(0), tuple(d for d in orders if d))
+    return group, [(gens.column(j), d) for j, d in enumerate(orders)]
 
 
 def cokernel(A: IntegerHom, coefficient: FGAbelianGroup) -> FGAbelianGroup:

@@ -18,7 +18,7 @@ import sys
 import time
 
 from . import documents
-from .abelian import DimensionError, GroupMismatchError, InternalConsistencyError
+from .abelian import DimensionError, FGAbelianGroup, GroupMismatchError, InternalConsistencyError
 from .conormal import build_complex, homology
 from .documents import InputError, canonical_json, group_to_payload
 from .faces import FilteredPair, require_valid, validate
@@ -294,8 +294,6 @@ def _render_table(value, indent=0) -> list[str]:
     lines = []
     if isinstance(value, dict):
         if set(value) == {"rank", "torsion"}:
-            from .abelian import FGAbelianGroup
-
             return [pad + str(FGAbelianGroup(value["rank"], tuple(value["torsion"])))]
         if set(value) == {"free", "torsion"}:
             coords = ", ".join(str(x) for x in list(value["free"]) + list(value["torsion"]))

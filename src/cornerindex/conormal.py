@@ -172,21 +172,22 @@ class HomologyResult:
 
 def _cycle_basis(Dp: IntegerHom, c: int):
     """Basis of the cycles of Dp over Z (c = 0) or mod c, the top ``Dp.cols``
-    rows of ker M for M = Dp or [Dp | c*I], and a cycle's coordinates in it.
+    rows of ker M for M = Dp or [Dp | c*I], and the coordinates in it of the
+    columns of a matrix, or None when one of them is not a cycle.
 
     For c > 0, (x, y) in ker M forces y = -Dp x / c, so dropping y is
     one-to-one; c*I has full row rank, so the ``Dp.cols`` columns of ker M
     drop to a basis of {x : Dp x = 0 mod c}.  Unless c divides Dp x, the
-    lift (x, -Dp x // c) is not in ker M and has no coordinates (None).
+    lift (x, -Dp x // c) is not in ker M and has no coordinates.
     A zero Dp takes no SNF: every chain is a cycle, over Z and mod c, so
-    the basis is the identity and a cycle is its own coordinates.
+    the basis is the identity and a matrix is its own coordinates.
     """
     if Dp.is_zero():
 
-        def own_coordinates(x: list[int]) -> list[int]:
-            if len(x) != Dp.cols:
-                raise DimensionError("vector length does not match columns")
-            return list(x)
+        def own_coordinates(X: IntegerHom) -> IntegerHom:
+            if X.rows != Dp.cols:
+                raise DimensionError("matrix rows do not match columns")
+            return X
 
         return IntegerHom.identity(Dp.cols), own_coordinates
     factored = Factorization(Dp.with_multiples(c) if c else Dp)
@@ -194,9 +195,16 @@ def _cycle_basis(Dp: IntegerHom, c: int):
     if c and kernel.cols != Dp.cols:
         raise InternalConsistencyError("cycle lattice mod c is not full rank")
 
-    def coordinates(x: list[int]) -> list[int] | None:
-        lift = [-v // c for v in Dp.apply_int(x)] if c else []
-        return factored.kernel_coordinates(list(x) + lift)
+    def coordinates(X: IntegerHom) -> IntegerHom | None:
+        if c:
+            # the lift -Dp X // c stacked under X, entries that floor to 0 left out
+            n, lifts = X.rows, Dp.compose(X).nonzero
+            stacked = tuple(
+                column + tuple((n + i, y) for i, x in lift if (y := -x // c))
+                for column, lift in zip(X.nonzero, lifts)
+            )
+            X = IntegerHom(n + Dp.rows, X.cols, stacked)
+        return factored.kernel_coordinates(X)
 
     return kernel.top_rows(Dp.cols), coordinates
 
@@ -204,7 +212,8 @@ def _cycle_basis(Dp: IntegerHom, c: int):
 def _lattices(Dp: IntegerHom, Dp1: IntegerHom, c: int, bases: dict | None = None):
     """(cycles, relations, coordinates) of one degree: homology over Z
     (c = 0) or Z/c is the quotient of the first column lattice by the
-    second, and ``coordinates`` expresses a cycle in the first.
+    second, and ``coordinates`` expresses the columns of a matrix of cycles
+    in the first.
 
     Over Z these are ker(Dp) and im(Dp1); over Z/c, the cycles mod c and
     im [Dp1 | c*I], integer lattices both.  ``bases``, when given, memoizes
@@ -221,13 +230,10 @@ def _homology_gens(Dp: IntegerHom, Dp1: IntegerHom, c: int):
     """Homology ker(Dp)/im(Dp1) over Z (c = 0) or Z/c, with generating cycles
     and their orders."""
     cycles, relations, coordinates = _lattices(Dp, Dp1, c)
-    cols = []
-    for b in relations.columns():
-        y = coordinates(b)
-        if y is None:
-            raise InternalConsistencyError("a relation escapes the cycle lattice")
-        cols.append(y)
-    group, gens = cokernel_presentation(IntegerHom.from_columns(cols, cycles.cols))
+    relation_coordinates = coordinates(relations)
+    if relation_coordinates is None:
+        raise InternalConsistencyError("a relation escapes the cycle lattice")
+    group, gens = cokernel_presentation(relation_coordinates)
     reps = [(cycles.apply_int(g), order) for g, order in gens]
     if c:
         reps = [([x % c for x in vec], order) for vec, order in reps]
@@ -344,8 +350,7 @@ def _block_map(src, tgt, parts: dict[tuple[int, int], IntegerHom]) -> IntegerHom
 
 
 def _lattice_subset(gens_a: IntegerHom, gens_b: IntegerHom) -> bool:
-    factored = Factorization(gens_b)
-    return all(factored.contains(col) for col in gens_a.columns())
+    return Factorization(gens_b).contains(gens_a)
 
 
 def _node_exact(f_in: IntegerHom, src, node, f_out: IntegerHom, tgt) -> bool:

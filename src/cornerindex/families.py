@@ -95,9 +95,6 @@ class QuotientResult:
     orbit_map: tuple[tuple[str, str], ...]
     hypersurface_orbit_map: tuple[tuple[str, str], ...]
 
-    def face_orbit(self) -> dict[str, str]:
-        return dict(self.orbit_map)
-
 
 def _orbits(items: list[str], maps: list[dict[str, str]]) -> dict[str, str]:
     """Breadth-first closure under the generators; representative = first item

@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the library's own reduction code:
 determinants come from fraction-free Bareiss elimination, invariant factors
 from gcds of k x k minors, ranks over F_p from plain Gaussian elimination,
-and solvability checks over finite groups from plain enumeration.  Frozen
-copies of replaced library paths serve as references for their
+and solvability checks over finite groups from plain enumeration;
+:func:`check_snf_logs` replays a decomposition's logs on dense rows of its
+own.  Frozen copies of replaced library paths serve as references for their
 replacements.
 """
 
@@ -181,16 +182,62 @@ class DenseSNF(NamedTuple):
         return sum(1 for d in self.diagonal if d != 0)
 
 
-def _replayed(product, n: int) -> IntegerHom:
-    """The ``n x n`` matrix whose column k is ``product`` of unit vector k."""
-    return IntegerHom.from_columns([product([int(i == k) for i in range(n)]) for k in range(n)], n)
-
-
 def dense_snf(s: SNFDecomposition) -> DenseSNF:
     """The dense record of a log decomposition: its cached U, D and V, and
-    U_inv and V_inv replayed on every unit vector."""
+    U_inv and V_inv, each one product with the identity."""
     m, n = s.D.rows, s.D.cols
-    return DenseSNF(s.U, s.D, s.V, _replayed(s.u_inv_times, m), _replayed(s.v_inv_times, n))
+    U_inv, V_inv = s.u_inv_times(IntegerHom.identity(m)), s.v_inv_times(IntegerHom.identity(n))
+    return DenseSNF(s.U, s.D, s.V, U_inv, V_inv)
+
+
+def one_column(vector) -> IntegerHom:
+    """The one-column matrix holding ``vector``."""
+    return IntegerHom.from_columns([vector], len(vector))
+
+
+def first_column(X: IntegerHom | None) -> list[int] | None:
+    """Column 0 of ``X`` as a vector, or None when ``X`` is None."""
+    return None if X is None else X.column(0)
+
+
+def check_snf_logs(A: IntegerHom, s) -> None:
+    """Replay the logs of ``s``, a decomposition of ``A``, on the dense rows
+    of A with none of the library's code: each ``row_log`` entry on the rows,
+    in order, and the column operation behind each ``column_log`` entry on
+    the columns.  Asserts that every add has i != k, that the result is
+    diagonal and equals ``s.diagonal``, and that the diagonal is a
+    nonnegative divisibility chain (0 divides only 0, so zeros come last).
+
+    An entry (i, k, q) with q != 0 adds q times entry k to entry i; with
+    q == 0 it swaps entries i and k, or negates entry i when i == k.  A
+    ``column_log`` entry is the row operation V absorbs, so its add stands
+    for "column k -= q * column i" on D; a swap or a negation stands for
+    the same operation on columns.
+    """
+    for i, k, q in list(s.row_log) + list(s.column_log):
+        assert not q or i != k, f"an add of an entry to itself: {(i, k, q)}"
+    d = [list(row) for row in A.entries]
+    for i, k, q in s.row_log:
+        if q:
+            d[i] = [x + q * y for x, y in zip(d[i], d[k])]
+        elif i == k:
+            d[i] = [-x for x in d[i]]
+        else:
+            d[i], d[k] = d[k], d[i]
+    for i, k, q in s.column_log:
+        for row in d:
+            if q:
+                row[k] -= q * row[i]
+            elif i == k:
+                row[i] = -row[i]
+            else:
+                row[i], row[k] = row[k], row[i]
+    off_diagonal = [(i, j) for i, row in enumerate(d) for j, x in enumerate(row) if x and i != j]
+    assert not off_diagonal, f"the logs leave entries off the diagonal: {off_diagonal[:5]}"
+    diagonal = tuple(d[i][i] for i in range(min(A.rows, A.cols)))
+    assert diagonal == tuple(s.diagonal), (diagonal, s.diagonal)
+    assert all(x >= 0 for x in diagonal), diagonal
+    assert all(b % a == 0 if a else b == 0 for a, b in zip(diagonal, diagonal[1:])), diagonal
 
 
 def reference_smith_normal_form(A: IntegerHom) -> DenseSNF:

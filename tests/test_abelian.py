@@ -1,9 +1,11 @@
 import ast
+import builtins
 import dataclasses
 import itertools
 import math
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -30,21 +32,25 @@ from cornerindex.abelian import (
     tor,
 )
 
-from cornerindex.conormal import incidence_matrix
+from cornerindex.conormal import build_complex, homology, incidence_matrix
+from cornerindex.faces import FilteredPair
 
 from helpers import (
     DenseFactorization,
     DenseHom,
     bareiss_det,
+    check_snf_logs,
     count_calls,
     cube,
     dense_snf,
     exhaustive_solve,
+    first_column,
     gallery_posets,
     integer_solvable,
     kgon,
     minor_gcd_invariant_factors,
     modular_solvable,
+    one_column,
     prime_power_canonical,
     random_codim2_poset,
     rank_mod_p,
@@ -325,15 +331,15 @@ def test_sparse_reads_match_dense_products(inputs):
         targets.append(A.apply_int([rng.randint(-2, 2) for _ in range(A.cols)]))
         targets.append([rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(A.rows)])
         for b in targets:
-            assert factored.column_coordinates(b) == dense.column_coordinates(b)
-            assert factored.contains(b) == dense.contains(b)
+            assert first_column(factored.column_coordinates(one_column(b))) == dense.column_coordinates(b)
+            assert factored.contains(one_column(b)) == dense.contains(b)
             assert factored.solve(b) == dense.solve(b)
             for modulus in (4, 6):
                 assert factored.solve_mod(b, modulus) == dense.solve_mod(b, modulus)
         vectors = [kernel.apply_int([rng.randint(-2, 2) for _ in range(kernel.cols)])]
         vectors.append([rng.choice((0, 0, 1, -1)) for _ in range(A.cols)])
         for x in vectors:
-            assert factored.kernel_coordinates(x) == dense.kernel_coordinates(x)
+            assert first_column(factored.kernel_coordinates(one_column(x))) == dense.kernel_coordinates(x)
         # the cokernel generators are read from this same decomposition
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(abelian, "smith_normal_form", lambda Y, cancel=None: s)
@@ -347,9 +353,10 @@ def _log_shapes():
 
 
 def test_log_replays_match_reference_products():
-    # each replay of a log on a vector equals the product with the dense
-    # transform of the frozen reference kernel; the inputs include non-unit
-    # pivots and witness-row pulls, which the counts below confirm
+    # each replay of a log on a one-column matrix, and on a sparse batch
+    # with empty columns, equals the product with the dense transform of
+    # the frozen reference kernel; the inputs include non-unit pivots and
+    # witness-row pulls, which the counts below confirm
     rng = random.Random(608)
     non_unit = pulls = 0
     for A in _random_snf_inputs() + _log_shapes():
@@ -363,14 +370,115 @@ def test_log_replays_match_reference_products():
                 (A.cols, ((s.v_times, ref.V), (s.v_inv_times, ref.V_inv))),
             ):
                 x = [rng.choice((0, 0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(n)]
+                batch = IntegerHom.from_columns(
+                    [
+                        [rng.choice((0, 0, 0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(n)]
+                        if rng.random() < 0.7
+                        else [0] * n
+                        for _ in range(rng.randint(0, 6))
+                    ],
+                    n,
+                )
                 for replay, dense in products:
-                    assert replay(x) == dense.apply_int(x)
+                    assert replay(one_column(x)).column(0) == dense.apply_int(x)
+                    assert replay(batch) == dense.compose(batch)
         assert not {"U", "D", "V", "U_inv", "V_inv"} & set(vars(s))
         with pytest.raises(DimensionError):
-            s.u_inv_times([0] * (A.rows + 1))
+            s.u_inv_times(IntegerHom.zero(A.rows + 1, 1))
         with pytest.raises(DimensionError):
-            s.v_inv_times([0] * (A.cols + 1))
+            s.v_inv_times(IntegerHom.zero(A.cols + 1, 1))
     assert non_unit >= 20 and pulls >= 4, (non_unit, pulls)
+
+
+def test_snf_logs_pass_the_independent_checker():
+    # the logs replayed on A by code that shares nothing with the elimination
+    # give the decomposition's own diagonal, a divisibility chain
+    for A in _random_snf_inputs() + _log_shapes():
+        check_snf_logs(A, smith_normal_form(A))
+
+
+def _cube_homology_snfs(monkeypatch, d: int):
+    """(A, decomposition) for every Smith normal form that the homology of
+    the d-cube at Z + Z/4 takes."""
+    taken = []
+    real = abelian.smith_normal_form
+
+    def keeping(A, cancel=None):
+        taken.append((A, real(A, cancel=cancel)))
+        return taken[-1][1]
+
+    monkeypatch.setattr(abelian, "smith_normal_form", keeping)
+    homology(build_complex(FilteredPair(cube(d), -1, d), FGAbelianGroup(1, (4,))))
+    return taken
+
+
+@pytest.mark.parametrize("d", [4, pytest.param(6, marks=pytest.mark.slow)])
+def test_snf_logs_of_cube_homology_pass_the_independent_checker(monkeypatch, d):
+    taken = _cube_homology_snfs(monkeypatch, d)
+    # over Z and mod 4, in each degree the cokernel presentation's SNF,
+    # and the cycle basis's in the d degrees with a nonzero boundary
+    assert len(taken) == 2 * (2 * d + 1)
+    for A, s in taken:
+        check_snf_logs(A, s)
+
+
+def test_snf_log_checker_rejects_a_changed_multiplier():
+    # mutation control: one add of either log with its multiplier doubled
+    # changes the replayed matrix, so the checker must fail
+    mutated = 0
+    for A in _random_snf_inputs():
+        s = smith_normal_form(A)
+        for name in ("row_log", "column_log"):
+            log = getattr(s, name)
+            adds = [n for n, (_, _, q) in enumerate(log) if q]
+            if not adds:
+                continue
+            n = adds[len(adds) // 2]
+            i, k, q = log[n]
+            logs = {"row_log": s.row_log, "column_log": s.column_log}
+            logs[name] = log[:n] + [(i, k, 2 * q)] + log[n + 1 :]
+            with pytest.raises(AssertionError):
+                check_snf_logs(A, SimpleNamespace(diagonal=s.diagonal, **logs))
+            mutated += 1
+    assert mutated >= 40, mutated
+
+
+def test_snf_log_checker_imports_nothing_from_abelian_but_integer_hom():
+    # the checker is an oracle for the elimination only while it shares no
+    # code with it: of the names helpers imports from cornerindex.abelian it
+    # reads IntegerHom alone, and every other name it reads is its own or
+    # a builtin
+    tree = ast.parse((Path(__file__).parent / "helpers.py").read_text(encoding="utf-8"))
+    from_abelian = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "cornerindex.abelian"
+        for alias in node.names
+    }
+    (checker,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "check_snf_logs"]
+    names = [node for node in ast.walk(checker) if isinstance(node, ast.Name)]
+    bound = {a.arg for a in checker.args.args} | {n.id for n in names if isinstance(n.ctx, ast.Store)}
+    read = {n.id for n in names if isinstance(n.ctx, ast.Load)} - bound
+    assert not any(isinstance(node, (ast.Import, ast.ImportFrom)) for node in ast.walk(checker))
+    assert "IntegerHom" in from_abelian and read & from_abelian <= {"IntegerHom"}
+    assert read - {"IntegerHom"} <= set(dir(builtins)), read
+
+
+def test_transform_products_walk_one_log_per_batch(monkeypatch):
+    # a basis, the cokernel generators and the dense U and V are one product
+    # each, whatever their number of columns; D replays nothing
+    walks = count_calls(monkeypatch, abelian, "_replay")
+    for A in [incidence_matrix(cube(3), 2), incidence_matrix(kgon(7), 2).with_multiples(4), hom([[2, 4], [6, 8]])]:
+        factored = Factorization(A)
+        for read in (factored.kernel, factored.column_basis, lambda: cokernel_presentation(A)):
+            walks.clear()
+            read()
+            assert len(walks) == 1
+        s = factored.snf
+        for field in ("U", "V", "D"):
+            walks.clear()
+            getattr(s, field)
+            assert len(walks) == (field != "D")
 
 
 def test_factorization_answers_build_no_dense_matrix(monkeypatch):
@@ -389,9 +497,9 @@ def test_factorization_answers_build_no_dense_matrix(monkeypatch):
     for A in [incidence_matrix(cube(3), 2), incidence_matrix(kgon(7), 2).with_multiples(4)]:
         factored = Factorization(A)
         b = A.apply_int([rng.randint(-2, 2) for _ in range(A.cols)])
-        factored.solve(b), factored.solve_mod(b, 4), factored.contains(b)
-        factored.column_coordinates(b), factored.column_basis()
-        factored.kernel_coordinates(factored.kernel().column(0)), factored.kernel()
+        factored.solve(b), factored.solve_mod(b, 4), factored.contains(one_column(b))
+        factored.column_coordinates(one_column(b)), factored.column_basis()
+        factored.kernel_coordinates(one_column(factored.kernel().column(0))), factored.kernel()
         cokernel_presentation(A), kernel_group(A, FGAbelianGroup(1, (2,)))
     D2, G = incidence_matrix(kgon(64), 2), FGAbelianGroup(1, (2,))
     x = [G.element([rng.randint(-2, 2)], [rng.randint(0, 1)]) for _ in range(D2.cols)]
@@ -749,7 +857,7 @@ def test_factorization_contains_agrees_with_solve():
     for _ in range(300):
         A, b = _random_system(rng)
         factored = Factorization(A)
-        assert factored.contains(b) == (factored.solve(b) is not None)
+        assert factored.contains(one_column(b)) == (factored.solve(b) is not None)
 
 
 def test_factorization_coordinates_reproduce_the_vector():
@@ -765,28 +873,56 @@ def test_factorization_coordinates_reproduce_the_vector():
             (columns, factored.column_coordinates),
         ):
             y = [rng.randint(-3, 3) for _ in range(basis.cols)]
-            assert coordinates(basis.apply_int(y)) == y
-        y = factored.column_coordinates(b)
+            assert coordinates(one_column(basis.apply_int(y))).column(0) == y
+        y = first_column(factored.column_coordinates(one_column(b)))
         assert (y is not None) == integer_solvable(A, b)
         if y is not None:
             assert columns.apply_int(y) == b
         x = [rng.randint(-1, 1) for _ in range(A.cols)]
-        z = factored.kernel_coordinates(x)
+        z = first_column(factored.kernel_coordinates(one_column(x)))
         assert (z is not None) == (not any(A.apply_int(x)))
         if z is not None:
             assert kernel.apply_int(z) == x
     factored = Factorization(hom([[1, 2], [3, 4]]))
     with pytest.raises(DimensionError):
-        factored.kernel_coordinates([1])
+        factored.kernel_coordinates(one_column([1]))
     with pytest.raises(DimensionError):
-        factored.column_coordinates([1, 2, 3])
+        factored.column_coordinates(one_column([1, 2, 3]))
+
+def test_batch_coordinates_fail_exactly_when_a_column_fails():
+    # a batch has coordinates exactly when each of its columns has, and then
+    # they are the column-by-column answers side by side
+    rng = random.Random(408)
+    outcomes = {"pass": 0, "mixed": 0}
+    for _ in range(300):
+        A, _b = _random_system(rng)
+        factored = Factorization(A)
+        kernel = factored.kernel()
+        for coordinates, basis in ((factored.column_coordinates, A), (factored.kernel_coordinates, kernel)):
+            n = basis.rows
+            columns = [
+                basis.apply_int([rng.randint(-2, 2) for _ in range(basis.cols)])
+                if rng.random() < 0.7
+                else [rng.randint(-2, 2) for _ in range(n)]
+                for _ in range(rng.randint(0, 4))
+            ]
+            each = [first_column(coordinates(IntegerHom.from_columns([x], n))) for x in columns]
+            batch = coordinates(IntegerHom.from_columns(columns, n))
+            if None in each:
+                assert batch is None
+                outcomes["mixed"] += any(y is not None for y in each)
+            else:
+                assert batch is not None and batch.columns() == each
+                outcomes["pass"] += bool(columns)
+    assert min(outcomes.values()) > 30, outcomes
+
 
 def test_factorization_rejects_bad_shapes():
     factored = Factorization(hom([[1, 2], [3, 4]]))
     with pytest.raises(DimensionError):
         factored.solve([1])
     with pytest.raises(DimensionError):
-        factored.contains([1, 2, 3])
+        factored.contains(one_column([1, 2, 3]))
     with pytest.raises(ValueError):
         factored.solve_mod([1, 1], 1)
 

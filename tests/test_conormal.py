@@ -30,9 +30,11 @@ from helpers import (
     bareiss_det,
     count_calls,
     cube,
+    first_column,
     gallery_posets,
     homology_gens_by_solving,
     kgon,
+    one_column,
     random_valid_poset,
     reference_homology,
     reference_six_term_maps,
@@ -371,31 +373,59 @@ def test_cycle_basis_mod_c_matches_an_independent_oracle(monkeypatch, c):
         assert abs(bareiss_det(basis.row_list())) == index
         for _ in range(3):
             y = [rng.randint(-3, 3) for _ in range(cols)]
-            assert coordinates(basis.apply_int(y)) == y
+            assert coordinates(one_column(basis.apply_int(y))).column(0) == y
         for _ in range(3):
             x = [rng.randint(-3, 3) for _ in range(cols)]
-            y = coordinates(x)
+            y = first_column(coordinates(one_column(x)))
             if any(v % c for v in Dp.apply_int(x)):
                 assert y is None
             else:
                 assert basis.apply_int(y) == x
         for j, column in enumerate(Dp.columns()):
             if any(v % c for v in column):
-                assert coordinates([int(i == j) for i in range(cols)]) is None
+                assert coordinates(one_column([int(i == j) for i in range(cols)])) is None
 
 
 @pytest.mark.parametrize("c", [0, 2, 4])
 @pytest.mark.parametrize(("rows", "cols"), [(0, 3), (2, 3), (2, 0), (0, 0)])
 def test_cycle_basis_of_a_zero_boundary_is_the_identity(monkeypatch, rows, cols, c):
-    # every chain is a cycle, over Z and mod c: no SNF, and a cycle is its
-    # own coordinates; a vector of the wrong length raises
+    # every chain is a cycle, over Z and mod c: no SNF, and a batch of
+    # cycles is its own coordinates; a matrix of the wrong height raises
     snfs = count_calls(monkeypatch, abelian, "smith_normal_form")
     basis, coordinates = _cycle_basis(IntegerHom.zero(rows, cols), c)
     assert snfs == [] and basis == IntegerHom.identity(cols)
     x = [3, -1, 4][:cols]
-    assert coordinates(x) == x and coordinates(tuple(x)) == x
+    assert coordinates(one_column(x)).column(0) == x and coordinates(one_column(tuple(x))).column(0) == x
     with pytest.raises(abelian.DimensionError):
-        coordinates(x + [0])
+        coordinates(one_column(x + [0]))
+
+
+def test_homology_and_exactness_walk_one_log_per_batch(monkeypatch):
+    # the cycle basis, the relations' coordinates in it and the cokernel
+    # generators are one product each: three walks in a degree with a
+    # nonzero D_p, only the generators' walk in a zeroed one; an exactness
+    # check walks once for its kernel and once per inclusion
+    walks = count_calls(monkeypatch, abelian, "_replay")
+    per_call: dict[str, list] = {"_homology_gens": [], "_node_exact": []}
+
+    def counted(name):
+        real = getattr(conormal, name)
+
+        def counting(*args):
+            before = len(walks)
+            result = real(*args)
+            per_call[name].append((args, len(walks) - before))
+            return result
+
+        monkeypatch.setattr(conormal, name, counting)
+
+    counted("_homology_gens")
+    counted("_node_exact")
+    six_term(cube(3), -1, 0, 3, FGAbelianGroup(1, (4,)))
+    gens, checks = per_call["_homology_gens"], per_call["_node_exact"]
+    assert {n for args, n in gens if not args[0].is_zero()} == {3}
+    assert {n for args, n in gens if args[0].is_zero()} == {1}
+    assert len(checks) > 10 and {n for _, n in checks} == {3}
 
 
 def _lift_cases():

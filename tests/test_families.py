@@ -78,7 +78,7 @@ def test_quarter_twist_quotient_not_embeddable():
 
 def test_orbit_map_constant_on_orbits():
     q = quotient_family(gallery("quarter_twist_square"))
-    orbit = q.face_orbit()
+    orbit = dict(q.orbit_map)
     gen = gallery("quarter_twist_square").generators[0].faces()
     for fid, image in gen.items():
         assert orbit[fid] == orbit[image]
@@ -131,7 +131,7 @@ def test_orbit_counts_invariant_under_conjugation():
 def test_orbits_partition_faces():
     for name in GALLERY_NAMES:
         q = quotient_family(gallery(name))
-        orbit = q.face_orbit()
+        orbit = dict(q.orbit_map)
         reps = {f.id for f in q.total.faces}
         assert set(orbit.values()) == reps
         for fid in orbit:
