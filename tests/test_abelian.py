@@ -412,7 +412,7 @@ def _cube_homology_snfs(monkeypatch, d: int):
     return taken
 
 
-@pytest.mark.parametrize("d", [4, pytest.param(6, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("d", [4, 6])
 def test_snf_logs_of_cube_homology_pass_the_independent_checker(monkeypatch, d):
     taken = _cube_homology_snfs(monkeypatch, d)
     # over Z and mod 4, in each degree the cokernel presentation's SNF,
