@@ -16,14 +16,15 @@ once.  :meth:`IntegerHom.apply` reads the elements directly and builds with
 the checked constructor, so it stays an independent check of both.
 
 The workhorse is :func:`smith_normal_form`, which returns a decomposition
-``A = U * D * V``.  It is taken only through :class:`Factorization`, one per
-matrix, and kernels and cokernels over any coefficient group follow from
-that one factorization over Z by the tensor and Tor formulas.  The
-decomposition holds D and the logs of the elementary row and column
-operations that produced it, not the transforms: a product of ``U``,
-``U_inv``, ``V`` or ``V_inv`` with a matrix is one walk of one log over all
-of its columns at once, kept sparse.  Only the elimination works on dense
-rows, a copy it takes of its input.
+``A = U * D * V``, the one :class:`SNFDecomposition` of a matrix: it answers
+every solve, kernel, column basis and coordinate question about ``A``, and
+kernels and cokernels over any coefficient group follow from that one
+decomposition over Z by the tensor and Tor formulas.  The decomposition
+holds D and the logs of the elementary row and column operations that
+produced it, not the transforms: a product of ``U``, ``U_inv``, ``V`` or
+``V_inv`` with a matrix is one walk of one log over all of its columns at
+once, kept sparse.  Only the elimination works on dense rows, a copy it
+takes of its input.
 """
 
 from __future__ import annotations
@@ -358,9 +359,11 @@ class IntegerHom:
 
     @classmethod
     def from_rows(cls, rows, width: int | None = None) -> "IntegerHom":
+        """The matrix with dense rows ``rows``; ``width`` gives the column
+        count, which only an empty list of rows needs."""
         rows = [tuple(r) for r in rows]
         cols = len(rows[0]) if rows else (width or 0)
-        if any(len(r) != cols for r in rows):
+        if any(len(r) != cols for r in rows) or width not in (None, cols):
             raise DimensionError("entry shape does not match the declared size")
         return cls.from_columns(list(zip(*rows)) if rows else [()] * cols, len(rows))
 
@@ -482,7 +485,9 @@ class IntegerHom:
 
 
 class SNFDecomposition:
-    """Exact decomposition A = U * D * V with unimodular U, V.
+    """Exact decomposition A = U * D * V with unimodular U, V: the one Smith
+    normal form of ``A``, built by :func:`smith_normal_form` and reused for
+    every question about ``A``.
 
     No transform is stored: the elimination leaves ``d``, the rows of D,
     ``cols``, its width, and two logs of elementary operations, in order.
@@ -493,8 +498,16 @@ class SNFDecomposition:
     k, or negates entry i when ``i == k``.  A product with a transform is
     one walk of one log over all columns of a matrix (:func:`_replay`):
     forward for ``U_inv`` and ``V``, undone backward for ``U`` and
-    ``V_inv``.  The library reads only these products; the dense ``U``,
-    ``D`` and ``V`` are built on first read, for inspection, then kept.
+    ``V_inv``.
+
+    Every answer is one such product, whatever the number of columns it
+    covers.  Solving ``A x = b`` is ``U_inv * b``, a divisibility test
+    against the diagonal and one product with ``V_inv``.  Bases of the
+    kernel and of the column lattice of ``A`` are products with unit
+    columns, and the coordinates of the columns of a matrix in either basis
+    are one product, so a basis never needs a decomposition of its own.
+    The library reads only these products; the dense ``U``, ``D`` and ``V``
+    are built on first read, for inspection, then kept.
     """
 
     def __init__(self, d, cols: int, row_log, column_log):
@@ -537,6 +550,73 @@ class SNFDecomposition:
     @cached_property
     def rank(self) -> int:
         return sum(1 for d in self.diagonal if d != 0)
+
+    @cached_property
+    def _padded(self) -> tuple[int, ...]:
+        """The diagonal padded with zeros to one entry per row of A."""
+        return self.diagonal + (0,) * (len(self._d) - len(self.diagonal))
+
+    def kernel(self) -> IntegerHom:
+        """Columns form a basis of the integer kernel of ``A``: the last
+        ``cols - rank`` columns of ``V_inv``."""
+        n = self._cols
+        return self.v_inv_times(IntegerHom.unit_columns(n, range(self.rank, n)))
+
+    def kernel_coordinates(self, B: IntegerHom) -> IntegerHom | None:
+        """The coordinates of the columns of ``B`` in :meth:`kernel`, or
+        None when ``A B != 0``: the last rows of ``V * B``."""
+        r, Z = self.rank, self.v_times(B)
+        if any(column and column[0][0] < r for column in Z.nonzero):
+            return None
+        shifted = tuple(tuple((i - r, x) for i, x in column) for column in Z.nonzero)
+        return IntegerHom(Z.rows - r, Z.cols, shifted)
+
+    def column_basis(self) -> IntegerHom:
+        """Columns form a basis of the lattice spanned by the columns of
+        ``A``: the first ``rank`` columns of ``U``, scaled by the diagonal."""
+        U = self.u_times(IntegerHom.unit_columns(len(self._d), range(self.rank)))
+        scaled = tuple(tuple((i, d * x) for i, x in column) for column, d in zip(U.nonzero, self.diagonal))
+        return IntegerHom(U.rows, U.cols, scaled)
+
+    def column_coordinates(self, B: IntegerHom) -> IntegerHom | None:
+        """The coordinates of the columns of ``B`` in :meth:`column_basis`,
+        or None when some column is not in the column lattice of ``A``."""
+        r, diagonal, W = self.rank, self.diagonal, self.u_inv_times(B)
+        if any(column and column[-1][0] >= r for column in W.nonzero):
+            return None
+        if any(x % diagonal[i] for column in W.nonzero for i, x in column):
+            return None
+        divided = tuple(tuple((i, x // diagonal[i]) for i, x in column) for column in W.nonzero)
+        return IntegerHom(r, W.cols, divided)
+
+    def contains(self, B: IntegerHom) -> bool:
+        """Is every column of ``B`` in the column lattice of ``A``?"""
+        return self.column_coordinates(B) is not None
+
+    def solve(self, b: list[int]) -> list[int] | None:
+        """Some integer solution of ``A x = b``, or None when there is none."""
+        y = self.column_coordinates(IntegerHom.from_columns([b], len(self._d)))
+        if y is None:
+            return None
+        # the rank rows of y, padded with zeros to one row per column of A
+        return self.v_inv_times(IntegerHom(self._cols, 1, y.nonzero)).column(0)
+
+    def solve_mod(self, b: list[int], modulus: int) -> list[int] | None:
+        """Some solution of ``A x = b (mod modulus)``, entries in [0, modulus)."""
+        if modulus < 2:
+            raise ValueError("modulus must be >= 2")
+        reduced = self.u_inv_times(IntegerHom.from_columns([b], len(self._d)))
+        w = [x % modulus for x in reduced.column(0)]
+        y = [0] * self._cols
+        for i, d in enumerate(self._padded):
+            g = gcd(d, modulus)
+            if w[i] % g:
+                return None
+            if g != modulus:
+                m2 = modulus // g
+                y[i] = (w[i] // g) * pow(d // g, -1, m2) % m2
+        x = self.v_inv_times(IntegerHom.from_columns([y], self._cols))
+        return [v % modulus for v in x.column(0)]
 
 
 def _replay(log, X: IntegerHom, n: int, backward: bool = False) -> IntegerHom:
@@ -683,109 +763,22 @@ def smith_normal_form(A: IntegerHom, cancel=None) -> SNFDecomposition:
 
 def integer_kernel_basis(A: IntegerHom) -> IntegerHom:
     """Columns form a basis of the integer kernel of A (cols x k matrix)."""
-    return Factorization(A).kernel()
-
-
-class Factorization:
-    """One Smith normal form of ``A``, reused for every right-hand side.
-
-    Solving ``A x = b`` reduces to ``U_inv * b``, a divisibility test against
-    the diagonal and one product with ``V_inv``; none of it refactors ``A``.
-    The same decomposition gives bases of the kernel and of the column
-    lattice of ``A``, and the coordinates of the columns of a matrix in
-    either basis, so a basis it produced never needs a factorization of its
-    own.  ``cancel`` is passed to :func:`smith_normal_form`.
-
-    Every answer is one product with one transform, whatever the number of
-    columns it covers: a basis is the product with unit columns, and a
-    batch of right-hand sides goes as one matrix.  No dense transform is
-    built.
-    """
-
-    def __init__(self, A: IntegerHom, cancel=None):
-        self.A = A
-        self.snf = smith_normal_form(A, cancel=cancel)
-        self.rank = self.snf.rank
-        diagonal = self.snf.diagonal
-        # padded with zeros to one entry per row of A
-        self.diagonal = diagonal + (0,) * (A.rows - len(diagonal))
-
-    def kernel(self) -> IntegerHom:
-        """Columns form a basis of the integer kernel of ``A``: the last
-        ``cols - rank`` columns of ``V_inv``."""
-        n = self.A.cols
-        return self.snf.v_inv_times(IntegerHom.unit_columns(n, range(self.rank, n)))
-
-    def kernel_coordinates(self, B: IntegerHom) -> IntegerHom | None:
-        """The coordinates of the columns of ``B`` in :meth:`kernel`, or
-        None when ``A B != 0``: the last rows of ``V * B``."""
-        r, Z = self.rank, self.snf.v_times(B)
-        if any(column and column[0][0] < r for column in Z.nonzero):
-            return None
-        shifted = tuple(tuple((i - r, x) for i, x in column) for column in Z.nonzero)
-        return IntegerHom(Z.rows - r, Z.cols, shifted)
-
-    def column_basis(self) -> IntegerHom:
-        """Columns form a basis of the lattice spanned by the columns of
-        ``A``: the first ``rank`` columns of ``U``, scaled by the diagonal."""
-        U = self.snf.u_times(IntegerHom.unit_columns(self.A.rows, range(self.rank)))
-        scaled = tuple(tuple((i, d * x) for i, x in column) for column, d in zip(U.nonzero, self.diagonal))
-        return IntegerHom(U.rows, U.cols, scaled)
-
-    def column_coordinates(self, B: IntegerHom) -> IntegerHom | None:
-        """The coordinates of the columns of ``B`` in :meth:`column_basis`,
-        or None when some column is not in the column lattice of ``A``."""
-        r, diagonal, W = self.rank, self.diagonal, self.snf.u_inv_times(B)
-        if any(column and column[-1][0] >= r for column in W.nonzero):
-            return None
-        if any(x % diagonal[i] for column in W.nonzero for i, x in column):
-            return None
-        divided = tuple(tuple((i, x // diagonal[i]) for i, x in column) for column in W.nonzero)
-        return IntegerHom(r, W.cols, divided)
-
-    def contains(self, B: IntegerHom) -> bool:
-        """Is every column of ``B`` in the column lattice of ``A``?"""
-        return self.column_coordinates(B) is not None
-
-    def solve(self, b: list[int]) -> list[int] | None:
-        """Some integer solution of ``A x = b``, or None when there is none."""
-        y = self.column_coordinates(IntegerHom.from_columns([b], self.A.rows))
-        if y is None:
-            return None
-        # the rank rows of y, padded with zeros to one row per column of A
-        return self.snf.v_inv_times(IntegerHom(self.A.cols, 1, y.nonzero)).column(0)
-
-    def solve_mod(self, b: list[int], modulus: int) -> list[int] | None:
-        """Some solution of ``A x = b (mod modulus)``, entries in [0, modulus)."""
-        if modulus < 2:
-            raise ValueError("modulus must be >= 2")
-        reduced = self.snf.u_inv_times(IntegerHom.from_columns([b], self.A.rows))
-        w = [x % modulus for x in reduced.column(0)]
-        y = [0] * self.A.cols
-        for i, d in enumerate(self.diagonal):
-            g = gcd(d, modulus)
-            if w[i] % g:
-                return None
-            if g != modulus:
-                m2 = modulus // g
-                y[i] = (w[i] // g) * pow(d // g, -1, m2) % m2
-        x = self.snf.v_inv_times(IntegerHom.from_columns([y], self.A.cols))
-        return [v % modulus for v in x.column(0)]
+    return smith_normal_form(A).kernel()
 
 
 def integer_solve(A: IntegerHom, b: list[int]) -> list[int] | None:
     """Some integer solution of A x = b, or None when there is none."""
-    return Factorization(A).solve(b)
+    return smith_normal_form(A).solve(b)
 
 
 def modular_solve(A: IntegerHom, b: list[int], modulus: int) -> list[int] | None:
     """Some solution of A x = b (mod modulus), entries reduced into [0, modulus)."""
-    return Factorization(A).solve_mod(b, modulus)
+    return smith_normal_form(A).solve_mod(b, modulus)
 
 
 def lattice_column_basis(W: IntegerHom) -> IntegerHom:
     """A basis (as columns) of the lattice spanned by the columns of W."""
-    return Factorization(W).column_basis()
+    return smith_normal_form(W).column_basis()
 
 
 def cokernel_presentation(Y: IntegerHom) -> tuple[FGAbelianGroup, list[tuple[list[int], int]]]:
@@ -798,18 +791,18 @@ def cokernel_presentation(Y: IntegerHom) -> tuple[FGAbelianGroup, list[tuple[lis
     diagonal is a divisibility chain with its zeros last, so index order is
     already that order.
     """
-    factored = Factorization(Y)
-    kept = [i for i, d in enumerate(factored.diagonal) if d != 1]
-    gens = factored.snf.u_times(IntegerHom.unit_columns(Y.rows, kept))
-    orders = [factored.diagonal[i] for i in kept]
+    s = smith_normal_form(Y)
+    kept = [i for i, d in enumerate(s._padded) if d != 1]
+    gens = s.u_times(IntegerHom.unit_columns(Y.rows, kept))
+    orders = [s._padded[i] for i in kept]
     group = FGAbelianGroup(orders.count(0), tuple(d for d in orders if d))
     return group, [(gens.column(j), d) for j, d in enumerate(orders)]
 
 
 def cokernel(A: IntegerHom, coefficient: FGAbelianGroup) -> FGAbelianGroup:
     """Canonical form of G^rows / A(G^cols): the integer cokernel of A,
-    read off one factorization, tensored with G (tensoring is right exact)."""
-    return tensor(FGAbelianGroup.from_cyclics(Factorization(A).diagonal), coefficient)
+    read off one Smith normal form, tensored with G (tensoring is right exact)."""
+    return tensor(FGAbelianGroup.from_cyclics(smith_normal_form(A)._padded), coefficient)
 
 
 def kernel_group(A: IntegerHom, coefficient: FGAbelianGroup) -> FGAbelianGroup:
@@ -818,10 +811,10 @@ def kernel_group(A: IntegerHom, coefficient: FGAbelianGroup) -> FGAbelianGroup:
     With A = U D V, it is the kernel of D: G for each zero column of D and
     the d-torsion of G, Tor(Z/d, G), for each nonzero diagonal entry d.
     """
-    factored = Factorization(A)
+    s = smith_normal_form(A)
     return direct_sum(
-        power(coefficient, A.cols - factored.rank),
-        tor(FGAbelianGroup.from_cyclics(factored.diagonal), coefficient),
+        power(coefficient, A.cols - s.rank),
+        tor(FGAbelianGroup.from_cyclics(s.diagonal), coefficient),
     )
 
 
@@ -843,12 +836,12 @@ def solve(
     if len(target) != A.rows:
         raise DimensionError("target length does not match rows")
     slots = coefficient.split(target)
-    factored = Factorization(A, cancel=cancel) if slots else None
+    s = smith_normal_form(A, cancel=cancel) if slots else None
     parts: list[list[int]] = []
     for b, d in slots:
         if cancel is not None:
             cancel()
-        sol = factored.solve_mod(b, d) if d else factored.solve(b)
+        sol = s.solve_mod(b, d) if d else s.solve(b)
         if sol is None:
             return None
         parts.append(sol)

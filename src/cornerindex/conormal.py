@@ -31,7 +31,6 @@ from operator import itemgetter
 # module, where callers and the benchmark's tracer self-test look it up
 from .abelian import (  # noqa: F401
     DimensionError,
-    Factorization,
     FGAbelianGroup,
     GroupElement,
     GroupMismatchError,
@@ -42,6 +41,7 @@ from .abelian import (  # noqa: F401
     in_group,
     integer_kernel_basis,
     integer_solve,
+    smith_normal_form,
     tensor,
     tor,
 )
@@ -190,7 +190,7 @@ def _cycle_basis(Dp: IntegerHom, c: int):
             return X
 
         return IntegerHom.identity(Dp.cols), own_coordinates
-    factored = Factorization(Dp.with_multiples(c) if c else Dp)
+    factored = smith_normal_form(Dp.with_multiples(c) if c else Dp)
     kernel = factored.kernel()
     if c and kernel.cols != Dp.cols:
         raise InternalConsistencyError("cycle lattice mod c is not full rank")
@@ -350,7 +350,7 @@ def _block_map(src, tgt, parts: dict[tuple[int, int], IntegerHom]) -> IntegerHom
 
 
 def _lattice_subset(gens_a: IntegerHom, gens_b: IntegerHom) -> bool:
-    return Factorization(gens_b).contains(gens_a)
+    return smith_normal_form(gens_b).contains(gens_a)
 
 
 def _node_exact(f_in: IntegerHom, src, node, f_out: IntegerHom, tgt) -> bool:

@@ -12,6 +12,7 @@ replacements.
 from __future__ import annotations
 
 import itertools
+import sys
 from math import gcd
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -25,7 +26,7 @@ from cornerindex.abelian import (
     tensor,
     tor,
 )
-from cornerindex.abelian import DimensionError, Factorization, InternalConsistencyError, cokernel_presentation
+from cornerindex.abelian import DimensionError, InternalConsistencyError, cokernel_presentation, smith_normal_form
 from cornerindex.conormal import _embed_chain, _homology_gens, _lattices, build_complex, homology, periodize
 from cornerindex.faces import Face, FacePoset, FilteredPair
 from cornerindex.families import FiberAutomorphism, check_embeddable, gallery, quotient_family, GALLERY_NAMES
@@ -412,11 +413,11 @@ def _dense_mat_vec(a, v: list[int]) -> list[int]:
 
 
 class DenseFactorization:
-    """``abelian.Factorization`` as it stood before it read the sparse
-    transforms, its logic kept verbatim (method docstrings dropped, and the
-    decomposition ``snf`` of ``A`` passed in and made dense) as the reference
-    for its answers: every product walks the dense rows of U, U_inv, V or
-    V_inv."""
+    """The solving methods of ``abelian.SNFDecomposition`` as they stood
+    before they read the sparse transforms, their logic kept verbatim
+    (method docstrings dropped, and the decomposition ``snf`` of ``A``
+    passed in and made dense) as the reference for their answers: every
+    product walks the dense rows of U, U_inv, V or V_inv."""
 
     def __init__(self, A: IntegerHom, snf: SNFDecomposition):
         self.A = A
@@ -507,7 +508,7 @@ def homology_gens_by_solving(Dp: IntegerHom, Dp1: IntegerHom, c: int):
     factorization supplied the relation coordinates: the cycle basis is
     factored a second time and each relation solved against it."""
     cycles, relations, _ = _lattices(Dp, Dp1, c)
-    factored = Factorization(cycles)
+    factored = smith_normal_form(cycles)
     cols = [factored.solve(b) for b in relations.columns()]
     assert None not in cols, "a relation escapes the cycle lattice"
     group, gens = cokernel_presentation(IntegerHom.from_columns(cols, cycles.cols))
@@ -844,9 +845,23 @@ def exhaustive_solve(A: IntegerHom, group: FGAbelianGroup, target):
     return None
 
 
+def rebind(monkeypatch, owner, name, replacement) -> None:
+    """Replace ``owner.name`` for the test by ``replacement``, and with it
+    every other binding of the same object in a ``cornerindex`` module, as
+    the benchmark's tracer does: a call through any import site of the
+    name reaches the replacement.  ``owner`` may be a class."""
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, replacement)
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "cornerindex" or module_name.startswith("cornerindex."):
+            for key, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, key, replacement)
+
+
 def count_calls(monkeypatch, module, name) -> list:
-    """Wrap ``module.name`` for the test; returns the list of recorded
-    argument tuples, one per call."""
+    """Wrap ``module.name`` for the test at every binding (:func:`rebind`);
+    returns the list of recorded argument tuples, one per call."""
     calls = []
     real = getattr(module, name)
 
@@ -854,7 +869,7 @@ def count_calls(monkeypatch, module, name) -> list:
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(module, name, counting)
+    rebind(monkeypatch, module, name, counting)
     return calls
 
 

@@ -41,3 +41,34 @@ def test_readme_library_example_prints_what_it_says():
         (EmbeddabilityVerdict(embeddable=False, witness="c13"),),
         (True,),
     ]
+
+
+_MODULE_REFERENCE = re.compile(
+    r"\b(abelian|conormal|faces|families|obstruction|documents|cli)\.([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?"
+)
+_CLASS_REFERENCE = re.compile(r"(?<![\w.])([A-Z]\w*)\.([A-Za-z_]\w*)")
+
+
+def _has(owner, name: str) -> bool:
+    return hasattr(owner, name) or name in getattr(owner, "__dataclass_fields__", {})
+
+
+def test_readme_names_resolve():
+    # every backticked `module.name` of the package and `Class.attr` of an
+    # exported class names something that exists, so a deleted name cannot
+    # outlive its code in the README
+    spans = re.findall(r"`([^`\n]+)`", README.read_text(encoding="utf-8"))
+    exported = {name: value for name, value in vars(cornerindex).items() if isinstance(value, type)}
+    checked, unresolved = 0, []
+    for span in spans:
+        for module, name, attr in _MODULE_REFERENCE.findall(span):
+            owner = importlib.import_module(f"cornerindex.{module}")
+            checked += 1
+            if not _has(owner, name) or (attr and not _has(getattr(owner, name), attr)):
+                unresolved.append(span)
+        for cls, attr in _CLASS_REFERENCE.findall(span):
+            if cls in exported:
+                checked += 1
+                if not _has(exported[cls], attr):
+                    unresolved.append(span)
+    assert checked >= 10 and unresolved == [], unresolved
