@@ -14,17 +14,23 @@ goes through the checked constructor.  :func:`in_group` decides whether a
 vector of elements lies in a group, comparing each distinct group object
 once.  :meth:`IntegerHom.apply` reads the elements directly and builds with
 the checked constructor, so it stays an independent check of both.
+Matrices follow the same rule as elements: the products and blocks that
+:meth:`IntegerHom.compose`, ``hstack``, ``top_rows``, ``zero``,
+``unit_columns`` and the log walks build from matrices already checked are
+canonical by construction and skip the constructor's checks
+(:func:`_canonical_hom`); every matrix that enters from outside, through
+the constructor, ``from_rows`` or ``from_columns``, is checked.
 
 The workhorse is :func:`smith_normal_form`, which returns a decomposition
 ``A = U * D * V``, the one :class:`SNFDecomposition` of a matrix: it answers
 every solve, kernel, column basis and coordinate question about ``A``, and
 kernels and cokernels over any coefficient group follow from that one
 decomposition over Z by the tensor and Tor formulas.  The decomposition
-holds D and the logs of the elementary row and column operations that
-produced it, not the transforms: a product of ``U``, ``U_inv``, ``V`` or
-``V_inv`` with a matrix is one walk of one log over all of its columns at
-once, kept sparse.  Only the elimination works on dense rows, a copy it
-takes of its input.
+holds the diagonal of D and the logs of the elementary row and column
+operations that produced it, not the transforms: a product of ``U``,
+``U_inv``, ``V`` or ``V_inv`` with a matrix is one walk of one log over all
+of its columns at once, kept sparse.  Only the elimination works on dense
+rows, a copy it takes of its input.
 """
 
 from __future__ import annotations
@@ -384,11 +390,15 @@ class IntegerHom:
     def unit_columns(cls, n: int, ks) -> "IntegerHom":
         """The ``n``-row matrix whose columns are the unit vectors e_k, for
         k in the range or list ``ks``, in that order."""
-        return cls(n, len(ks), tuple(((k, 1),) for k in ks))
+        if ks and not (0 <= min(ks) and max(ks) < n):
+            raise DimensionError("unit vector index out of range")
+        return _canonical_hom(n, len(ks), tuple(((k, 1),) for k in ks))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntegerHom":
-        return cls(rows, cols, ((),) * cols)
+        if rows < 0 or cols < 0:
+            raise DimensionError("matrix sizes must be nonnegative")
+        return _canonical_hom(rows, cols, ((),) * cols)
 
     @cached_property
     def entries(self) -> tuple[tuple[int, ...], ...]:
@@ -418,13 +428,13 @@ class IntegerHom:
         if not 0 <= k <= self.rows:
             raise DimensionError("row count out of range")
         kept = tuple(tuple(e for e in column if e[0] < k) for column in self.nonzero)
-        return IntegerHom(k, self.cols, kept)
+        return _canonical_hom(k, self.cols, kept)
 
     def hstack(self, other: "IntegerHom") -> "IntegerHom":
         """The block matrix ``[self | other]``."""
         if self.rows != other.rows:
             raise DimensionError("hstack row mismatch")
-        return IntegerHom(self.rows, self.cols + other.cols, self.nonzero + other.nonzero)
+        return _canonical_hom(self.rows, self.cols + other.cols, self.nonzero + other.nonzero)
 
     def with_multiples(self, c: int) -> "IntegerHom":
         """``[self | c*I]``, whose columns span im(self) + c*Z^rows."""
@@ -445,7 +455,7 @@ class IntegerHom:
                 for i, x in self.nonzero[k]:
                     acc[i] = acc.get(i, 0) + x * y
             out.append(tuple(sorted(filter(itemgetter(1), acc.items()))))
-        return IntegerHom(self.rows, other.cols, tuple(out))
+        return _canonical_hom(self.rows, other.cols, tuple(out))
 
     def is_zero(self) -> bool:
         return not any(self.nonzero)
@@ -480,6 +490,22 @@ class IntegerHom:
         return [GroupElement(group, tuple(s[:rank]), tuple(s[rank:])) for s in sums]
 
 
+def _canonical_hom(rows: int, cols: int, nonzero: tuple) -> IntegerHom:
+    """The matrix whose ``cols`` columns are already canonical: nonzero
+    entries, rows in range and ascending.  Only the producers that build
+    such columns from matrices already checked call it
+    (:meth:`IntegerHom.compose`, ``hstack``, ``top_rows``, ``zero``,
+    ``unit_columns`` and :func:`_replay`); every other matrix goes through
+    the checked constructor.  The fields are set as the dataclass
+    constructor sets them, so the object is laid out as a checked one."""
+    h = object.__new__(IntegerHom)
+    set_field = object.__setattr__
+    set_field(h, "rows", rows)
+    set_field(h, "cols", cols)
+    set_field(h, "nonzero", nonzero)
+    return h
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form
 
@@ -489,11 +515,12 @@ class SNFDecomposition:
     normal form of ``A``, built by :func:`smith_normal_form` and reused for
     every question about ``A``.
 
-    No transform is stored: the elimination leaves ``d``, the rows of D,
-    ``cols``, its width, and two logs of elementary operations, in order.
-    ``row_log`` holds the row operations on D, whose product is ``U_inv``;
-    ``column_log`` holds, for each column operation on D, the row operation
-    V absorbs, and their product is ``V``.  An entry ``(i, k, q)`` adds
+    No transform is stored, nor D itself: the elimination leaves the
+    ``diagonal`` of D, its shape ``rows`` x ``cols``, and two logs of
+    elementary operations, in order.  ``row_log`` holds the row operations
+    on D, whose product is ``U_inv``; ``column_log`` holds, for each column
+    operation on D, the row operation V absorbs, and their product is
+    ``V``.  An entry ``(i, k, q)`` adds
     ``q`` times entry k to entry i; with ``q == 0`` it swaps entries i and
     k, or negates entry i when ``i == k``.  A product with a transform is
     one walk of one log over all columns of a matrix (:func:`_replay`):
@@ -506,21 +533,21 @@ class SNFDecomposition:
     kernel and of the column lattice of ``A`` are products with unit
     columns, and the coordinates of the columns of a matrix in either basis
     are one product, so a basis never needs a decomposition of its own.
-    The library reads only these products; the dense ``U``, ``D`` and ``V``
-    are built on first read, for inspection, then kept.
+    The library reads only these products; ``U``, ``D`` and ``V`` are
+    built on first read, for inspection, then kept.
     """
 
-    def __init__(self, d, cols: int, row_log, column_log):
-        self._d, self._cols = d, cols
+    def __init__(self, diagonal: tuple[int, ...], rows: int, cols: int, row_log, column_log):
+        self.diagonal, self._rows, self._cols = diagonal, rows, cols
         self.row_log, self.column_log = row_log, column_log
 
     def u_times(self, X: IntegerHom) -> IntegerHom:
         """``U * X``: the row log, undone backward."""
-        return _replay(self.row_log, X, len(self._d), backward=True)
+        return _replay(self.row_log, X, self._rows, backward=True)
 
     def u_inv_times(self, B: IntegerHom) -> IntegerHom:
         """``U_inv * B``: the row log, forward."""
-        return _replay(self.row_log, B, len(self._d))
+        return _replay(self.row_log, B, self._rows)
 
     def v_times(self, B: IntegerHom) -> IntegerHom:
         """``V * B``: the column log, forward."""
@@ -532,20 +559,16 @@ class SNFDecomposition:
 
     @cached_property
     def U(self) -> IntegerHom:
-        return self.u_times(IntegerHom.identity(len(self._d)))
+        return self.u_times(IntegerHom.identity(self._rows))
 
     @cached_property
     def D(self) -> IntegerHom:
-        return IntegerHom.from_rows(self._d, width=self._cols)
+        diagonal = tuple(((i, d),) if d else () for i, d in enumerate(self.diagonal))
+        return IntegerHom(self._rows, self._cols, diagonal + ((),) * (self._cols - len(diagonal)))
 
     @cached_property
     def V(self) -> IntegerHom:
         return self.v_times(IntegerHom.identity(self._cols))
-
-    @cached_property
-    def diagonal(self) -> tuple[int, ...]:
-        d = self._d
-        return tuple(d[i][i] for i in range(min(len(d), self._cols)))
 
     @cached_property
     def rank(self) -> int:
@@ -554,7 +577,7 @@ class SNFDecomposition:
     @cached_property
     def _padded(self) -> tuple[int, ...]:
         """The diagonal padded with zeros to one entry per row of A."""
-        return self.diagonal + (0,) * (len(self._d) - len(self.diagonal))
+        return self.diagonal + (0,) * (self._rows - len(self.diagonal))
 
     def kernel(self) -> IntegerHom:
         """Columns form a basis of the integer kernel of ``A``: the last
@@ -574,7 +597,7 @@ class SNFDecomposition:
     def column_basis(self) -> IntegerHom:
         """Columns form a basis of the lattice spanned by the columns of
         ``A``: the first ``rank`` columns of ``U``, scaled by the diagonal."""
-        U = self.u_times(IntegerHom.unit_columns(len(self._d), range(self.rank)))
+        U = self.u_times(IntegerHom.unit_columns(self._rows, range(self.rank)))
         scaled = tuple(tuple((i, d * x) for i, x in column) for column, d in zip(U.nonzero, self.diagonal))
         return IntegerHom(U.rows, U.cols, scaled)
 
@@ -595,7 +618,7 @@ class SNFDecomposition:
 
     def solve(self, b: list[int]) -> list[int] | None:
         """Some integer solution of ``A x = b``, or None when there is none."""
-        y = self.column_coordinates(IntegerHom.from_columns([b], len(self._d)))
+        y = self.column_coordinates(IntegerHom.from_columns([b], self._rows))
         if y is None:
             return None
         # the rank rows of y, padded with zeros to one row per column of A
@@ -605,7 +628,7 @@ class SNFDecomposition:
         """Some solution of ``A x = b (mod modulus)``, entries in [0, modulus)."""
         if modulus < 2:
             raise ValueError("modulus must be >= 2")
-        reduced = self.u_inv_times(IntegerHom.from_columns([b], len(self._d)))
+        reduced = self.u_inv_times(IntegerHom.from_columns([b], self._rows))
         w = [x % modulus for x in reduced.column(0)]
         y = [0] * self._cols
         for i, d in enumerate(self._padded):
@@ -617,6 +640,24 @@ class SNFDecomposition:
                 y[i] = (w[i] // g) * pow(d // g, -1, m2) % m2
         x = self.v_inv_times(IntegerHom.from_columns([y], self._cols))
         return [v % modulus for v in x.column(0)]
+
+    def cokernel_presentation(self) -> tuple[FGAbelianGroup, list[tuple[list[int], int]]]:
+        """Canonical form of Z^rows / (column lattice of ``A``), with generators.
+
+        Returns the group and a list of (vector, order) pairs: vectors in
+        Z^rows whose classes generate the quotient, order 0 meaning
+        infinite.  Torsion generators come first, in ascending
+        invariant-factor order.  They are the columns of ``U`` whose
+        diagonal entry is not 1, in one product: the diagonal is a
+        divisibility chain with its zeros last, so index order is already
+        that order.
+        """
+        padded = self._padded
+        kept = [i for i, d in enumerate(padded) if d != 1]
+        gens = self.u_times(IntegerHom.unit_columns(self._rows, kept))
+        orders = [padded[i] for i in kept]
+        group = FGAbelianGroup(orders.count(0), tuple(d for d in orders if d))
+        return group, [(gens.column(j), d) for j, d in enumerate(orders)]
 
 
 def _replay(log, X: IntegerHom, n: int, backward: bool = False) -> IntegerHom:
@@ -652,7 +693,7 @@ def _replay(log, X: IntegerHom, n: int, backward: bool = False) -> IntegerHom:
     for i, row in enumerate(rows):
         for j, x in row.items():
             columns[j].append((i, x))
-    return IntegerHom(n, X.cols, tuple(map(tuple, columns)))
+    return _canonical_hom(n, X.cols, tuple(map(tuple, columns)))
 
 
 def _pivot(d: list[list[int]], t: int, n: int) -> tuple[int, int] | None:
@@ -754,7 +795,7 @@ def smith_normal_form(A: IntegerHom, cancel=None) -> SNFDecomposition:
                 continue
         t += 1
 
-    return SNFDecomposition(d, n, row_log, column_log)
+    return SNFDecomposition(tuple(d[i][i] for i in range(min(m, n))), m, n, row_log, column_log)
 
 
 # ---------------------------------------------------------------------------
@@ -782,21 +823,9 @@ def lattice_column_basis(W: IntegerHom) -> IntegerHom:
 
 
 def cokernel_presentation(Y: IntegerHom) -> tuple[FGAbelianGroup, list[tuple[list[int], int]]]:
-    """Canonical form of Z^rows / (column lattice of Y), with generators.
-
-    Returns the group and a list of (vector, order) pairs: vectors in Z^rows
-    whose classes generate the quotient, order 0 meaning infinite.  Torsion
-    generators come first, in ascending invariant-factor order.  They are
-    the columns of ``U`` whose diagonal entry is not 1, in one product: the
-    diagonal is a divisibility chain with its zeros last, so index order is
-    already that order.
-    """
-    s = smith_normal_form(Y)
-    kept = [i for i, d in enumerate(s._padded) if d != 1]
-    gens = s.u_times(IntegerHom.unit_columns(Y.rows, kept))
-    orders = [s._padded[i] for i in kept]
-    group = FGAbelianGroup(orders.count(0), tuple(d for d in orders if d))
-    return group, [(gens.column(j), d) for j, d in enumerate(orders)]
+    """Canonical form of Z^rows / (column lattice of Y), with generators
+    (:meth:`SNFDecomposition.cokernel_presentation`)."""
+    return smith_normal_form(Y).cokernel_presentation()
 
 
 def cokernel(A: IntegerHom, coefficient: FGAbelianGroup) -> FGAbelianGroup:

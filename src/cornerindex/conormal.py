@@ -15,9 +15,17 @@ relations) that :func:`_lattices` builds for homology over Z and Z/c alike,
 from the boundary matrices of the complex of each filtered pair.
 
 A bottom degree, whose D_p is zeroed, takes no Smith normal form for its
-cycles.  :func:`homology` keeps each degree's answer on the poset, keyed by
-(degree, bottom, top, modulus); the exactness checks keep their cycle bases
-for one call only and never read that memo, so the two stay independent.
+cycles.  Each matrix is factored at most once per call and path: one
+:func:`homology` call, and the exactness checks of one call, each keep a
+memo of decompositions keyed by (modulus, matrix) (:func:`_factored`) that
+ends with the call; the two never share one, nor do the paths over Z and
+Z/c.  :func:`homology` keeps each degree's answer on the poset, keyed by
+(degree, bottom, top, modulus), as tuples only; the exactness checks never
+read that memo.
+
+Incidence matrices and the stacked lift of :func:`_cycle_basis` go through
+the checked ``IntegerHom`` constructor; products and blocks of checked
+matrices skip it (see :mod:`.abelian`).
 """
 
 from __future__ import annotations
@@ -36,10 +44,9 @@ from .abelian import (  # noqa: F401
     GroupMismatchError,
     IntegerHom,
     InternalConsistencyError,
-    cokernel_presentation,
+    SNFDecomposition,
     direct_sum,
     in_group,
-    integer_kernel_basis,
     integer_solve,
     smith_normal_form,
     tensor,
@@ -112,11 +119,11 @@ class ConormalChainComplex:
 def build_complex(pair: FilteredPair, coefficient: FGAbelianGroup) -> ConormalChainComplex:
     poset = require_valid(pair.base)
     degrees = tuple(pair.degrees())
-    bases = {p: tuple(f.id for f in poset.faces_of_codim(p)) for p in degrees}
+    bases = {p: poset.face_ids_of_codim(p) for p in degrees}
     boundary = {}
     for p in degrees:
         if p - 1 <= pair.low:
-            boundary[p] = IntegerHom.zero(len(poset.faces_of_codim(p - 1)), len(bases[p]))
+            boundary[p] = IntegerHom.zero(len(poset.face_ids_of_codim(p - 1)), len(bases[p]))
         else:
             boundary[p] = incidence_matrix(poset, p)
     for p in degrees:
@@ -170,10 +177,21 @@ class HomologyResult:
         }
 
 
-def _cycle_basis(Dp: IntegerHom, c: int):
+def _factored(A: IntegerHom, c: int, memo: dict) -> SNFDecomposition:
+    """The Smith normal form of ``A`` on the path with cyclic coefficient c
+    (0 meaning Z), taken once per ``memo``: the memo of one call keeps it
+    by (c, A), so the paths over Z and over each Z/c never share one."""
+    factored = memo.get((c, A))
+    if factored is None:
+        factored = memo[c, A] = smith_normal_form(A)
+    return factored
+
+
+def _cycle_basis(Dp: IntegerHom, c: int, memo: dict | None = None):
     """Basis of the cycles of Dp over Z (c = 0) or mod c, the top ``Dp.cols``
     rows of ker M for M = Dp or [Dp | c*I], and the coordinates in it of the
-    columns of a matrix, or None when one of them is not a cycle.
+    columns of a matrix, or None when one of them is not a cycle.  M is
+    factored through ``memo`` (:func:`_factored`), a fresh one when None.
 
     For c > 0, (x, y) in ker M forces y = -Dp x / c, so dropping y is
     one-to-one; c*I has full row rank, so the ``Dp.cols`` columns of ker M
@@ -190,7 +208,7 @@ def _cycle_basis(Dp: IntegerHom, c: int):
             return X
 
         return IntegerHom.identity(Dp.cols), own_coordinates
-    factored = smith_normal_form(Dp.with_multiples(c) if c else Dp)
+    factored = _factored(Dp.with_multiples(c) if c else Dp, c, {} if memo is None else memo)
     kernel = factored.kernel()
     if c and kernel.cols != Dp.cols:
         raise InternalConsistencyError("cycle lattice mod c is not full rank")
@@ -209,31 +227,35 @@ def _cycle_basis(Dp: IntegerHom, c: int):
     return kernel.top_rows(Dp.cols), coordinates
 
 
-def _lattices(Dp: IntegerHom, Dp1: IntegerHom, c: int, bases: dict | None = None):
+def _lattices(Dp: IntegerHom, Dp1: IntegerHom, c: int, memo: dict | None = None):
     """(cycles, relations, coordinates) of one degree: homology over Z
     (c = 0) or Z/c is the quotient of the first column lattice by the
     second, and ``coordinates`` expresses the columns of a matrix of cycles
     in the first.
 
     Over Z these are ker(Dp) and im(Dp1); over Z/c, the cycles mod c and
-    im [Dp1 | c*I], integer lattices both.  ``bases``, when given, memoizes
-    :func:`_cycle_basis` by (Dp, c).
+    im [Dp1 | c*I], integer lattices both.  ``memo``, the memo of one call,
+    keeps :func:`_cycle_basis` by (Dp, c) next to the Smith normal forms
+    that :func:`_factored` keeps by (c, matrix); a fresh one when None.
     """
-    bases = {} if bases is None else bases
-    if (Dp, c) not in bases:
-        bases[Dp, c] = _cycle_basis(Dp, c)
-    cycles, coordinates = bases[Dp, c]
+    memo = {} if memo is None else memo
+    if (Dp, c) not in memo:
+        memo[Dp, c] = _cycle_basis(Dp, c, memo)
+    cycles, coordinates = memo[Dp, c]
     return cycles, Dp1.with_multiples(c) if c else Dp1, coordinates
 
 
-def _homology_gens(Dp: IntegerHom, Dp1: IntegerHom, c: int):
+def _homology_gens(Dp: IntegerHom, Dp1: IntegerHom, c: int, memo: dict | None = None):
     """Homology ker(Dp)/im(Dp1) over Z (c = 0) or Z/c, with generating cycles
-    and their orders."""
-    cycles, relations, coordinates = _lattices(Dp, Dp1, c)
+    and their orders.  Every matrix is factored through ``memo``
+    (:func:`_lattices`): at a bottom degree the relations are their own
+    coordinates, the matrix whose kernel the degree above takes."""
+    memo = {} if memo is None else memo
+    cycles, relations, coordinates = _lattices(Dp, Dp1, c, memo)
     relation_coordinates = coordinates(relations)
     if relation_coordinates is None:
         raise InternalConsistencyError("a relation escapes the cycle lattice")
-    group, gens = cokernel_presentation(relation_coordinates)
+    group, gens = _factored(relation_coordinates, c, memo).cokernel_presentation()
     reps = [(cycles.apply_int(g), order) for g, order in gens]
     if c:
         reps = [([x % c for x in vec], order) for vec, order in reps]
@@ -261,16 +283,20 @@ def homology(complex: ConormalChainComplex) -> HomologyResult:
     :func:`build_complex` is fixed at degree p by whether p is its bottom
     (D_p zeroed) and whether p is its top (D_{p+1} empty), so the memo
     keys (p, bottom, top, c); it holds (group, representative vectors) as
-    tuples, and each result gets its own lists.
+    tuples, and each result gets its own lists.  The summands a call
+    computes share one memo of decompositions (:func:`_factored`), which
+    ends with the call, so no matrix is factored twice per call and path.
     """
     G = complex.coefficient
     pair = complex.pair
     memo = pair.base._homology_memo
+    factored: dict = {}
 
     def gens(p: int, c: int):
         key = (p, p == pair.low + 1, p == pair.high, c)
         if key not in memo:
-            group, reps = _homology_gens(complex.boundary[p], complex.boundary_or_zero(p + 1), c)
+            Dp, Dp1 = complex.boundary[p], complex.boundary_or_zero(p + 1)
+            group, reps = _homology_gens(Dp, Dp1, c, factored)
             memo[key] = group, tuple((tuple(vec), order) for vec, order in reps)
         return memo[key]
 
@@ -349,21 +375,25 @@ def _block_map(src, tgt, parts: dict[tuple[int, int], IntegerHom]) -> IntegerHom
     return IntegerHom(rows, len(columns), tuple(tuple(sorted(c)) for c in columns))
 
 
-def _lattice_subset(gens_a: IntegerHom, gens_b: IntegerHom) -> bool:
-    return smith_normal_form(gens_b).contains(gens_a)
-
-
-def _node_exact(f_in: IntegerHom, src, node, f_out: IntegerHom, tgt) -> bool:
+def _node_exact(
+    f_in: IntegerHom, src, node, f_out: IntegerHom, tgt, c: int = 0, memo: dict | None = None
+) -> bool:
     """Exactness at ``node`` between ``src`` and ``tgt``, each a (cycles,
     relations) lattice pair: the image of ``f_in`` equals the kernel of
-    ``f_out``, both modulo the relations of ``node``."""
+    ``f_out``, both modulo the relations of ``node``.
+
+    Each matrix is factored through ``memo`` on the path of c
+    (:func:`_factored`), a fresh one when None: the image here is the
+    matrix whose kernel the node before took, and the image and the kernel
+    are often the same matrix."""
+    memo = {} if memo is None else memo
     (src_cycles, _), (cycles, relations), (_, tgt_relations) = src, node, tgt
     image = f_in.compose(src_cycles).hstack(relations)
     moved = f_out.compose(cycles)
     # the first block {a : moved a in span(tgt_relations)} is blind to the sign of the second
-    combo_kernel = integer_kernel_basis(moved.hstack(tgt_relations))
+    combo_kernel = _factored(moved.hstack(tgt_relations), c, memo).kernel()
     kernel = cycles.compose(combo_kernel.top_rows(cycles.cols)).hstack(relations)
-    return _lattice_subset(image, kernel) and _lattice_subset(kernel, image)
+    return _factored(kernel, c, memo).contains(image) and _factored(image, c, memo).contains(kernel)
 
 
 def _periodized(
@@ -429,16 +459,17 @@ def _triple(poset: FacePoset, q: int, m: int, l: int, G: FGAbelianGroup):
     return complexes, arrow
 
 
-def _exactness(complexes, arrow, c: int, bases: dict):
+def _exactness(complexes, arrow, c: int, memo: dict):
     """``exact(j, p)``: exactness with cyclic coefficient c at position
     (j, p) of the triple's long exact sequence, between (j - 1, p) and
     (j + 1, p), where (-1, p) is (2, p + 1) and (3, p) is (0, p - 1).  With
     ``end``, the sequence ends at (j, p) with the zero map.
 
-    Lattices are built when a check reads them, and ``bases`` is the memo of
-    cycle bases that one call shares among its checks (see
-    :func:`_lattices`); :func:`homology` never sees it, nor does this read
-    the poset's homology memo, so the two computations stay independent.
+    Lattices are built when a check reads them, and ``memo`` is the memo of
+    cycle bases and decompositions that one call shares among its checks
+    (see :func:`_lattices`); :func:`homology` never sees it, nor does this
+    read the poset's homology memo, so the two computations stay
+    independent.
     """
     zero = (IntegerHom.zero(0, 0),) * 2
 
@@ -446,7 +477,7 @@ def _exactness(complexes, arrow, c: int, bases: dict):
         complex = complexes[j]
         if not complex.dim(p):
             return zero
-        return _lattices(complex.boundary[p], complex.boundary_or_zero(p + 1), c, bases)[:2]
+        return _lattices(complex.boundary[p], complex.boundary_or_zero(p + 1), c, memo)[:2]
 
     def exact(j: int, p: int, end: bool = False) -> bool:
         n = complexes[j].dim(p)
@@ -455,7 +486,7 @@ def _exactness(complexes, arrow, c: int, bases: dict):
         before = (j - 1, p) if j else (2, p + 1)
         after = (j + 1, p) if j < 2 else (0, p - 1)
         f_out, tgt = (IntegerHom.zero(0, n), zero) if end else (arrow(j, p), lattices(*after))
-        return _node_exact(arrow(*before), lattices(*before), lattices(j, p), f_out, tgt)
+        return _node_exact(arrow(*before), lattices(*before), lattices(j, p), f_out, tgt, c, memo)
 
     return exact
 
@@ -466,9 +497,9 @@ def six_term(poset: FacePoset, q: int, m: int, l: int, G: FGAbelianGroup) -> Six
     # one homology per pair; each node reads one parity of it
     periodized = [homology(complex).periodized for complex in complexes]
     groups = dict(zip(SixTermSequence.NODE_ORDER, (h[parity] for parity in (1, 0) for h in periodized)))
-    bases: dict = {}
+    memo: dict = {}
     for c in sorted(set(G.cyclic_summands())):
-        exact = _exactness(complexes, arrow, c, bases)
+        exact = _exactness(complexes, arrow, c, memo)
         # from the top degree down; outside (q, l] every chain module is zero
         for p in range(l, q, -1):
             for j in range(3):
@@ -527,9 +558,9 @@ def connected_boundary_ses(poset: FacePoset, G: FGAbelianGroup) -> BoundarySESRe
     # injectivity, and exactness at H_0(X_0), ended by the zero map, is onto
     complexes, arrow = _triple(poset, -1, 0, d, G)
     boundary_part, absolute, relative = (homology(complex).periodized for complex in complexes)
-    bases: dict = {}
+    memo: dict = {}
     for c in sorted(set(G.cyclic_summands())):
-        exact = _exactness(complexes, arrow, c, bases)
+        exact = _exactness(complexes, arrow, c, memo)
         checks = [exact(j, p) for p in range(d, 0, -1) if p % 2 for j in (1, 2)]
         checks.append(exact(0, 0, end=True))
         if not all(checks):

@@ -11,10 +11,10 @@ the last pair winning on a repeated index as in ``dict``.  On a valid face
 those keys are its sorted index tuple, so every reader after validation
 takes a face's parents by position.  A poset is immutable: its fields are
 tuples and frozen faces, whatever sequences it was built from.  So its
-validation verdict, its per-codimension index, its id -> face index, the
-homology memo of ``conormal.homology`` and the derived-structure memo (its
-incidence matrices and corner graph) are built on first read and kept on
-the object; validation keeps no parent map.
+validation verdict, its per-codimension indices of faces and of face ids,
+its id -> face index, the homology memo of ``conormal.homology`` and the
+derived-structure memo (its incidence matrices and corner graph) are built
+on first read and kept on the object; validation keeps no parent map.
 
 Validation settles a passing face with one test: its codim equals the
 length of its tuple, every index is a known hypersurface, and its parents,
@@ -101,6 +101,10 @@ class FacePoset:
         return {p: tuple(fs) for p, fs in index.items()}
 
     @cached_property
+    def _ids_by_codim(self) -> dict[int, tuple[str, ...]]:
+        return {p: tuple(f.id for f in fs) for p, fs in self._by_codim.items()}
+
+    @cached_property
     def _id_index(self) -> dict[str, Face]:
         """id -> face, the last face winning on a repeated id; read-only."""
         return {f.id: f for f in self.faces}
@@ -135,6 +139,10 @@ class FacePoset:
     def faces_of_codim(self, p: int) -> list[Face]:
         """Faces of codimension p, in declaration order (the chain basis order)."""
         return list(self._by_codim.get(p, ()))
+
+    def face_ids_of_codim(self, p: int) -> tuple[str, ...]:
+        """Ids of the faces of codimension p, in the order of :meth:`faces_of_codim`."""
+        return self._ids_by_codim.get(p, ())
 
     def is_empty(self) -> bool:
         return not self.faces

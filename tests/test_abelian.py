@@ -417,8 +417,10 @@ def _cube_homology_snfs(monkeypatch, d: int):
 def test_snf_logs_of_cube_homology_pass_the_independent_checker(monkeypatch, d):
     taken = _cube_homology_snfs(monkeypatch, d)
     # over Z and mod 4, in each degree the cokernel presentation's SNF,
-    # and the cycle basis's in the d degrees with a nonzero boundary
-    assert len(taken) == 2 * (2 * d + 1)
+    # and the cycle basis's in the d degrees with a nonzero boundary, less
+    # the presentation of the bottom degree 0, whose relations are their
+    # own coordinates: the matrix degree 1 factors for its cycles
+    assert len(taken) == 2 * 2 * d
     for A, s in taken:
         check_snf_logs(A, s)
 
@@ -1020,6 +1022,75 @@ def test_unchecked_elements_are_built_only_by_join():
         if scope == "IntegerHom.apply" and isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
     ]
     assert "GroupElement" in apply_calls
+
+
+def test_unchecked_matrices_are_built_only_by_canonical_producers():
+    # the unchecked matrix builder has these callers only, each building
+    # canonical columns from checked matrices; the constructors that take
+    # outside input, and conormal's incidence matrices and stacked lift,
+    # keep the checked constructor
+    nodes = _scoped_nodes()
+    builder = {scope for _, scope in _loads_of(nodes, "_canonical_hom")}
+    assert builder == {
+        "_replay",
+        "IntegerHom.compose",
+        "IntegerHom.hstack",
+        "IntegerHom.top_rows",
+        "IntegerHom.zero",
+        "IntegerHom.unit_columns",
+    }
+    calls = {
+        (scope, node.func.id)
+        for _, scope, node in nodes
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert {("IntegerHom.from_columns", "cls"), ("_incidence", "IntegerHom")} <= calls
+    assert ("_cycle_basis.coordinates", "IntegerHom") in calls
+    assert any(scope == "IntegerHom.__post_init__" for _, scope, _ in nodes)
+
+
+def test_unchecked_producers_build_what_the_checked_constructor_accepts():
+    # every matrix a producer of the unchecked builder returns is equal to
+    # the one the checked constructor builds from its fields, so a product
+    # that kept a cancelled entry or an unsorted column would raise here
+    rng = random.Random(2400)
+    cancelled = 0
+    for _ in range(300):
+        r, k, c = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
+        A, B, C = (IntegerHom.from_rows(_random_rows(rng, m, n), width=n) for m, n in ((r, k), (k, c), (r, c)))
+        product = A.compose(B)
+        dense = [[sum(A.entries[i][t] * B.entries[t][j] for t in range(k)) for j in range(c)] for i in range(r)]
+        assert product == IntegerHom.from_rows(dense, width=c)
+        cancelled += sum(
+            1
+            for i in range(r)
+            for j in range(c)
+            if not dense[i][j] and any(A.entries[i][t] and B.entries[t][j] for t in range(k))
+        )
+        s = smith_normal_form(A)
+        built = [
+            product,
+            A.hstack(C),
+            A.top_rows(rng.randint(0, r)),
+            IntegerHom.zero(r, k),
+            IntegerHom.unit_columns(r, [rng.randrange(r) for _ in range(c)] if r else []),
+            IntegerHom.identity(k),
+            s.u_times(C),
+            s.u_inv_times(C),
+            s.v_times(B),
+            s.v_inv_times(B),
+            s.kernel(),
+            s.column_basis(),
+        ]
+        for m in built:
+            assert type(m) is IntegerHom and IntegerHom(m.rows, m.cols, m.nonzero) == m
+    assert cancelled >= 50, cancelled
+    with pytest.raises(DimensionError):
+        IntegerHom.unit_columns(2, [0, 2])
+    with pytest.raises(DimensionError):
+        IntegerHom.unit_columns(2, [-1])
+    with pytest.raises(DimensionError):
+        IntegerHom.zero(2, -1)
 
 
 def test_element_groups_are_compared_only_by_in_group():

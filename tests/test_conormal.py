@@ -36,6 +36,7 @@ from helpers import (
     kgon,
     one_column,
     random_valid_poset,
+    rebind,
     reference_homology,
     reference_six_term_maps,
     reference_smith_normal_form,
@@ -564,14 +565,14 @@ def test_six_term_and_boundary_ses_compute_each_pair_once(monkeypatch):
 def test_six_term_and_boundary_ses_read_each_pair_complex(monkeypatch):
     # the three pairs of the triple build their incidence matrices once,
     # and none at a bottom degree, whose D_p is zero; homology, presentations
-    # and arrows read them from those complexes, and the presentations of
-    # one call share each (matrix, c) cycle basis
+    # and arrows read them from those complexes, and each path of one call
+    # factors each (c, matrix) once
     incidences = count_calls(monkeypatch, conormal, "incidence_matrix")
     snfs = count_calls(monkeypatch, abelian, "smith_normal_form")
     six_term(square(), -1, 0, 2, FGAbelianGroup(1, (4,)))
-    assert (len(incidences), len(snfs)) == (3, 54)
+    assert (len(incidences), len(snfs)) == (3, 32)
     connected_boundary_ses(square(), FGAbelianGroup(1, (4,)))
-    assert (len(incidences), len(snfs)) == (6, 54 + 34)
+    assert (len(incidences), len(snfs)) == (6, 32 + 24)
 
 
 def _snf_split(monkeypatch):
@@ -605,35 +606,125 @@ def test_exactness_memo_lives_for_one_call_and_homology_memo_on_the_poset(monkey
     # the exactness memo is made inside each call and never reads the
     # poset's: a second call takes the same exactness SNFs, cold or warm
     poset = square()
-    assert [split(lambda: six_term(poset, -1, 0, 2, G)) for _ in range(2)] == [(14, 40), (0, 40)]
+    assert [split(lambda: six_term(poset, -1, 0, 2, G)) for _ in range(2)] == [(12, 20), (0, 20)]
     poset = square()
-    assert [split(lambda: connected_boundary_ses(poset, G)) for _ in range(2)] == [(14, 20), (0, 20)]
+    assert [split(lambda: connected_boundary_ses(poset, G)) for _ in range(2)] == [(12, 12), (0, 12)]
     warm = square()
     six_term(warm, -1, 0, 2, G)
-    assert split(lambda: connected_boundary_ses(warm, G)) == (0, 20)
+    assert split(lambda: connected_boundary_ses(warm, G)) == (0, 12)
 
     # the homology memo lives on the poset object
     poset = square()
     shown = (repr(poset), hash(poset))
     pair = FilteredPair(poset, -1, 2)
-    assert [split(lambda: conormal.homology(build_complex(pair, G))) for _ in range(2)] == [(10, 0), (0, 0)]
+    assert [split(lambda: conormal.homology(build_complex(pair, G))) for _ in range(2)] == [(8, 0), (0, 0)]
     assert (repr(poset), hash(poset)) == shown and poset == square()
     anew, copied = square(), dataclasses.replace(poset)
     assert anew == poset == copied and (repr(copied), hash(copied)) == shown
     for other in (anew, copied):
-        assert split(lambda: conormal.homology(build_complex(FilteredPair(other, -1, 2), G))) == (10, 0)
+        assert split(lambda: conormal.homology(build_complex(FilteredPair(other, -1, 2), G))) == (8, 0)
 
 
 def test_homology_of_a_six_cube_pair_cold_and_warm(monkeypatch):
-    # (X_6, X_4): the bottom degree 5 takes no SNF, the top degree 6 one
-    # per modulus to factor and one to present; warm, none at all
+    # (X_6, X_4): the bottom degree 5 takes no SNF for its cycles, and its
+    # relations are their own coordinates, the matrix the top degree 6
+    # factors for its cycles; so one SNF per modulus for that and one to
+    # present degree 6; warm, none at all
     snfs = count_calls(monkeypatch, abelian, "smith_normal_form")
     pair = FilteredPair(cube(6), 4, 6)
     cold = homology(build_complex(pair, FGAbelianGroup(1, (4,))))
-    assert len(snfs) == 6
+    assert len(snfs) == 4
     warm = homology(build_complex(pair, FGAbelianGroup(1, (4,))))
-    assert len(snfs) == 6
+    assert len(snfs) == 4
     assert (warm.groups, warm.cycles) == (cold.groups, cold.cycles)
+
+
+def _decompositions_by_path(monkeypatch, run):
+    """Run ``run`` and return (made, reads): ``made`` lists (path, A,
+    decomposition) for every Smith normal form taken, ``reads`` (path,
+    decomposition) for every question asked of one.  The path is
+    ("homology", k, c) inside the k-th homology call, on the summand of c,
+    and ("exactness", c) inside an exactness check of c."""
+    path: list = [None]
+    made, reads = [], []
+
+    def within(label, fn):
+        def scoped(*args, **kwargs):
+            outer, path[0] = path[0], label(args)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                path[0] = outer
+
+        return scoped
+
+    real_snf = abelian.smith_normal_form
+
+    def recording(A, cancel=None):
+        made.append((path[0], A, real_snf(A, cancel=cancel)))
+        return made[-1][2]
+
+    rebind(monkeypatch, abelian, "smith_normal_form", recording)
+    for name in ("kernel", "kernel_coordinates", "contains", "column_coordinates", "cokernel_presentation"):
+        method = getattr(abelian.SNFDecomposition, name)
+
+        def reading(self, *args, method=method):
+            reads.append((path[0], self))
+            return method(self, *args)
+
+        rebind(monkeypatch, abelian.SNFDecomposition, name, reading)
+
+    homology_of, gens_of, exactness_of = conormal.homology, conormal._homology_gens, conormal._exactness
+    calls = itertools.count()
+
+    def homology_call(complex):
+        k = next(calls)
+        monkeypatch.setattr(conormal, "_homology_gens", within(lambda args: ("homology", k, args[2]), gens_of))
+        return homology_of(complex)
+
+    def exactness(complexes, arrow, c, memo):
+        return within(lambda args: ("exactness", c), exactness_of(complexes, arrow, c, memo))
+
+    monkeypatch.setattr(conormal, "homology", homology_call)
+    monkeypatch.setattr(conormal, "_exactness", exactness)
+    run()
+    return made, reads
+
+
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda: six_term(cube(3), -1, 0, 3, FGAbelianGroup(1, (4,))), id="six_term"),
+    pytest.param(lambda: connected_boundary_ses(cube(3), FGAbelianGroup(1, (4,))), id="boundary_ses"),
+])
+def test_each_path_reads_only_the_decompositions_it_made(monkeypatch, run):
+    # homology and the exactness checks, each homology call, and the Z and
+    # Z/4 halves of each, read no decomposition in common: every question
+    # goes to a decomposition made on its own path, and no path factors a
+    # matrix twice
+    made, reads = _decompositions_by_path(monkeypatch, run)
+    maker = {id(s): where for where, _, s in made}
+    assert None not in maker.values() and None not in {where for where, _ in reads}
+    assert all(maker[id(s)] == where for where, s in reads)
+    for where in set(maker.values()):
+        matrices = [A for made_on, A, _ in made if made_on == where]
+        assert len(matrices) == len(set(matrices)), where
+    # not vacuous: both kinds of path and both moduli take part, each path
+    # asks some decomposition a second question, and some matrix factored
+    # by homology is factored again, apart, by the exactness checks
+    assert {(where[0], where[-1]) for where in maker.values()} == {
+        (kind, c) for kind in ("homology", "exactness") for c in (0, 4)
+    }
+    assert len(reads) > len({id(s) for _, s in reads})
+    by_kind = {kind: {A for where, A, _ in made if where[0] == kind} for kind in ("homology", "exactness")}
+    assert by_kind["homology"] & by_kind["exactness"]
+
+
+def test_six_term_on_the_five_cube_factors_each_matrix_once_per_call_and_path(monkeypatch):
+    # six_term(-1, 0, 5) at Z + Z/4 took 108 SNFs when every question
+    # factored its matrix afresh; the per-call memos of homology and of the
+    # exactness checks leave 66, of 52 distinct matrices
+    snfs = count_calls(monkeypatch, abelian, "smith_normal_form")
+    six_term(cube(5), -1, 0, 5, FGAbelianGroup(1, (4,)))
+    assert (len(snfs), len(set(snfs))) == (66, 52)
 
 
 def test_degrees_that_share_a_memo_key_share_their_matrices():
@@ -714,6 +805,18 @@ def test_incidence_matrices_are_built_once_per_poset_and_degree(monkeypatch):
         build_complex(FilteredPair(other, -1, 3), Z)
     assert len(builds) == 9
     assert all(type(value) is IntegerHom for value in poset._derived_memo.values())
+
+
+def test_build_complex_reads_the_face_ids_kept_on_the_poset():
+    # each degree's basis is the poset's own tuple of face ids, built on
+    # first read, in the chain basis order of faces_of_codim
+    poset = cube(3)
+    for low, high in itertools.combinations_with_replacement(range(-1, 4), 2):
+        complex = build_complex(FilteredPair(poset, low, high), Z)
+        for p in complex.degrees:
+            assert complex.bases[p] is poset.face_ids_of_codim(p)
+            assert complex.bases[p] == tuple(f.id for f in poset.faces_of_codim(p))
+    assert poset.face_ids_of_codim(7) == () and cube(0).face_ids_of_codim(1) == ()
 
 
 def test_a_warm_memo_still_checks_that_the_boundary_squares_to_zero():
