@@ -10,22 +10,16 @@ integer homology.  Disagreement raises :class:`InternalConsistencyError`,
 which always indicates a bug rather than bad input.  The same philosophy
 applies to six-term sequences: exactness is a theorem, so a failed check
 raises instead of reporting.  It is checked at every degree of the triple's
-long exact sequence, one chain module at a time, on the lattice pair (cycles,
-relations) that :func:`_lattices` builds for homology over Z and Z/c alike,
-from the boundary matrices of the complex of each filtered pair.
+long exact sequence, one chain module at a time, on the same lattice pairs
+(cycles, relations) that homology reads.
 
-A bottom degree, whose D_p is zeroed, takes no Smith normal form for its
-cycles.  Each matrix is factored at most once per call and path: one
-:func:`homology` call, and the exactness checks of one call, each keep a
-memo of decompositions keyed by (modulus, matrix) (:func:`_factored`) that
-ends with the call; the two never share one, nor do the paths over Z and
-Z/c.  :func:`homology` keeps each degree's answer on the poset, keyed by
-(degree, bottom, top, modulus), as tuples only; the exactness checks never
-read that memo.
-
-Incidence matrices and the stacked lift of :func:`_cycle_basis` go through
-the checked ``IntegerHom`` constructor; products and blocks of checked
-matrices skip it (see :mod:`.abelian`).
+Every lattice question goes to a :class:`_Path`: the homology or the
+exactness checks of one call, over Z or one Z/c.  A path factors each matrix
+at most once, and a zero matrix not at all; no two paths share one.
+:func:`homology` keeps each degree's answer on the poset as tuples only, and
+the exactness checks never read it.  Incidence matrices and the stacked lift
+of :meth:`_Path.coordinates` go through the checked ``IntegerHom``
+constructor; products and blocks of checked matrices skip it.
 """
 
 from __future__ import annotations
@@ -177,89 +171,98 @@ class HomologyResult:
         }
 
 
-def _factored(A: IntegerHom, c: int, memo: dict) -> SNFDecomposition:
-    """The Smith normal form of ``A`` on the path with cyclic coefficient c
-    (0 meaning Z), taken once per ``memo``: the memo of one call keeps it
-    by (c, A), so the paths over Z and over each Z/c never share one."""
-    factored = memo.get((c, A))
-    if factored is None:
-        factored = memo[c, A] = smith_normal_form(A)
-    return factored
+class _Path:
+    """One path of one call: the homology or the exactness checks over Z
+    (c = 0) or Z/c.  It factors each matrix at most once, and a zero one
+    for its kernel not at all, and keeps each cycle basis; no two paths
+    share one, so no two share a Smith normal form."""
 
+    def __init__(self, c: int):
+        self.c = c
+        self._decompositions: dict[IntegerHom, SNFDecomposition] = {}
+        self._cycles: dict[IntegerHom, tuple[IntegerHom, SNFDecomposition | None]] = {}
 
-def _cycle_basis(Dp: IntegerHom, c: int, memo: dict | None = None):
-    """Basis of the cycles of Dp over Z (c = 0) or mod c, the top ``Dp.cols``
-    rows of ker M for M = Dp or [Dp | c*I], and the coordinates in it of the
-    columns of a matrix, or None when one of them is not a cycle.  M is
-    factored through ``memo`` (:func:`_factored`), a fresh one when None.
+    def _lifted(self, A: IntegerHom) -> IntegerHom:
+        return A.with_multiples(self.c) if self.c else A
 
-    For c > 0, (x, y) in ker M forces y = -Dp x / c, so dropping y is
-    one-to-one; c*I has full row rank, so the ``Dp.cols`` columns of ker M
-    drop to a basis of {x : Dp x = 0 mod c}.  Unless c divides Dp x, the
-    lift (x, -Dp x // c) is not in ker M and has no coordinates.
-    A zero Dp takes no SNF: every chain is a cycle, over Z and mod c, so
-    the basis is the identity and a matrix is its own coordinates.
-    """
-    if Dp.is_zero():
+    def factored(self, A: IntegerHom) -> SNFDecomposition:
+        factored = self._decompositions.get(A)
+        if factored is None:
+            factored = self._decompositions[A] = smith_normal_form(A)
+        return factored
 
-        def own_coordinates(X: IntegerHom) -> IntegerHom:
-            if X.rows != Dp.cols:
-                raise DimensionError("matrix rows do not match columns")
+    def kernel(self, A: IntegerHom) -> IntegerHom:
+        """Kernel basis of ``A``; a zero ``A`` takes no SNF."""
+        return IntegerHom.identity(A.cols) if A.is_zero() else self.factored(A).kernel()
+
+    def _cycles_of(self, Dp: IntegerHom) -> tuple[IntegerHom, SNFDecomposition | None]:
+        """(cycle basis of Dp, the decomposition it is read off).  Mod c it
+        is the top ``Dp.cols`` rows of ker [Dp | c*I]: (x, y) in it forces
+        y = -Dp x / c, and c*I has full row rank.  A zero Dp gives the
+        identity and None: every chain is a cycle, over Z and mod c."""
+        cycles = self._cycles.get(Dp)
+        if cycles is None:
+            if Dp.is_zero():
+                cycles = IntegerHom.identity(Dp.cols), None
+            else:
+                factored = self.factored(self._lifted(Dp))
+                kernel = factored.kernel()
+                if self.c and kernel.cols != Dp.cols:
+                    raise InternalConsistencyError("cycle lattice mod c is not full rank")
+                cycles = kernel.top_rows(Dp.cols), factored
+            self._cycles[Dp] = cycles
+        return cycles
+
+    def lattices(self, Dp: IntegerHom, Dp1: IntegerHom) -> tuple[IntegerHom, IntegerHom]:
+        """(cycles, relations), whose quotient is the homology: over Z,
+        ker(Dp) and im(Dp1); over Z/c, the cycles mod c and im [Dp1 | c*I]."""
+        return self._cycles_of(Dp)[0], self._lifted(Dp1)
+
+    def coordinates(self, Dp: IntegerHom, X: IntegerHom) -> IntegerHom | None:
+        """The coordinates of the columns of ``X`` in the cycle basis of Dp,
+        or None when one of them is not a cycle.  Mod c, X is lifted to
+        (X, -Dp X // c) in ker [Dp | c*I], which fails unless c divides
+        Dp X.  For a zero Dp, X is its own coordinates."""
+        if X.rows != Dp.cols:
+            raise DimensionError("matrix rows do not match columns")
+        _, factored = self._cycles_of(Dp)
+        if factored is None:
             return X
-
-        return IntegerHom.identity(Dp.cols), own_coordinates
-    factored = _factored(Dp.with_multiples(c) if c else Dp, c, {} if memo is None else memo)
-    kernel = factored.kernel()
-    if c and kernel.cols != Dp.cols:
-        raise InternalConsistencyError("cycle lattice mod c is not full rank")
-
-    def coordinates(X: IntegerHom) -> IntegerHom | None:
-        if c:
+        if self.c:
             # the lift -Dp X // c stacked under X, entries that floor to 0 left out
             n, lifts = X.rows, Dp.compose(X).nonzero
             stacked = tuple(
-                column + tuple((n + i, y) for i, x in lift if (y := -x // c))
+                column + tuple((n + i, y) for i, x in lift if (y := -x // self.c))
                 for column, lift in zip(X.nonzero, lifts)
             )
             X = IntegerHom(n + Dp.rows, X.cols, stacked)
         return factored.kernel_coordinates(X)
 
-    return kernel.top_rows(Dp.cols), coordinates
+    def homology(self, Dp: IntegerHom, Dp1: IntegerHom):
+        """ker(Dp)/im(Dp1) with generating cycles and their orders.  At a
+        bottom degree the relations are their own coordinates, the matrix
+        whose kernel the degree above takes."""
+        cycles, relations = self.lattices(Dp, Dp1)
+        relation_coordinates = self.coordinates(Dp, relations)
+        if relation_coordinates is None:
+            raise InternalConsistencyError("a relation escapes the cycle lattice")
+        group, gens = self.factored(relation_coordinates).cokernel_presentation()
+        reps = [(cycles.apply_int(g), order) for g, order in gens]
+        if self.c:
+            reps = [([x % self.c for x in vec], order) for vec, order in reps]
+        return group, reps
 
-
-def _lattices(Dp: IntegerHom, Dp1: IntegerHom, c: int, memo: dict | None = None):
-    """(cycles, relations, coordinates) of one degree: homology over Z
-    (c = 0) or Z/c is the quotient of the first column lattice by the
-    second, and ``coordinates`` expresses the columns of a matrix of cycles
-    in the first.
-
-    Over Z these are ker(Dp) and im(Dp1); over Z/c, the cycles mod c and
-    im [Dp1 | c*I], integer lattices both.  ``memo``, the memo of one call,
-    keeps :func:`_cycle_basis` by (Dp, c) next to the Smith normal forms
-    that :func:`_factored` keeps by (c, matrix); a fresh one when None.
-    """
-    memo = {} if memo is None else memo
-    if (Dp, c) not in memo:
-        memo[Dp, c] = _cycle_basis(Dp, c, memo)
-    cycles, coordinates = memo[Dp, c]
-    return cycles, Dp1.with_multiples(c) if c else Dp1, coordinates
-
-
-def _homology_gens(Dp: IntegerHom, Dp1: IntegerHom, c: int, memo: dict | None = None):
-    """Homology ker(Dp)/im(Dp1) over Z (c = 0) or Z/c, with generating cycles
-    and their orders.  Every matrix is factored through ``memo``
-    (:func:`_lattices`): at a bottom degree the relations are their own
-    coordinates, the matrix whose kernel the degree above takes."""
-    memo = {} if memo is None else memo
-    cycles, relations, coordinates = _lattices(Dp, Dp1, c, memo)
-    relation_coordinates = coordinates(relations)
-    if relation_coordinates is None:
-        raise InternalConsistencyError("a relation escapes the cycle lattice")
-    group, gens = _factored(relation_coordinates, c, memo).cokernel_presentation()
-    reps = [(cycles.apply_int(g), order) for g, order in gens]
-    if c:
-        reps = [([x % c for x in vec], order) for vec, order in reps]
-    return group, reps
+    def exact(self, f_in: IntegerHom, src, node, f_out: IntegerHom, tgt) -> bool:
+        """Exactness at ``node`` between ``src`` and ``tgt``, each a (cycles,
+        relations) lattice pair: the image of ``f_in`` equals the kernel of
+        ``f_out``, both modulo the relations of ``node``."""
+        (src_cycles, _), (cycles, relations), (_, tgt_relations) = src, node, tgt
+        image = f_in.compose(src_cycles).hstack(relations)
+        moved = f_out.compose(cycles)
+        # the first block {a : moved a in span(tgt_relations)} is blind to the sign of the second
+        combo_kernel = self.kernel(moved.hstack(tgt_relations))
+        kernel = cycles.compose(combo_kernel.top_rows(cycles.cols)).hstack(relations)
+        return self.factored(kernel).contains(image) and self.factored(image).contains(kernel)
 
 
 def _embed_chain(
@@ -284,19 +287,18 @@ def homology(complex: ConormalChainComplex) -> HomologyResult:
     (D_p zeroed) and whether p is its top (D_{p+1} empty), so the memo
     keys (p, bottom, top, c); it holds (group, representative vectors) as
     tuples, and each result gets its own lists.  The summands a call
-    computes share one memo of decompositions (:func:`_factored`), which
-    ends with the call, so no matrix is factored twice per call and path.
+    computes take one :class:`_Path` per modulus.
     """
     G = complex.coefficient
     pair = complex.pair
     memo = pair.base._homology_memo
-    factored: dict = {}
+    paths = {c: _Path(c) for c in {0, *G.torsion}}
 
     def gens(p: int, c: int):
         key = (p, p == pair.low + 1, p == pair.high, c)
         if key not in memo:
             Dp, Dp1 = complex.boundary[p], complex.boundary_or_zero(p + 1)
-            group, reps = _homology_gens(Dp, Dp1, c, factored)
+            group, reps = paths[c].homology(Dp, Dp1)
             memo[key] = group, tuple((tuple(vec), order) for vec, order in reps)
         return memo[key]
 
@@ -341,11 +343,11 @@ def periodize(result: HomologyResult) -> tuple[FGAbelianGroup, FGAbelianGroup]:
 #
 # Position (j, p) of the long exact sequence of a triple is degree p of its
 # complex j.  With cyclic coefficient c (0 meaning Z), its homology is the
-# lattice pair of :func:`_lattices`, and arrows act by integer matrices, so
-# exactness at a position is an equality of integer lattices, decided by
-# solving in both directions.  Every arrow is homogeneous, so the six-term
-# sequence, which stacks the degrees of one parity, is exact exactly when the
-# long exact sequence is exact at every position.
+# lattice pair of :meth:`_Path.lattices`, and arrows act by integer
+# matrices, so exactness at a position is an equality of integer lattices,
+# decided by solving in both directions.  Every arrow is homogeneous, so the
+# six-term sequence, which stacks the degrees of one parity, is exact exactly
+# when the long exact sequence is exact at every position.
 
 
 def _blocks(complex: ConormalChainComplex, parity: int) -> tuple[tuple[int, int], ...]:
@@ -373,27 +375,6 @@ def _block_map(src, tgt, parts: dict[tuple[int, int], IntegerHom]) -> IntegerHom
                 columns[j] += tuple((i + shift, x) for i, x in column)
     rows = sum(n for _, n in tgt)
     return IntegerHom(rows, len(columns), tuple(tuple(sorted(c)) for c in columns))
-
-
-def _node_exact(
-    f_in: IntegerHom, src, node, f_out: IntegerHom, tgt, c: int = 0, memo: dict | None = None
-) -> bool:
-    """Exactness at ``node`` between ``src`` and ``tgt``, each a (cycles,
-    relations) lattice pair: the image of ``f_in`` equals the kernel of
-    ``f_out``, both modulo the relations of ``node``.
-
-    Each matrix is factored through ``memo`` on the path of c
-    (:func:`_factored`), a fresh one when None: the image here is the
-    matrix whose kernel the node before took, and the image and the kernel
-    are often the same matrix."""
-    memo = {} if memo is None else memo
-    (src_cycles, _), (cycles, relations), (_, tgt_relations) = src, node, tgt
-    image = f_in.compose(src_cycles).hstack(relations)
-    moved = f_out.compose(cycles)
-    # the first block {a : moved a in span(tgt_relations)} is blind to the sign of the second
-    combo_kernel = _factored(moved.hstack(tgt_relations), c, memo).kernel()
-    kernel = cycles.compose(combo_kernel.top_rows(cycles.cols)).hstack(relations)
-    return _factored(kernel, c, memo).contains(image) and _factored(image, c, memo).contains(kernel)
 
 
 def _periodized(
@@ -459,36 +440,34 @@ def _triple(poset: FacePoset, q: int, m: int, l: int, G: FGAbelianGroup):
     return complexes, arrow
 
 
-def _exactness(complexes, arrow, c: int, memo: dict):
-    """``exact(j, p)``: exactness with cyclic coefficient c at position
-    (j, p) of the triple's long exact sequence, between (j - 1, p) and
-    (j + 1, p), where (-1, p) is (2, p + 1) and (3, p) is (0, p - 1).  With
-    ``end``, the sequence ends at (j, p) with the zero map.
-
-    Lattices are built when a check reads them, and ``memo`` is the memo of
-    cycle bases and decompositions that one call shares among its checks
-    (see :func:`_lattices`); :func:`homology` never sees it, nor does this
-    read the poset's homology memo, so the two computations stay
-    independent.
+def _first_inexact(complexes, arrow, G: FGAbelianGroup, positions):
+    """The first (c, j, p), over the cyclic coefficients c of G, at which
+    the triple's long exact sequence is not exact, or None.  ``positions``
+    lists (j, p, end): position (j, p) lies between (j - 1, p) and
+    (j + 1, p), where (-1, p) is (2, p + 1) and (3, p) is (0, p - 1); with
+    ``end``, the sequence ends there with the zero map.  Each modulus takes
+    a :class:`_Path` of its own, and the poset's homology memo is not read.
     """
     zero = (IntegerHom.zero(0, 0),) * 2
 
-    def lattices(j: int, p: int):
+    def lattices(path: _Path, j: int, p: int):
         complex = complexes[j]
         if not complex.dim(p):
             return zero
-        return _lattices(complex.boundary[p], complex.boundary_or_zero(p + 1), c, memo)[:2]
+        return path.lattices(complex.boundary[p], complex.boundary_or_zero(p + 1))
 
-    def exact(j: int, p: int, end: bool = False) -> bool:
-        n = complexes[j].dim(p)
-        if not n:
-            return True  # a zero module is exact
-        before = (j - 1, p) if j else (2, p + 1)
-        after = (j + 1, p) if j < 2 else (0, p - 1)
-        f_out, tgt = (IntegerHom.zero(0, n), zero) if end else (arrow(j, p), lattices(*after))
-        return _node_exact(arrow(*before), lattices(*before), lattices(j, p), f_out, tgt, c, memo)
-
-    return exact
+    for c in sorted(set(G.cyclic_summands())):
+        path = _Path(c)
+        for j, p, end in positions:
+            n = complexes[j].dim(p)
+            if not n:
+                continue  # a zero module is exact
+            before = (j - 1, p) if j else (2, p + 1)
+            after = (j + 1, p) if j < 2 else (0, p - 1)
+            f_out, tgt = (IntegerHom.zero(0, n), zero) if end else (arrow(j, p), lattices(path, *after))
+            if not path.exact(arrow(*before), lattices(path, *before), lattices(path, j, p), f_out, tgt):
+                return c, j, p
+    return None
 
 
 def six_term(poset: FacePoset, q: int, m: int, l: int, G: FGAbelianGroup) -> SixTermSequence:
@@ -497,17 +476,15 @@ def six_term(poset: FacePoset, q: int, m: int, l: int, G: FGAbelianGroup) -> Six
     # one homology per pair; each node reads one parity of it
     periodized = [homology(complex).periodized for complex in complexes]
     groups = dict(zip(SixTermSequence.NODE_ORDER, (h[parity] for parity in (1, 0) for h in periodized)))
-    memo: dict = {}
-    for c in sorted(set(G.cyclic_summands())):
-        exact = _exactness(complexes, arrow, c, memo)
-        # from the top degree down; outside (q, l] every chain module is zero
-        for p in range(l, q, -1):
-            for j in range(3):
-                if not exact(j, p):
-                    name = SixTermSequence.NODE_ORDER[j + 3 * (p % 2 == 0)]
-                    raise InternalConsistencyError(
-                        f"six-term sequence fails exactness at {name} with cyclic coefficient {c}"
-                    )
+    # from the top degree down; outside (q, l] every chain module is zero
+    positions = [(j, p, False) for p in range(l, q, -1) for j in range(3)]
+    failed = _first_inexact(complexes, arrow, G, positions)
+    if failed:
+        c, j, p = failed
+        name = SixTermSequence.NODE_ORDER[j + 3 * (p % 2 == 0)]
+        raise InternalConsistencyError(
+            f"six-term sequence fails exactness at {name} with cyclic coefficient {c}"
+        )
     # node k stacks one parity of complex k % 3; arrow k leaves it
     nodes = [_blocks(complexes[k % 3], 1 - k // 3) for k in range(6)]
     maps = {}
@@ -558,13 +535,10 @@ def connected_boundary_ses(poset: FacePoset, G: FGAbelianGroup) -> BoundarySESRe
     # injectivity, and exactness at H_0(X_0), ended by the zero map, is onto
     complexes, arrow = _triple(poset, -1, 0, d, G)
     boundary_part, absolute, relative = (homology(complex).periodized for complex in complexes)
-    memo: dict = {}
-    for c in sorted(set(G.cyclic_summands())):
-        exact = _exactness(complexes, arrow, c, memo)
-        checks = [exact(j, p) for p in range(d, 0, -1) if p % 2 for j in (1, 2)]
-        checks.append(exact(0, 0, end=True))
-        if not all(checks):
-            raise InternalConsistencyError(
-                f"boundary short exact sequence fails with cyclic coefficient {c}"
-            )
+    positions = [(j, p, False) for p in range(d, 0, -1) if p % 2 for j in (1, 2)] + [(0, 0, True)]
+    failed = _first_inexact(complexes, arrow, G, positions)
+    if failed:
+        raise InternalConsistencyError(
+            f"boundary short exact sequence fails with cyclic coefficient {failed[0]}"
+        )
     return BoundarySESReport(absolute[1], relative[1], boundary_part[0], True)

@@ -131,7 +131,8 @@ class FacePoset:
         return cls(tuple(hypersurfaces), tuple(built), connected)
 
     def by_id(self) -> dict[str, Face]:
-        return {f.id: f for f in self.faces}
+        """id -> face, a copy of the poset's index that the caller may change."""
+        return dict(self._id_index)
 
     def codimension(self) -> int:
         return max(self._by_codim, default=0)

@@ -45,8 +45,8 @@ class FiberAutomorphism:
 def validate_automorphism(fiber: FacePoset, aut: FiberAutomorphism) -> list[str]:
     """Violations of the automorphism axioms against the given fiber poset.
 
-    The fiber must be valid (:class:`InvalidPosetError` otherwise), so each
-    face's parents run in the order of its sorted index tuple."""
+    The fiber must be valid (:func:`require_valid` raises otherwise), so
+    each face's parents run in the order of its sorted index tuple."""
     require_valid(fiber)
     violations = []
     fmap = aut.faces()

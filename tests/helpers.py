@@ -27,7 +27,7 @@ from cornerindex.abelian import (
     tor,
 )
 from cornerindex.abelian import DimensionError, InternalConsistencyError, cokernel_presentation, smith_normal_form
-from cornerindex.conormal import _embed_chain, _homology_gens, _lattices, build_complex, homology, periodize
+from cornerindex.conormal import _embed_chain, _Path, build_complex, homology, periodize
 from cornerindex.faces import Face, FacePoset, FilteredPair
 from cornerindex.families import FiberAutomorphism, check_embeddable, gallery, quotient_family, GALLERY_NAMES
 
@@ -504,10 +504,10 @@ def reference_cokernel_presentation(Y: IntegerHom, s: SNFDecomposition):
 
 
 def homology_gens_by_solving(Dp: IntegerHom, Dp1: IntegerHom, c: int):
-    """``conormal._homology_gens`` as it stood before the cycle basis's own
+    """``conormal._Path.homology`` as it stood before the cycle basis's own
     factorization supplied the relation coordinates: the cycle basis is
     factored a second time and each relation solved against it."""
-    cycles, relations, _ = _lattices(Dp, Dp1, c)
+    cycles, relations = _Path(c).lattices(Dp, Dp1)
     factored = smith_normal_form(cycles)
     cols = [factored.solve(b) for b in relations.columns()]
     assert None not in cols, "a relation escapes the cycle lattice"
@@ -521,22 +521,18 @@ def homology_gens_by_solving(Dp: IntegerHom, Dp1: IntegerHom, c: int):
 def reference_homology(complex):
     """``conormal.homology`` as it stood before representatives were lifted
     on first read, kept verbatim apart from its return value (a namespace
-    with the old result's fields): every generator becomes a ``ChainVector``
-    as soon as it is found."""
+    with the old result's fields) and a fresh ``_Path`` per summand: every
+    generator becomes a ``ChainVector`` as soon as it is found."""
     G = complex.coefficient
     integer_results = {}
     for p in complex.degrees:
-        integer_results[p] = _homology_gens(
-            complex.boundary[p], complex.boundary_or_zero(p + 1), 0
-        )
+        integer_results[p] = _Path(0).homology(complex.boundary[p], complex.boundary_or_zero(p + 1))
     groups: dict[int, FGAbelianGroup] = {}
     representatives: dict[int, list] = {}
     for p in complex.degrees:
         by_modulus = {0: integer_results[p]}
         for c in set(G.torsion):
-            by_modulus[c] = _homology_gens(
-                complex.boundary[p], complex.boundary_or_zero(p + 1), c
-            )
+            by_modulus[c] = _Path(c).homology(complex.boundary[p], complex.boundary_or_zero(p + 1))
         parts = []
         vectors = []
         for slot, c in enumerate(G.cyclic_summands()):

@@ -1045,7 +1045,7 @@ def test_unchecked_matrices_are_built_only_by_canonical_producers():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
     }
     assert {("IntegerHom.from_columns", "cls"), ("_incidence", "IntegerHom")} <= calls
-    assert ("_cycle_basis.coordinates", "IntegerHom") in calls
+    assert ("_Path.coordinates", "IntegerHom") in calls
     assert any(scope == "IntegerHom.__post_init__" for _, scope, _ in nodes)
 
 

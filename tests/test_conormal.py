@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import random
 import tracemalloc
+from functools import partial
 from math import gcd, prod
 from pathlib import Path
 
@@ -12,8 +13,7 @@ from cornerindex import abelian, conormal, faces
 from cornerindex.abelian import FGAbelianGroup, IntegerHom, InternalConsistencyError
 from cornerindex.conormal import (
     ChainVector,
-    _cycle_basis,
-    _homology_gens,
+    _Path,
     build_complex,
     connected_boundary_ses,
     connecting_map,
@@ -320,7 +320,7 @@ def test_integer_homology_factors_each_matrix_once(monkeypatch, n_boundaries, c,
         [[col[i] for col in columns] for i in range(m)], width=n_boundaries
     )
     calls = count_calls(monkeypatch, abelian, "smith_normal_form")
-    group, reps = _homology_gens(Dp, Dp1, c)
+    group, reps = _Path(c).homology(Dp, Dp1)
     assert len(calls) == snf_calls
     assert group.rank + len(group.torsion) == len(reps)
 
@@ -348,7 +348,7 @@ def test_homology_gens_reuse_the_cycle_factorization(c):
             width=n_boundaries,
         )
         assert Dp.compose(Dp1).is_zero()
-        assert _homology_gens(Dp, Dp1, c) == homology_gens_by_solving(Dp, Dp1, c)
+        assert _Path(c).homology(Dp, Dp1) == homology_gens_by_solving(Dp, Dp1, c)
 
 
 @pytest.mark.parametrize("c", [2, 3, 4, 6])
@@ -366,7 +366,9 @@ def test_cycle_basis_mod_c_matches_an_independent_oracle(monkeypatch, c):
             [[rng.choice((0, 0, 0, 1, -1, 2, -2, 3, 4, 6)) for _ in range(cols)] for _ in range(rows)]
         )
         snfs.clear()
-        basis, coordinates = _cycle_basis(Dp, c)
+        path = _Path(c)
+        basis, _ = path.lattices(Dp, IntegerHom.zero(cols, 0))
+        coordinates = partial(path.coordinates, Dp)
         # a zero Dp has the identity basis, with no SNF at all
         assert snfs == ([] if Dp.is_zero() else [(Dp.with_multiples(c),)])
         assert all(v % c == 0 for x in basis.columns() for v in Dp.apply_int(x))
@@ -393,24 +395,27 @@ def test_cycle_basis_of_a_zero_boundary_is_the_identity(monkeypatch, rows, cols,
     # every chain is a cycle, over Z and mod c: no SNF, and a batch of
     # cycles is its own coordinates; a matrix of the wrong height raises
     snfs = count_calls(monkeypatch, abelian, "smith_normal_form")
-    basis, coordinates = _cycle_basis(IntegerHom.zero(rows, cols), c)
+    path, Dp = _Path(c), IntegerHom.zero(rows, cols)
+    basis, _ = path.lattices(Dp, IntegerHom.zero(cols, 0))
     assert snfs == [] and basis == IntegerHom.identity(cols)
     x = [3, -1, 4][:cols]
-    assert coordinates(one_column(x)).column(0) == x and coordinates(one_column(tuple(x))).column(0) == x
+    assert path.coordinates(Dp, one_column(x)).column(0) == x
+    assert path.coordinates(Dp, one_column(tuple(x))).column(0) == x
     with pytest.raises(abelian.DimensionError):
-        coordinates(one_column(x + [0]))
+        path.coordinates(Dp, one_column(x + [0]))
 
 
 def test_homology_and_exactness_walk_one_log_per_batch(monkeypatch):
     # the cycle basis, the relations' coordinates in it and the cokernel
     # generators are one product each: three walks in a degree with a
     # nonzero D_p, only the generators' walk in a zeroed one; an exactness
-    # check walks once for its kernel and once per inclusion
+    # check walks once for its kernel and once per inclusion, and not for a
+    # kernel of a zero matrix, which takes no SNF
     walks = count_calls(monkeypatch, abelian, "_replay")
-    per_call: dict[str, list] = {"_homology_gens": [], "_node_exact": []}
+    per_call: dict[str, list] = {"homology": [], "exact": []}
 
     def counted(name):
-        real = getattr(conormal, name)
+        real = getattr(_Path, name)
 
         def counting(*args):
             before = len(walks)
@@ -418,15 +423,17 @@ def test_homology_and_exactness_walk_one_log_per_batch(monkeypatch):
             per_call[name].append((args, len(walks) - before))
             return result
 
-        monkeypatch.setattr(conormal, name, counting)
+        monkeypatch.setattr(_Path, name, counting)
 
-    counted("_homology_gens")
-    counted("_node_exact")
+    counted("homology")
+    counted("exact")
     six_term(cube(3), -1, 0, 3, FGAbelianGroup(1, (4,)))
-    gens, checks = per_call["_homology_gens"], per_call["_node_exact"]
-    assert {n for args, n in gens if not args[0].is_zero()} == {3}
-    assert {n for args, n in gens if args[0].is_zero()} == {1}
-    assert len(checks) > 10 and {n for _, n in checks} == {3}
+    gens, checks = per_call["homology"], per_call["exact"]
+    assert {n for args, n in gens if not args[1].is_zero()} == {3}
+    assert {n for args, n in gens if args[1].is_zero()} == {1}
+    assert len(checks) > 10 and {n for _, n in checks} == {2, 3}
+    for (_, _, _, (cycles, _), f_out, (_, tgt_relations)), n in checks:
+        assert n == 2 + (not f_out.compose(cycles).hstack(tgt_relations).is_zero())
 
 
 def _lift_cases():
@@ -570,9 +577,9 @@ def test_six_term_and_boundary_ses_read_each_pair_complex(monkeypatch):
     incidences = count_calls(monkeypatch, conormal, "incidence_matrix")
     snfs = count_calls(monkeypatch, abelian, "smith_normal_form")
     six_term(square(), -1, 0, 2, FGAbelianGroup(1, (4,)))
-    assert (len(incidences), len(snfs)) == (3, 32)
+    assert (len(incidences), len(snfs)) == (3, 29)
     connected_boundary_ses(square(), FGAbelianGroup(1, (4,)))
-    assert (len(incidences), len(snfs)) == (6, 32 + 24)
+    assert (len(incidences), len(snfs)) == (6, 29 + 22)
 
 
 def _snf_split(monkeypatch):
@@ -606,12 +613,12 @@ def test_exactness_memo_lives_for_one_call_and_homology_memo_on_the_poset(monkey
     # the exactness memo is made inside each call and never reads the
     # poset's: a second call takes the same exactness SNFs, cold or warm
     poset = square()
-    assert [split(lambda: six_term(poset, -1, 0, 2, G)) for _ in range(2)] == [(12, 20), (0, 20)]
+    assert [split(lambda: six_term(poset, -1, 0, 2, G)) for _ in range(2)] == [(12, 17), (0, 17)]
     poset = square()
-    assert [split(lambda: connected_boundary_ses(poset, G)) for _ in range(2)] == [(12, 12), (0, 12)]
+    assert [split(lambda: connected_boundary_ses(poset, G)) for _ in range(2)] == [(12, 10), (0, 10)]
     warm = square()
     six_term(warm, -1, 0, 2, G)
-    assert split(lambda: connected_boundary_ses(warm, G)) == (0, 12)
+    assert split(lambda: connected_boundary_ses(warm, G)) == (0, 10)
 
     # the homology memo lives on the poset object
     poset = square()
@@ -640,28 +647,31 @@ def test_homology_of_a_six_cube_pair_cold_and_warm(monkeypatch):
 
 
 def _decompositions_by_path(monkeypatch, run):
-    """Run ``run`` and return (made, reads): ``made`` lists (path, A,
-    decomposition) for every Smith normal form taken, ``reads`` (path,
-    decomposition) for every question asked of one.  The path is
-    ("homology", k, c) inside the k-th homology call, on the summand of c,
-    and ("exactness", c) inside an exactness check of c."""
-    path: list = [None]
-    made, reads = [], []
+    """Run ``run`` and return (made, reads, born, used).  ``made`` lists
+    (path, A, decomposition) for every Smith normal form taken and
+    ``reads`` (path, decomposition) for every question asked of one, where
+    the path is the ``_Path`` object at work.  ``born`` maps each path to
+    the call that made it, ("homology", k) or ("exactness", k) for the
+    k-th call of :func:`homology` or of the exactness driver, and ``used``
+    lists (call, path) for every call of a path's method."""
+    call: list = [None]
+    active: list = [None]
+    made, reads, born, used = [], [], {}, []
 
-    def within(label, fn):
+    def within(slot, label, fn):
         def scoped(*args, **kwargs):
-            outer, path[0] = path[0], label(args)
+            outer, slot[0] = slot[0], label(args)
             try:
                 return fn(*args, **kwargs)
             finally:
-                path[0] = outer
+                slot[0] = outer
 
         return scoped
 
     real_snf = abelian.smith_normal_form
 
     def recording(A, cancel=None):
-        made.append((path[0], A, real_snf(A, cancel=cancel)))
+        made.append((active[0], A, real_snf(A, cancel=cancel)))
         return made[-1][2]
 
     rebind(monkeypatch, abelian, "smith_normal_form", recording)
@@ -669,26 +679,33 @@ def _decompositions_by_path(monkeypatch, run):
         method = getattr(abelian.SNFDecomposition, name)
 
         def reading(self, *args, method=method):
-            reads.append((path[0], self))
+            reads.append((active[0], self))
             return method(self, *args)
 
         rebind(monkeypatch, abelian.SNFDecomposition, name, reading)
 
-    homology_of, gens_of, exactness_of = conormal.homology, conormal._homology_gens, conormal._exactness
+    init = conormal._Path.__init__
+
+    def making(self, c):
+        init(self, c)
+        born[self] = call[0]
+
+    monkeypatch.setattr(conormal._Path, "__init__", making)
+    for name, method in list(vars(conormal._Path).items()):
+        if callable(method) and not name.startswith("__"):
+
+            def working(self, *args, method=method):
+                used.append((call[0], self))
+                return within(active, lambda _: self, method)(self, *args)
+
+            monkeypatch.setattr(conormal._Path, name, working)
     calls = itertools.count()
-
-    def homology_call(complex):
-        k = next(calls)
-        monkeypatch.setattr(conormal, "_homology_gens", within(lambda args: ("homology", k, args[2]), gens_of))
-        return homology_of(complex)
-
-    def exactness(complexes, arrow, c, memo):
-        return within(lambda args: ("exactness", c), exactness_of(complexes, arrow, c, memo))
-
-    monkeypatch.setattr(conormal, "homology", homology_call)
-    monkeypatch.setattr(conormal, "_exactness", exactness)
+    for kind, name in (("homology", "homology"), ("exactness", "_first_inexact")):
+        monkeypatch.setattr(
+            conormal, name, within(call, lambda _, kind=kind: (kind, next(calls)), getattr(conormal, name))
+        )
     run()
-    return made, reads
+    return made, reads, born, used
 
 
 @pytest.mark.parametrize("run", [
@@ -697,34 +714,78 @@ def _decompositions_by_path(monkeypatch, run):
 ])
 def test_each_path_reads_only_the_decompositions_it_made(monkeypatch, run):
     # homology and the exactness checks, each homology call, and the Z and
-    # Z/4 halves of each, read no decomposition in common: every question
-    # goes to a decomposition made on its own path, and no path factors a
-    # matrix twice
-    made, reads = _decompositions_by_path(monkeypatch, run)
-    maker = {id(s): where for where, _, s in made}
-    assert None not in maker.values() and None not in {where for where, _ in reads}
-    assert all(maker[id(s)] == where for where, s in reads)
-    for where in set(maker.values()):
-        matrices = [A for made_on, A, _ in made if made_on == where]
-        assert len(matrices) == len(set(matrices)), where
+    # Z/4 halves of each, are paths of their own: every question goes to a
+    # decomposition its own path made, a path works only inside the call
+    # that made it, and no path factors a matrix twice
+    made, reads, born, used = _decompositions_by_path(monkeypatch, run)
+    maker = {id(s): path for path, _, s in made}
+    assert None not in maker.values() and None not in {path for path, _ in reads}
+    assert None not in born.values()
+    assert all(maker[id(s)] is path for path, s in reads)
+    assert all(born[path] == where for where, path in used)
+    for path in born:
+        matrices = [A for made_by, A, _ in made if made_by is path]
+        assert len(matrices) == len(set(matrices)), born[path]
     # not vacuous: both kinds of path and both moduli take part, each path
     # asks some decomposition a second question, and some matrix factored
     # by homology is factored again, apart, by the exactness checks
-    assert {(where[0], where[-1]) for where in maker.values()} == {
+    assert {(born[path][0], path.c) for path in maker.values()} == {
         (kind, c) for kind in ("homology", "exactness") for c in (0, 4)
     }
     assert len(reads) > len({id(s) for _, s in reads})
-    by_kind = {kind: {A for where, A, _ in made if where[0] == kind} for kind in ("homology", "exactness")}
+    by_kind = {kind: {A for path, A, _ in made if born[path][0] == kind} for kind in ("homology", "exactness")}
     assert by_kind["homology"] & by_kind["exactness"]
+
+
+def test_paths_are_made_only_by_homology_and_the_exactness_driver():
+    # the package names _Path only to make one in these two functions, and
+    # in annotations, so homology and the exactness checks cannot share one
+    makers = []
+    for file in sorted(Path(conormal.__file__).parent.glob("*.py")):
+        for top in ast.parse(file.read_text(encoding="utf-8")).body:
+            nodes = list(ast.walk(top))
+            annotations = {
+                id(inner)
+                for node in nodes
+                for note in (getattr(node, "annotation", None), getattr(node, "returns", None))
+                if note is not None
+                for inner in ast.walk(note)
+            }
+            calls = {id(node.func) for node in nodes if isinstance(node, ast.Call)}
+            for node in nodes:
+                named = isinstance(node, ast.Name) and node.id == "_Path" and isinstance(node.ctx, ast.Load)
+                if (named or isinstance(node, ast.Attribute) and node.attr == "_Path") and id(node) not in annotations:
+                    makers.append((file.name, getattr(top, "name", ""), id(node) in calls))
+    assert sorted(makers) == [("conormal.py", "_first_inexact", True), ("conormal.py", "homology", True)]
 
 
 def test_six_term_on_the_five_cube_factors_each_matrix_once_per_call_and_path(monkeypatch):
     # six_term(-1, 0, 5) at Z + Z/4 took 108 SNFs when every question
-    # factored its matrix afresh; the per-call memos of homology and of the
-    # exactness checks leave 66, of 52 distinct matrices
+    # factored its matrix afresh; one path per call and modulus, factoring
+    # each matrix once and a zero one not at all, leaves 59, of 46 distinct
     snfs = count_calls(monkeypatch, abelian, "smith_normal_form")
     six_term(cube(5), -1, 0, 5, FGAbelianGroup(1, (4,)))
-    assert (len(snfs), len(set(snfs))) == (66, 52)
+    assert (len(snfs), len(set(snfs))) == (59, 46)
+
+
+def test_no_path_factors_a_zero_matrix_for_its_kernel(monkeypatch):
+    # the kernel of a zero matrix is the identity, taken with no SNF on any
+    # path, so the exactness checks no longer factor the 0 x k matrices of
+    # a zero target; n x 0 presentations and inclusions still take one
+    snfs = count_calls(monkeypatch, abelian, "smith_normal_form")
+    kernel_of, zero_kernels = _Path.kernel, []
+
+    def kernel(self, A):
+        before = len(snfs)
+        result = kernel_of(self, A)
+        if A.is_zero():
+            zero_kernels.append(len(snfs) - before)
+        return result
+
+    monkeypatch.setattr(_Path, "kernel", kernel)
+    six_term(cube(5), -1, 0, 5, FGAbelianGroup(1, (4,)))
+    assert [A for (A,) in snfs if not A.rows] == []
+    assert zero_kernels and set(zero_kernels) == {0}
 
 
 def test_degrees_that_share_a_memo_key_share_their_matrices():
@@ -875,13 +936,11 @@ def test_six_term_exactness_random():
 
 def test_exactness_checker_detects_failures():
     # negative control: a zeroed connecting map must break exactness
-    from cornerindex.conormal import _lattices, _node_exact
-
     poset = interval()
 
     def degree(low, high, p):
         complex = build_complex(FilteredPair(poset, low, high), Z)
-        return _lattices(complex.boundary[p], complex.boundary_or_zero(p + 1), 0)[:2]
+        return _Path(0).lattices(complex.boundary[p], complex.boundary_or_zero(p + 1))
 
     absolute, relative, boundary0 = degree(-1, 1, 1), degree(0, 1, 1), degree(-1, 0, 0)
     include = IntegerHom.identity(2)
@@ -890,10 +949,10 @@ def test_exactness_checker_detects_failures():
     out_right = IntegerHom.zero(0, connect.rows)
     nothing = (IntegerHom.zero(0, 0),) * 2
 
-    assert _node_exact(include, absolute, relative, connect, boundary0)
-    assert not _node_exact(include, absolute, relative, broken, boundary0)
-    assert _node_exact(connect, relative, boundary0, out_right, nothing)
-    assert not _node_exact(broken, relative, boundary0, out_right, nothing)
+    assert _Path(0).exact(include, absolute, relative, connect, boundary0)
+    assert not _Path(0).exact(include, absolute, relative, broken, boundary0)
+    assert _Path(0).exact(connect, relative, boundary0, out_right, nothing)
+    assert not _Path(0).exact(broken, relative, boundary0, out_right, nothing)
 
 
 @pytest.mark.parametrize(

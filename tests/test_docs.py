@@ -72,3 +72,30 @@ def test_readme_names_resolve():
                 if not _has(exported[cls], attr):
                     unresolved.append(span)
     assert checked >= 10 and unresolved == [], unresolved
+
+
+_ROLE_REFERENCE = re.compile(r":(func|class|meth):`([^`]+)`")
+
+
+def test_docstring_references_resolve():
+    # every :func:, :class: and :meth: reference in a package module's
+    # source resolves in that module: as a name, as `Class.attr`, or, for a
+    # bare :meth:, as an attribute of a class the module defines; so a
+    # deleted helper cannot live on in the docstrings
+    checked, unresolved = 0, []
+    for info in pkgutil.iter_modules(cornerindex.__path__):
+        module = importlib.import_module(f"cornerindex.{info.name}")
+        names = vars(module)
+        classes = [v for v in names.values() if isinstance(v, type) and v.__module__ == module.__name__]
+        for role, target in _ROLE_REFERENCE.findall(Path(module.__file__).read_text(encoding="utf-8")):
+            head, dot, attr = target.partition(".")
+            if dot:
+                found = head in names and _has(names[head], attr)
+            elif role == "meth":
+                found = any(_has(cls, head) for cls in classes)
+            else:
+                found = head in names
+            checked += 1
+            if not found:
+                unresolved.append(f"{info.name}: :{role}:`{target}`")
+    assert checked >= 20 and unresolved == [], unresolved

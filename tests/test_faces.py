@@ -203,6 +203,14 @@ def test_incidence_sign_reads_the_id_index(monkeypatch):
     assert rebuilt == []
 
 
+def test_by_id_is_a_copy_of_the_id_index():
+    sq = square()
+    index = sq.by_id()
+    assert index == {f.id: f for f in sq.faces} and index is not sq._id_index
+    index.clear()
+    assert sq.by_id() == {f.id: f for f in sq.faces}
+
+
 def test_filtered_pair_ranges():
     sq = square()
     FilteredPair(sq, -1, 2)
