@@ -29,8 +29,9 @@ decomposition over Z by the tensor and Tor formulas.  The decomposition
 holds the diagonal of D and the logs of the elementary row and column
 operations that produced it, not the transforms: a product of ``U``,
 ``U_inv``, ``V`` or ``V_inv`` with a matrix is one walk of one log over all
-of its columns at once, kept sparse.  Only the elimination works on dense
-rows, a copy it takes of its input.
+of its columns at once.  The elimination and the walks share one sparse row
+form, ``{column: value}`` dicts without zeros (:func:`_rows`), and one add
+(:func:`_axpy`); nothing in the library reads a dense row.
 """
 
 from __future__ import annotations
@@ -345,7 +346,7 @@ class IntegerHom:
     canonical, so ``==`` and ``hash`` compare matrices, and every operation
     costs time in the nonzero entries it reads: a boundary column has at
     most ``codim`` of them.  ``entries``, :meth:`row_list`, :meth:`column`
-    and :meth:`columns` are dense views, for reading only.
+    and :meth:`columns` are dense views, for tests and inspection.
     """
 
     rows: int
@@ -406,8 +407,7 @@ class IntegerHom:
         return tuple(zip(*self.columns())) if self.cols else ((),) * self.rows
 
     def row_list(self) -> list[list[int]]:
-        """A fresh dense copy of the rows: the working copy of
-        :func:`smith_normal_form`."""
+        """A fresh dense copy of the rows, for tests and inspection."""
         out = [[0] * self.cols for _ in range(self.rows)]
         for j, column in enumerate(self.nonzero):
             for i, x in column:
@@ -660,31 +660,38 @@ class SNFDecomposition:
         return group, [(gens.column(j), d) for j, d in enumerate(orders)]
 
 
-def _replay(log, X: IntegerHom, n: int, backward: bool = False) -> IntegerHom:
-    """The operations of ``log`` applied to the ``n`` rows of ``X``, in
-    order, or undone backward: the inverse operations in reverse order.
-
-    The batch is kept by rows, as ``{column: value}`` dicts without zeros,
-    so an add costs the nonzeros of its source row, whatever the width.
-    """
-    if X.rows != n:
-        raise DimensionError("matrix rows do not match the transform")
-    rows: list[dict[int, int]] = [{} for _ in range(n)]
+def _rows(X: IntegerHom) -> list[dict[int, int]]:
+    """The rows of ``X`` as ``{column: value}`` dicts without zeros: the one
+    row form of the elimination and of the log walks."""
+    rows: list[dict[int, int]] = [{} for _ in range(X.rows)]
     for j, column in enumerate(X.nonzero):
         for i, x in column:
             rows[i][j] = x
+    return rows
+
+
+def _axpy(target: dict[int, int], q: int, pairs) -> None:
+    """``target += q * pairs`` on a row dict, for a nonzero ``q`` and
+    ``(column, value)`` pairs with nonzero values; entries that cancel are
+    dropped, so an add costs the pairs, whatever the width."""
+    for j, x in pairs:
+        y = target.get(j, 0) + q * x
+        if y:
+            target[j] = y
+        else:
+            del target[j]
+
+
+def _replay(log, X: IntegerHom, n: int, backward: bool = False) -> IntegerHom:
+    """The operations of ``log`` applied to the ``n`` rows of ``X``, in
+    order, or undone backward: the inverse operations in reverse order."""
+    if X.rows != n:
+        raise DimensionError("matrix rows do not match the transform")
+    rows = _rows(X)
     sign = -1 if backward else 1
     for i, k, q in reversed(log) if backward else log:
         if q:
-            source = rows[k]
-            if source:
-                target, q = rows[i], sign * q
-                for j, x in source.items():
-                    y = target.get(j, 0) + q * x
-                    if y:
-                        target[j] = y
-                    else:
-                        del target[j]
+            _axpy(rows[i], sign * q, rows[k].items())
         elif i == k:
             rows[i] = {j: -x for j, x in rows[i].items()}
         else:
@@ -696,44 +703,38 @@ def _replay(log, X: IntegerHom, n: int, backward: bool = False) -> IntegerHom:
     return _canonical_hom(n, X.cols, tuple(map(tuple, columns)))
 
 
-def _pivot(d: list[list[int]], t: int, n: int) -> tuple[int, int] | None:
-    """Position of the least key (|value|, column, row) over the nonzero
-    entries of the block of ``d`` from (t, t) on, or None when it is zero.
-
-    The scan runs column by column, top to bottom, so keys come in
-    increasing (column, row) order: the first unit met is the least key
-    there can be and ends the scan.
+def _pivot(rows: list[dict[int, int]], t: int) -> tuple[int, int] | None:
+    """Position of the least key (|value|, column, row) over the entries of
+    ``rows`` from row t on, or None when there are none.  Those rows hold
+    nothing left of column t, so the first unit met in column t, scanning
+    down from row t, is the least key there can be and ends the search.
     """
-    best = None
-    for j in range(t, n):
-        for i in range(t, len(d)):
-            val = d[i][j]
-            if val and (best is None or abs(val) < best[0]):
-                if val in (1, -1):
-                    return i, j
-                best = (abs(val), i, j)
-    return None if best is None else best[1:]
+    for i in range(t, len(rows)):
+        if rows[i].get(t) in (1, -1):
+            return i, t
+    keys = ((abs(x), j, i) for i in range(t, len(rows)) for j, x in rows[i].items())
+    best = min(keys, default=None)
+    return None if best is None else (best[2], best[1])
 
 
 def smith_normal_form(A: IntegerHom, cancel=None) -> SNFDecomposition:
     """Diagonalise A over Z with a divisibility chain on the diagonal.
 
     Pivoting is deterministic (smallest absolute value, leftmost, topmost),
-    so the decomposition is reproducible run to run.  Boundary matrices are
-    dominated by unit pivots, which take fast paths without changing that
-    rule: the search runs column by column and stops at the first unit, and
-    no entry is tested for divisibility by 1.  Each pivot step touches only
-    entries that can change: rows and columns above and left of the pivot
-    are already zero in D, and zero entries of the pivot row and column are
-    skipped.  No transform is built: each operation goes to the row or
-    column log of the result.  A test pins every decomposition to the one
-    the unoptimized kernel computes.
+    so the decomposition is reproducible run to run.  The elimination runs
+    on the sparse rows of A (:func:`_rows`), each add one :func:`_axpy`, so
+    a step costs the nonzeros it reads: rows and columns above and left of
+    the pivot are already zero in D and are not read.  Unit pivots, which
+    dominate boundary matrices, end the search at once, and no entry is
+    tested for divisibility by 1.  No transform is built: each operation
+    goes to the row or column log of the result.  A test pins every
+    decomposition to the one the unoptimized dense kernel computes.
 
     ``cancel``, when given, is polled once per pivot step and aborts by
     raising the callable's exception.
     """
     m, n = A.rows, A.cols
-    d = A.row_list()
+    rows = _rows(A)
     row_log: list[tuple[int, int, int]] = []
     column_log: list[tuple[int, int, int]] = []
 
@@ -741,61 +742,56 @@ def smith_normal_form(A: IntegerHom, cancel=None) -> SNFDecomposition:
     while True:
         if cancel is not None:
             cancel()
-        pivot = _pivot(d, t, n)
+        pivot = _pivot(rows, t)
         if pivot is None:
             break
         pi, pj = pivot
         if pi != t:
-            d[t], d[pi] = d[pi], d[t]
+            rows[t], rows[pi] = rows[pi], rows[t]
             row_log.append((t, pi, 0))
         if pj != t:
-            for i in range(t, m):
-                r = d[i]
-                r[t], r[pj] = r[pj], r[t]
+            for r in rows[t:]:
+                x, y = r.pop(t, 0), r.pop(pj, 0)
+                if y:
+                    r[t] = y
+                if x:
+                    r[pj] = x
             column_log.append((t, pj, 0))
-        if d[t][t] < 0:
-            d[t] = [-x for x in d[t]]
+        if rows[t][t] < 0:
+            rows[t] = {j: -x for j, x in rows[t].items()}
             row_log.append((t, t, 0))
-        pivot_row = d[t]
+        pivot_row = rows[t]
         piv = pivot_row[t]
 
         # row i += q * row t, q = -(d[i][t] // piv), for each row below with
         # an entry in column t.  Every operation reads row t and writes
         # another, so all of them see row t as it was when the step began.
-        below = [i for i in range(t + 1, m) if d[i][t]]
-        ops = [(i, q) for i in below if (q := -(d[i][t] // piv))]
-        if ops:
-            src = [(j, x) for j, x in enumerate(pivot_row[t:], t) if x]
-            for i, q in ops:
-                di = d[i]
-                for j, x in src:
-                    di[j] += q * x
+        below = [i for i in range(t + 1, m) if t in rows[i]]
+        for i in below:
+            if q := -(rows[i][t] // piv):
+                _axpy(rows[i], q, pivot_row.items())
                 row_log.append((i, t, q))
         # column j += q * column t, q = -(d[t][j] // piv), likewise for each
-        # column to the right; V absorbs row t -= q * row j
-        ops = [(j, q) for j in range(t + 1, n) if (q := -(pivot_row[j] // piv))]
+        # column to the right, in column order; V absorbs row t -= q * row j
+        ops = sorted((j, q) for j, x in pivot_row.items() if j != t and (q := -(x // piv)))
         if ops:
-            for r in [pivot_row] + [d[i] for i in below if d[i][t]]:
-                x = r[t]
-                for j, q in ops:
-                    r[j] += q * x
+            for r in [pivot_row] + [rows[i] for i in below if t in rows[i]]:
+                _axpy(r, r[t], ops)
             column_log.extend((t, j, -q) for j, q in ops)
-        if any(pivot_row[t + 1 :]) or any(d[i][t] for i in below):
+        if len(pivot_row) > 1 or any(t in rows[i] for i in below):
             continue
 
         # a unit divides everything; otherwise pull a row holding an entry
         # the pivot does not divide into row t and pivot again
         if piv != 1:
-            witness = next(
-                (i for i in range(t + 1, m) if any(x % piv for x in d[i][t + 1 :])), None
-            )
+            witness = next((i for i in range(t + 1, m) if any(x % piv for x in rows[i].values())), None)
             if witness is not None:
-                d[t] = [x + y for x, y in zip(pivot_row, d[witness])]
+                _axpy(pivot_row, 1, rows[witness].items())
                 row_log.append((t, witness, 1))
                 continue
         t += 1
 
-    return SNFDecomposition(tuple(d[i][i] for i in range(min(m, n))), m, n, row_log, column_log)
+    return SNFDecomposition(tuple(rows[i].get(i, 0) for i in range(min(m, n))), m, n, row_log, column_log)
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,8 @@ def _configure_logging():
     level = os.environ.get("CORNER_INDEX_LOG", "").strip()
     if level:
         log.addHandler(_log_handler)  # no-op when already attached
-        log.setLevel(getattr(logging, level.upper(), logging.DEBUG))
+        value = getattr(logging, level.upper(), None)  # a level, or any other module name
+        log.setLevel(value if type(value) is int else logging.DEBUG)
     elif _log_handler in log.handlers:
         log.removeHandler(_log_handler)
         log.setLevel(logging.NOTSET)

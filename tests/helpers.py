@@ -685,102 +685,6 @@ def reference_validate(poset: FacePoset) -> list[str]:
     return violations
 
 
-def reference_violations(poset: FacePoset) -> list[str]:
-    """``faces._violations`` as it stood before a passing face was settled
-    by one test, kept verbatim as the reference for its messages and their
-    order: every face goes through the per-message checks, with its parent
-    map built up front.  The poset's id and codimension indexes are read
-    as plain scans.
-
-    Grandparent commutation follows the per-face checks; it is settled by
-    the distinct-tuple argument of the ``faces`` docstring when they found
-    nothing and no index tuple repeats, and checked pair by pair otherwise.
-    """
-    violations = []
-    if poset.is_empty():
-        return violations
-    hyps = set(poset.hypersurfaces)
-    if len(hyps) != len(poset.hypersurfaces):
-        violations.append("duplicate-hypersurface: hypersurface list has repeats")
-    by_id = {f.id: f for f in poset.faces}
-    if len(by_id) != len(poset.faces):
-        seen = set()
-        for f in poset.faces:
-            if f.id in seen:
-                violations.append(f"duplicate-face-id: {f.id}")
-            seen.add(f.id)
-
-    n_codim0 = sum(1 for f in poset.faces if f.codim == 0)
-    if n_codim0 == 0:
-        violations.append("missing-interior: no codimension-0 face")
-    elif poset.connected and n_codim0 > 1:
-        violations.append("disconnected-interior: connected poset has several codimension-0 faces")
-
-    pmaps = [f.parent_map() for f in poset.faces]
-    for f, pmap in zip(poset.faces, pmaps):
-        idx = f.index_tuple
-        if f.codim < 0:
-            violations.append(f"negative-codim: {f.id}")
-            continue
-        if len(idx) != f.codim:
-            violations.append(f"tuple-length: {f.id} has {len(idx)} indices for codim {f.codim}")
-        unknown = [h for h in idx if h not in hyps]
-        if unknown:
-            violations.append(f"unknown-hypersurface: {f.id} references {unknown[0]}")
-            continue
-        members = set(idx)
-        distinct = len(members) == len(idx)
-        weakly_sorted = tuple(sorted(idx)) == idx
-        if not distinct:
-            violations.append(f"duplicate-index: {f.id} repeats a hypersurface")
-        if not weakly_sorted:
-            violations.append(f"unsorted-tuple: {f.id} index tuple is not ascending")
-        if not distinct or not weakly_sorted:
-            continue
-        extra = pmap.keys() - members
-        if extra:
-            violations.append(f"stray-parent: {f.id} lists parent for absent index {min(extra)}")
-        for k, i in enumerate(idx):
-            if i not in pmap:
-                violations.append(f"missing-parent: {f.id} has no parent for index {i}")
-                continue
-            gid = pmap[i]
-            if gid not in by_id:
-                violations.append(f"unknown-parent: {f.id} names missing face {gid}")
-                continue
-            g = by_id[gid]
-            if g.codim != f.codim - 1:
-                violations.append(f"parent-codim: {f.id} parent {gid} has codim {g.codim}")
-                continue
-            # with no repeats, dropping position k drops exactly the index i
-            expected = idx[:k] + idx[k + 1 :]
-            if g.index_tuple != expected:
-                violations.append(f"parent-tuple: {f.id} parent {gid} should carry {expected}")
-
-    # Settled, not skipped: with every face and parent checked and no tuple
-    # repeated, both drop orders of a pair end at the one face carrying the
-    # tuple minus both indices (``faces`` docstring), so no pair can disagree.
-    if not violations and len({f.index_tuple for f in poset.faces}) == len(poset.faces):
-        return violations
-    pmap_of = {f.id: pmap for f, pmap in zip(poset.faces, pmaps)}
-    for f, pmap in zip(poset.faces, pmaps):
-        idx = f.index_tuple
-        members = set(idx)
-        # grandparents commute: dropping i then j matches dropping j then i
-        if f.codim < 2 or len(members) != len(idx) or pmap.keys() != members:
-            continue
-        # (index, parent map of the parent dropping it), for known parents
-        known = [(i, pmap_of[pmap[i]]) for i in idx if pmap[i] in pmap_of]
-        for a, (i, via) in enumerate(known):
-            for j, other in known[a + 1 :]:
-                via_i = via.get(j)
-                if via_i is None or via_i != other.get(i):
-                    violations.append(
-                        f"grandparent-mismatch: {f.id} dropping {i},{j} in either order disagrees"
-                    )
-    return violations
-
-
 def reference_validate_automorphism(fiber: FacePoset, aut: FiberAutomorphism) -> list[str]:
     """``families.validate_automorphism`` as it stood before it built each
     face's parent map once per call, kept verbatim as the reference for its

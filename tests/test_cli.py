@@ -559,6 +559,16 @@ def test_debug_log_lines_once_per_call_and_off_when_unset(capsys, monkeypatch):
     assert err == ""
 
 
+@pytest.mark.parametrize("name", ["basic_format", "_styles", "raiseExceptions", "no-such-level"])
+def test_a_log_name_that_is_no_level_means_debug(capsys, monkeypatch, name):
+    # names of the logging module that are not integer levels (a format
+    # string, a dict, a flag) fall back to DEBUG as unknown names do
+    monkeypatch.setenv("CORNER_INDEX_LOG", name)
+    code, out, err = run(capsys, "homology", DATA / "interval_poset.json")
+    assert code == 0
+    assert err.count("complex built") == 1
+
+
 # one process, one parser: each call answers as a fresh interpreter would
 SEQUENCE = [
     ("homology", DATA / "square_poset.json", "--pair", "0", "2"),

@@ -29,7 +29,6 @@ from helpers import (
     random_codim2_poset,
     random_valid_poset,
     reference_validate,
-    reference_violations,
 )
 
 
@@ -285,8 +284,8 @@ def test_validate_matches_frozen_reference_on_seeded_mutants():
 
 def test_validate_matches_the_indexed_pass_on_corrupted_posets():
     # a passing face is settled by one test; every other face goes through
-    # the per-message checks of the frozen indexed pass, so each message and
-    # its order must match, on posets with one fault and with several
+    # the per-message checks, so each message and its order must match the
+    # frozen validation, on posets with one fault and with several
     rng = random.Random(18)
     bases = [cube(d) for d in (1, 2, 3, 4)] + [kgon(k) for k in (3, 4, 6, 9)]
     bases += [random_valid_poset(rng, max_codim=2, connected=c) for c in (True, True, False)]
@@ -296,7 +295,7 @@ def test_validate_matches_the_indexed_pass_on_corrupted_posets():
     for t in range(1200):
         poset = mutate_poset(rng, bases[t % len(bases)], rng.randint(1, 4))
         violations = validate(poset)
-        assert violations == reference_violations(poset)
+        assert violations == reference_validate(poset)
         kinds = {v.split(":")[0] for v in violations}
         seen |= kinds
         several += len(kinds) >= 2
