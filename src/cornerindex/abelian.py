@@ -687,6 +687,8 @@ def _replay(log, X: IntegerHom, n: int, backward: bool = False) -> IntegerHom:
     order, or undone backward: the inverse operations in reverse order."""
     if X.rows != n:
         raise DimensionError("matrix rows do not match the transform")
+    if not X.cols:
+        return X  # the empty product, with no walk of the log
     rows = _rows(X)
     sign = -1 if backward else 1
     for i, k, q in reversed(log) if backward else log:

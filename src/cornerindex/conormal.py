@@ -4,22 +4,22 @@ A complex is built from a filtered pair (X_l, X_m): chain modules are free on
 the faces of each codimension p in (m, l], the differential is the signed
 incidence matrix, and degrees that fall into the quotiented range are zeroed.
 
-Homology over a coefficient group G is computed twice on purpose: directly,
-summand by summand, and through the universal-coefficient assembly from
-integer homology.  Disagreement raises :class:`InternalConsistencyError`,
-which always indicates a bug rather than bad input.  The same philosophy
-applies to six-term sequences: exactness is a theorem, so a failed check
-raises instead of reporting.  It is checked at every degree of the triple's
-long exact sequence, one chain module at a time, on the same lattice pairs
-(cycles, relations) that homology reads.
+Homology over a coefficient group G is computed twice on purpose, by two
+engines: summand by summand, from the ranks of the boundary matrices mod
+each c, and through the universal-coefficient assembly from the integer
+groups, read off their Smith diagonals.  Disagreement raises
+:class:`InternalConsistencyError`, which always indicates a bug.  Exactness
+of a six-term sequence is a theorem too, so a failed check raises instead of
+reporting.  It is checked at every degree of the triple's long exact
+sequence, one chain module at a time, on the lattice pairs of
+:meth:`_Path.lattices`.
 
-Every lattice question goes to a :class:`_Path`: the homology or the
-exactness checks of one call, over Z or one Z/c.  A path factors each matrix
-at most once, and a zero matrix not at all; no two paths share one.
-:func:`homology` keeps each degree's answer on the poset as tuples only, and
-the exactness checks never read it.  Incidence matrices and the stacked lift
-of :meth:`_Path.coordinates` go through the checked ``IntegerHom``
-constructor; products and blocks of checked matrices skip it.
+Every lattice question goes to a :class:`_Path` over Z or one Z/c: of the
+exactness checks of one call, of the cycles of one homology result, or of a
+homology call's stuck degrees.  A path factors each matrix at most once, a
+zero one not at all, shares none and reads no poset memo.  Incidence matrices
+and the stacked lift of :meth:`_Path.coordinates` go through the checked
+``IntegerHom`` constructor; products and blocks of checked matrices skip it.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
+from math import gcd
 from operator import itemgetter
 
 # integer_solve is no longer called here; it stays importable from this
@@ -152,16 +153,31 @@ class ChainVector:
 class HomologyResult:
     """Per-degree homology of one complex, and its (even, odd) sum.
 
-    ``cycles[p]`` holds one integer vector per generator of degree p, with
-    the cyclic slot of the coefficient group it lives in, in generator
-    order.  ``representatives`` lifts them to :class:`ChainVector` on first
-    read and keeps the lift on this object.
+    ``summands[p, c]`` is degree p over Z/c (Z for c = 0), for each modulus
+    of the coefficient.  ``cycles[p]``, built on first read by one _Path per
+    modulus, which must present the summands, holds one integer vector per
+    generator of degree p and the cyclic slot of the coefficient group it
+    lives in, in generator order; ``representatives`` lifts them to
+    :class:`ChainVector` on first read.
     """
 
     complex: ConormalChainComplex
     groups: dict[int, FGAbelianGroup]
     periodized: tuple[FGAbelianGroup, FGAbelianGroup]
-    cycles: dict[int, list[tuple[int, list[int]]]] = field(repr=False)
+    summands: dict[tuple[int, int], FGAbelianGroup] = field(repr=False)
+
+    @cached_property
+    def cycles(self) -> dict[int, list[tuple[int, list[int]]]]:
+        complex, moduli = self.complex, self.complex.coefficient.cyclic_summands()
+        paths = {c: _Path(c) for c in set(moduli)}
+        cycles = {}
+        for p in complex.degrees:
+            Dp, Dp1 = complex.boundary[p], complex.boundary_or_zero(p + 1)
+            found = {c: path.homology(Dp, Dp1) for c, path in paths.items()}
+            if any(group != self.summands[p, c] for c, (group, _) in found.items()):
+                raise InternalConsistencyError(f"a cycle basis presents another group in degree {p}")
+            cycles[p] = [(slot, list(v)) for slot, c in enumerate(moduli) for v, _ in found[c][1]]
+        return cycles
 
     @cached_property
     def representatives(self) -> dict[int, list[ChainVector]]:
@@ -172,10 +188,10 @@ class HomologyResult:
 
 
 class _Path:
-    """One path of one call: the homology or the exactness checks over Z
-    (c = 0) or Z/c.  It factors each matrix at most once, and a zero one
-    for its kernel not at all, and keeps each cycle basis; no two paths
-    share one, so no two share a Smith normal form."""
+    """One path of one call over Z (c = 0) or Z/c: the exactness checks,
+    the cycles of a homology result or its stuck degrees.  It factors each
+    matrix at most once, and a zero one for its kernel not at all, and keeps
+    each cycle basis; no two paths share one, so no two share an SNF."""
 
     def __init__(self, c: int):
         self.c = c
@@ -276,57 +292,98 @@ def _embed_chain(
     return ChainVector(complex, p, tuple(group.join(vectors, len(vector))))
 
 
+def _unit_rank(A: IntegerHom, c: int) -> int | None:
+    """The rank of ``A`` mod c (c >= 2) when elimination on entries prime
+    to c clears it, so that A mod c is equivalent to diag(1, ..., 1, 0, ..., 0);
+    None when a nonzero block with no such entry is left, as [[2, 3]] mod 6
+    leaves.  No pivot needs c factored; the rows eliminated are A's columns."""
+    rows = [{i: x % c for i, x in column if x % c} for column in A.nonzero]
+    holders: list[set[int]] = [set() for _ in range(A.rows)]  # column -> rows that held an entry in it
+    for k, row in enumerate(rows):
+        for i in row:
+            holders[i].add(k)
+    rank, pending = 0, set(range(len(rows)))  # the rows not searched since they last changed
+    while pending:
+        row = rows[i := pending.pop()]
+        j = next((j for j, x in row.items() if gcd(x, c) == 1), None)
+        if j is None:
+            continue
+        # drop row i, and clear column j from every other row that holds it
+        rows[i], inverse = {}, pow(row[j], -1, c)
+        for k in holders[j]:
+            target = rows[k]
+            if j in target:
+                q = target[j] * inverse % c
+                for l, x in row.items():
+                    if y := (target.get(l, 0) - q * x) % c:
+                        target[l] = y
+                        holders[l].add(k)
+                    else:
+                        target.pop(l, None)
+                pending.add(k)
+        rank += 1
+    return None if any(rows) else rank
+
+
+def _boundary_invariant(complex: ConormalChainComplex, p: int, c: int):
+    """The nonzero Smith diagonal (c = 0) or :func:`_unit_rank` mod c of
+    D_p: () or 0 where ``complex`` zeroes it or has no degree p, and else,
+    D_p being :func:`incidence_matrix` (poset, p), kept once per poset in its
+    derived-structure memo as ("diagonal", p) or ("unit rank", p, c)."""
+    if p == complex.pair.low + 1 or p > complex.pair.high:
+        return 0 if c else ()
+    memo = complex.pair.base._derived_memo
+    key = ("unit rank", p, c) if c else ("diagonal", p)
+    if key not in memo:
+        D = complex.boundary[p]
+        memo[key] = _unit_rank(D, c) if c else tuple(d for d in smith_normal_form(D).diagonal if d)
+    return memo[key]
+
+
 def homology(complex: ConormalChainComplex) -> HomologyResult:
     """Exact per-degree homology over the coefficient group.
 
-    Computed summand by summand, then cross-checked against the assembly
-    (H_p(Z) tensor G) + Tor(H_{p-1}(Z), G) on every call; a mismatch raises.
+    Computed summand by summand from the :func:`_boundary_invariant` of
+    D_p and D_{p+1}, then cross-checked against the assembly (H_p(Z) tensor
+    G) + Tor(H_{p-1}(Z), G) on every call, so two engines meet: the Smith
+    diagonals over Z and the ranks mod c.  Over Z, ker D_p is saturated, so
+    H_p = Z^(n - rk D_p - rk D_{p+1}) + Z/d for each d > 1 on the diagonal of
+    D_{p+1}.  Over Z/c, if both clear, with ranks r and r', both maps split
+    and H_p = (Z/c)^(n - r - r'); a degree where either is stuck takes
+    :meth:`_Path.homology`.
 
-    Each summand is read from the poset's memo when there.  A complex from
-    :func:`build_complex` is fixed at degree p by whether p is its bottom
-    (D_p zeroed) and whether p is its top (D_{p+1} empty), so the memo
-    keys (p, bottom, top, c); it holds (group, representative vectors) as
-    tuples, and each result gets its own lists.  The summands a call
-    computes take one :class:`_Path` per modulus.
+    A complex from :func:`build_complex` is fixed at degree p by whether p
+    is its bottom (D_p zeroed) and its top (D_{p+1} absent), so the poset's
+    memo keys each summand (p, bottom, top, c); it holds groups only.
     """
-    G = complex.coefficient
-    pair = complex.pair
+    G, pair = complex.coefficient, complex.pair
     memo = pair.base._homology_memo
-    paths = {c: _Path(c) for c in {0, *G.torsion}}
+    paths = {c: _Path(c) for c in set(G.torsion)}
 
-    def gens(p: int, c: int):
+    def summand(p: int, c: int) -> FGAbelianGroup:
         key = (p, p == pair.low + 1, p == pair.high, c)
         if key not in memo:
-            Dp, Dp1 = complex.boundary[p], complex.boundary_or_zero(p + 1)
-            group, reps = paths[c].homology(Dp, Dp1)
-            memo[key] = group, tuple((tuple(vec), order) for vec, order in reps)
+            n, (here, above) = complex.dim(p), (_boundary_invariant(complex, q, c) for q in (p, p + 1))
+            if not c:
+                memo[key] = FGAbelianGroup(n - len(here) - len(above), tuple(d for d in above if d > 1))
+            elif here is None or above is None:
+                memo[key] = paths[c].homology(complex.boundary[p], complex.boundary_or_zero(p + 1))[0]
+            else:
+                memo[key] = FGAbelianGroup(0, (c,) * (n - here - above))
         return memo[key]
 
-    integer_results = {p: gens(p, 0) for p in complex.degrees}
+    integer = {p: summand(p, 0) for p in complex.degrees}
+    summands = {(p, c): summand(p, c) for p in complex.degrees for c in set(G.cyclic_summands())}
     groups: dict[int, FGAbelianGroup] = {}
-    cycles: dict[int, list[tuple[int, list[int]]]] = {}
     for p in complex.degrees:
-        by_modulus = {0: integer_results[p]}
-        for c in set(G.torsion):
-            by_modulus[c] = gens(p, c)
-        parts = []
-        vectors = []
-        for slot, c in enumerate(G.cyclic_summands()):
-            grp, reps = by_modulus[c]
-            parts.append(grp)
-            vectors.extend((slot, list(vec)) for vec, _order in reps)
-        direct = direct_sum(*parts)
-        previous = (
-            integer_results[p - 1][0] if (p - 1) in integer_results else FGAbelianGroup(0)
-        )
-        expected = direct_sum(tensor(integer_results[p][0], G), tor(previous, G))
+        direct = direct_sum(*(summands[p, c] for c in G.cyclic_summands()))
+        expected = direct_sum(tensor(integer[p], G), tor(integer.get(p - 1, FGAbelianGroup(0)), G))
         if direct != expected:
             raise InternalConsistencyError(
                 f"direct homology {direct} disagrees with coefficient assembly {expected} in degree {p}"
             )
         groups[p] = direct
-        cycles[p] = vectors
-    result = HomologyResult(complex, groups, (FGAbelianGroup(0),) * 2, cycles)
+    result = HomologyResult(complex, groups, (FGAbelianGroup(0),) * 2, summands)
     result.periodized = periodize(result)
     return result
 

@@ -111,16 +111,17 @@ class FacePoset:
 
     @cached_property
     def _homology_memo(self) -> dict:
-        """(p, bottom, top, c) -> (group, representative vectors), read and
+        """(p, bottom, top, c) -> the group of that summand, read and
         written by ``conormal.homology`` only."""
         return {}
 
     @cached_property
     def _derived_memo(self) -> dict:
-        """Structure that depends on the faces alone, immutable values:
-        ("incidence", p) -> D_p, read and written by
-        ``conormal.incidence_matrix`` only, and "corner_graph" -> the corner
-        graph, by ``obstruction._corner_graph`` only."""
+        """Structure that depends on the faces alone, immutable values, each
+        kind read and written by its one owner: ("incidence", p) -> D_p, by
+        ``conormal.incidence_matrix``; ("diagonal", p) and ("unit rank", p,
+        c) -> invariants of D_p, by ``conormal._boundary_invariant``; and
+        "corner_graph" -> the corner graph, by ``obstruction._corner_graph``."""
         return {}
 
     @classmethod

@@ -870,6 +870,20 @@ def cube(d: int) -> FacePoset:
     return FacePoset.build(hyps, faces)
 
 
+def product(P: FacePoset, Q: FacePoset) -> FacePoset:
+    """P x Q: faces are the pairs (f, g), with id "f|g", the codimensions
+    adding; hypersurfaces are the disjoint union, prefixed "a." and "b."."""
+    pairs = sorted(itertools.product(P.faces, Q.faces), key=lambda fg: fg[0].codim + fg[1].codim)
+    faces = []
+    for f, g in pairs:
+        parents = {f"a.{h}": f"{fp}|{g.id}" for h, fp in f.parents}
+        parents.update({f"b.{h}": f"{f.id}|{gp}" for h, gp in g.parents})
+        index = sorted([f"a.{h}" for h in f.index_tuple] + [f"b.{h}" for h in g.index_tuple])
+        faces.append((f"{f.id}|{g.id}", f.codim + g.codim, tuple(index), parents))
+    hyps = sorted([f"a.{h}" for h in P.hypersurfaces] + [f"b.{h}" for h in Q.hypersurfaces])
+    return FacePoset.build(hyps, faces, P.connected and Q.connected)
+
+
 def random_codim2_poset(rng, n_faces: int) -> FacePoset:
     """A connected codimension-2 poset with exactly ``n_faces`` faces: one
     interior, edges on random hypersurfaces, and corners joining two edges

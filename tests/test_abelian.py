@@ -409,19 +409,22 @@ def _cube_homology_snfs(monkeypatch, d: int):
         return taken[-1][1]
 
     rebind(monkeypatch, abelian, "smith_normal_form", keeping)
-    homology(build_complex(FilteredPair(cube(d), -1, d), FGAbelianGroup(1, (4,))))
+    homology(build_complex(FilteredPair(cube(d), -1, d), FGAbelianGroup(1, (4,)))).representatives
     return taken
 
 
 @pytest.mark.parametrize("d", [4, 5])
 def test_snf_matches_frozen_reference_kernel_on_the_matrices_the_library_factors(monkeypatch, d):
     # the boundary matrices above are bare; the library also factors the
-    # [D | c*I] lifts, relation coordinates and exactness kernels that
-    # homology and the six-term checks of the d-cube build at Z + Z/4
+    # [D | c*I] lifts, relation coordinates and exactness kernels that the
+    # six-term checks of the d-cube at Z + Z/4 build, and the
+    # representatives of the triple's three pairs, which six_term does not
+    # read
     calls = count_calls(monkeypatch, abelian, "smith_normal_form")
-    G = FGAbelianGroup(1, (4,))
-    homology(build_complex(FilteredPair(cube(d), -1, d), G))
-    six_term(cube(d), -1, 0, d, G)
+    poset, G = cube(d), FGAbelianGroup(1, (4,))
+    six_term(poset, -1, 0, d, G)
+    for low, high in ((-1, 0), (-1, d), (0, d)):
+        homology(build_complex(FilteredPair(poset, low, high), G)).representatives
     inputs = {args[0]: None for args in calls}
     assert len(inputs) == {4: 38, 5: 46}[d]
     assert any(A.cols > A.rows and 4 in dict(A.nonzero[-1]).values() for A in inputs)
@@ -432,11 +435,13 @@ def test_snf_matches_frozen_reference_kernel_on_the_matrices_the_library_factors
 @pytest.mark.parametrize("d", [4, 6])
 def test_snf_logs_of_cube_homology_pass_the_independent_checker(monkeypatch, d):
     taken = _cube_homology_snfs(monkeypatch, d)
-    # over Z and mod 4, in each degree the cokernel presentation's SNF,
-    # and the cycle basis's in the d degrees with a nonzero boundary, less
-    # the presentation of the bottom degree 0, whose relations are their
-    # own coordinates: the matrix degree 1 factors for its cycles
-    assert len(taken) == 2 * 2 * d
+    # the Smith diagonals of D_1, ..., D_d behind the groups; then, for
+    # the representatives, over Z and mod 4, in each degree the cokernel
+    # presentation's SNF, and the cycle basis's in the d degrees with a
+    # nonzero boundary, less the presentation of the bottom degree 0, whose
+    # relations are their own coordinates: the matrix degree 1 factors for
+    # its cycles
+    assert len(taken) == d + 2 * 2 * d
     for A, s in taken:
         check_snf_logs(A, s)
 
@@ -497,6 +502,37 @@ def test_transform_products_walk_one_log_per_batch(monkeypatch):
             walks.clear()
             getattr(s, field)
             assert len(walks) == (field != "D")
+
+
+class _UnreadLog(list):
+    """A log that fails the test when a walk reads it, either way."""
+
+    def __iter__(self):
+        raise AssertionError("a log was walked")
+
+    def __reversed__(self):
+        raise AssertionError("a log was walked")
+
+
+def test_a_product_with_no_columns_walks_no_log():
+    # the kernel of a full-column-rank matrix and the presentation of a
+    # unimodular one are products with no columns: the empty matrix comes
+    # back at once, whatever the logs hold; a batch of the wrong height
+    # still raises
+    for A in (hom([[1, 0], [2, 1], [1, 1]]), hom([[2, 1], [1, 1]]), incidence_matrix(kgon(7), 1).with_multiples(4)):
+        s = smith_normal_form(A)
+        assert s.row_log or s.column_log
+        s.row_log, s.column_log = _UnreadLog(s.row_log), _UnreadLog(s.column_log)
+        if s.rank == A.cols:
+            assert s.kernel() == IntegerHom.zero(A.cols, 0)
+        if s.rank == A.rows and set(s.diagonal) == {1}:
+            assert s.cokernel_presentation() == (FGAbelianGroup(0), [])
+        for product, n in ((s.u_times, A.rows), (s.u_inv_times, A.rows), (s.v_times, A.cols), (s.v_inv_times, A.cols)):
+            assert product(IntegerHom.zero(n, 0)) == IntegerHom.zero(n, 0)
+            with pytest.raises(DimensionError):
+                product(IntegerHom.zero(n + 1, 0))
+    with pytest.raises(AssertionError, match="walked"):
+        s.u_times(IntegerHom.identity(A.rows))
 
 
 def test_factorization_answers_build_no_dense_matrix(monkeypatch):

@@ -3,7 +3,7 @@ import dataclasses
 import itertools
 import random
 import tracemalloc
-from functools import partial
+from functools import cached_property, partial
 from math import gcd, prod
 from pathlib import Path
 
@@ -35,6 +35,8 @@ from helpers import (
     homology_gens_by_solving,
     kgon,
     one_column,
+    product,
+    random_codim2_poset,
     random_valid_poset,
     rebind,
     reference_homology,
@@ -298,6 +300,102 @@ def test_direct_vs_uct_on_torsion_coefficients():
         assert r.groups == uct_assembly(c)
 
 
+ENGINE_MODULI = (2, 3, 4, 6, 8, 9, 12, 10**18 + 3)
+
+
+def _engine_posets():
+    """Products, random codimension-2 posets and the gallery's totals."""
+    rng = random.Random(2800)
+    posets = [product(cube(1), kgon(3)), product(cube(1), kgon(5)), product(kgon(3), kgon(4))]
+    posets += [product(cube(2), random_codim2_poset(rng, 9)), product(mobius_total(), cube(1))]
+    posets += [random_codim2_poset(rng, rng.randint(8, 40)) for _ in range(10)]
+    return posets + [poset for _, poset in gallery_posets()]
+
+
+def test_split_degrees_present_the_group_the_cycle_path_finds():
+    # in a degree where both boundaries clear by unit pivots mod c, with
+    # ranks r and r', the group is (Z/c)^(n - r - r'); the SNF path of the
+    # cycles over [D_p | c*I] must present that same group
+    split = 0
+    for poset in _engine_posets():
+        d = poset.codimension()
+        for low, high in itertools.combinations(range(-1, d + 1), 2):
+            complex = build_complex(FilteredPair(poset, low, high), Z)
+            for p in complex.degrees:
+                Dp, Dp1 = complex.boundary[p], complex.boundary_or_zero(p + 1)
+                for c in ENGINE_MODULI:
+                    r, r1 = conormal._unit_rank(Dp, c), conormal._unit_rank(Dp1, c)
+                    if r is None or r1 is None:
+                        continue
+                    group, _ = _Path(c).homology(Dp, Dp1)
+                    assert group == FGAbelianGroup(0, (c,) * (complex.dim(p) - r - r1)), (poset, low, high, p, c)
+                    split += 1
+    assert split > 2000, split
+
+
+def test_unit_rank_sticks_on_a_block_with_no_unit():
+    # [[2, 3]] mod 6 is onto Z/6, but no entry is a unit; [[2]] mod 4 has
+    # none either; each is left to the SNF path.  A unit met after a pivot,
+    # or in a row a pass has already gone by, is still taken
+    rank = conormal._unit_rank
+    assert rank(IntegerHom.from_rows([[2, 3]]), 6) is None
+    assert rank(IntegerHom.from_rows([[2]]), 4) is None
+    assert rank(IntegerHom.from_rows([[2, 0], [1, 1], [0, 3]]), 4) == 2
+    assert rank(IntegerHom.from_rows([[2, 2], [1, 3]]), 4) == 1
+    assert rank(IntegerHom.zero(3, 0), 4) == rank(IntegerHom.zero(0, 3), 4) == 0
+    assert rank(IntegerHom.from_rows([[4, 8], [12, -4]]), 4) == 0
+
+
+@pytest.mark.parametrize("stuck", ["every", "odd widths"])
+def test_homology_through_the_stuck_branch_matches_the_reference(monkeypatch, stuck):
+    # with the unit-pivot ranks forced to stick, on every matrix or on
+    # every one of odd width, the stuck degrees take the SNF path inside
+    # homology; groups, periodized groups and representatives still equal
+    # the frozen reference's
+    real = conormal._unit_rank
+    forced = (lambda A, c: None) if stuck == "every" else (lambda A, c: None if A.cols % 2 else real(A, c))
+    monkeypatch.setattr(conormal, "_unit_rank", forced)
+    calls = count_calls(monkeypatch, _Path, "homology")
+    rng = random.Random(2900)
+    posets = [cube(3), product(cube(1), kgon(4)), mobius_total()] + [random_codim2_poset(rng, 20) for _ in range(3)]
+    inside = 0
+    for G in (zmod(4), FGAbelianGroup(1, (4,)), FGAbelianGroup(2, (2, 6))):
+        for poset in posets:
+            d = poset.codimension()
+            for low, high in ((-1, d), (0, d), (-1, d - 1)):
+                complex = build_complex(FilteredPair(dataclasses.replace(poset), low, high), G)
+                before = len(calls)
+                result = homology(complex)
+                inside += len(calls) - before
+                eager = reference_homology(complex)
+                assert (result.groups, result.periodized) == (eager.groups, eager.periodized)
+                assert result.representatives == eager.representatives
+    assert inside > 50, inside
+
+
+@pytest.mark.parametrize("off", [1, -1])
+def test_a_unit_rank_off_by_one_raises_through_the_coefficient_check(monkeypatch, off):
+    # mutation control: a rank mod c one too high or too low changes a
+    # Z/c summand, and the assembly from the Smith diagonals over Z says so
+    real = conormal._unit_rank
+    monkeypatch.setattr(conormal, "_unit_rank", lambda A, c: max(0, real(A, c) + off))
+    for G in (zmod(4), FGAbelianGroup(1, (4,)), zmod(10**18 + 3)):
+        for poset in (cube(2), cube(3), kgon(5)):
+            with pytest.raises(InternalConsistencyError, match="coefficient assembly"):
+                homology(build_complex(FilteredPair(poset, -1, poset.codimension()), G))
+
+
+def test_cycles_that_present_another_group_raise_when_read():
+    # mutation control for the check on first read of the cycles: a
+    # summand that the cycle path of its degree does not present
+    result = homology(build_complex(FilteredPair(cube(2), -1, 2), FGAbelianGroup(1, (4,))))
+    key = next(key for key, group in result.summands.items() if key[1] == 4 and group != FGAbelianGroup(0))
+    wrong = dataclasses.replace(result, summands={**result.summands, key: FGAbelianGroup(0)})
+    with pytest.raises(InternalConsistencyError, match=f"presents another group in degree {key[0]}"):
+        wrong.cycles
+    assert result.cycles.keys() == result.groups.keys()
+
+
 @pytest.mark.parametrize(
     ("n_boundaries", "c", "snf_calls"),
     [pytest.param(n, 0, 2, id=str(n)) for n in (0, 1, 4, 12)]
@@ -407,10 +505,10 @@ def test_cycle_basis_of_a_zero_boundary_is_the_identity(monkeypatch, rows, cols,
 
 def test_homology_and_exactness_walk_one_log_per_batch(monkeypatch):
     # the cycle basis, the relations' coordinates in it and the cokernel
-    # generators are one product each: three walks in a degree with a
-    # nonzero D_p, only the generators' walk in a zeroed one; an exactness
-    # check walks once for its kernel and once per inclusion, and not for a
-    # kernel of a zero matrix, which takes no SNF
+    # generators of the representatives are one product each: three walks
+    # in a degree with a nonzero D_p, only the generators' walk in a zeroed
+    # one; an exactness check walks once for its kernel and once per
+    # inclusion, and not for a kernel of a zero matrix, which takes no SNF
     walks = count_calls(monkeypatch, abelian, "_replay")
     per_call: dict[str, list] = {"homology": [], "exact": []}
 
@@ -427,7 +525,13 @@ def test_homology_and_exactness_walk_one_log_per_batch(monkeypatch):
 
     counted("homology")
     counted("exact")
-    six_term(cube(3), -1, 0, 3, FGAbelianGroup(1, (4,)))
+    poset, G = cube(3), FGAbelianGroup(1, (4,))
+    six_term(poset, -1, 0, 3, G)
+    # the six-term groups come from the boundary invariants; the cycles of
+    # the triple's three pairs are built when read
+    assert per_call["homology"] == []
+    for low, high in ((-1, 0), (-1, 3), (0, 3)):
+        homology(build_complex(FilteredPair(poset, low, high), G)).representatives
     gens, checks = per_call["homology"], per_call["exact"]
     assert {n for args, n in gens if not args[1].is_zero()} == {3}
     assert {n for args, n in gens if args[1].is_zero()} == {1}
@@ -571,15 +675,16 @@ def test_six_term_and_boundary_ses_compute_each_pair_once(monkeypatch):
 
 def test_six_term_and_boundary_ses_read_each_pair_complex(monkeypatch):
     # the three pairs of the triple build their incidence matrices once,
-    # and none at a bottom degree, whose D_p is zero; homology, presentations
-    # and arrows read them from those complexes, and each path of one call
-    # factors each (c, matrix) once
+    # and none at a bottom degree, whose D_p is zero; homology's invariants
+    # and the arrows read them from those complexes.  Homology factors D_1
+    # and D_2 once for their Smith diagonals, and each exactness path of
+    # one call factors each (c, matrix) once: 17 and 10 SNFs
     incidences = count_calls(monkeypatch, conormal, "incidence_matrix")
     snfs = count_calls(monkeypatch, abelian, "smith_normal_form")
     six_term(square(), -1, 0, 2, FGAbelianGroup(1, (4,)))
-    assert (len(incidences), len(snfs)) == (3, 29)
+    assert (len(incidences), len(snfs)) == (3, 2 + 17)
     connected_boundary_ses(square(), FGAbelianGroup(1, (4,)))
-    assert (len(incidences), len(snfs)) == (6, 29 + 22)
+    assert (len(incidences), len(snfs)) == (6, 19 + 2 + 10)
 
 
 def _snf_split(monkeypatch):
@@ -611,11 +716,12 @@ def test_exactness_memo_lives_for_one_call_and_homology_memo_on_the_poset(monkey
     split = _snf_split(monkeypatch)
 
     # the exactness memo is made inside each call and never reads the
-    # poset's: a second call takes the same exactness SNFs, cold or warm
+    # poset's: a second call takes the same exactness SNFs, cold or warm;
+    # homology's are the Smith diagonals of D_1 and D_2, once per poset
     poset = square()
-    assert [split(lambda: six_term(poset, -1, 0, 2, G)) for _ in range(2)] == [(12, 17), (0, 17)]
+    assert [split(lambda: six_term(poset, -1, 0, 2, G)) for _ in range(2)] == [(2, 17), (0, 17)]
     poset = square()
-    assert [split(lambda: connected_boundary_ses(poset, G)) for _ in range(2)] == [(12, 10), (0, 10)]
+    assert [split(lambda: connected_boundary_ses(poset, G)) for _ in range(2)] == [(2, 10), (0, 10)]
     warm = square()
     six_term(warm, -1, 0, 2, G)
     assert split(lambda: connected_boundary_ses(warm, G)) == (0, 10)
@@ -624,39 +730,46 @@ def test_exactness_memo_lives_for_one_call_and_homology_memo_on_the_poset(monkey
     poset = square()
     shown = (repr(poset), hash(poset))
     pair = FilteredPair(poset, -1, 2)
-    assert [split(lambda: conormal.homology(build_complex(pair, G))) for _ in range(2)] == [(8, 0), (0, 0)]
+    assert [split(lambda: conormal.homology(build_complex(pair, G))) for _ in range(2)] == [(2, 0), (0, 0)]
     assert (repr(poset), hash(poset)) == shown and poset == square()
     anew, copied = square(), dataclasses.replace(poset)
     assert anew == poset == copied and (repr(copied), hash(copied)) == shown
     for other in (anew, copied):
-        assert split(lambda: conormal.homology(build_complex(FilteredPair(other, -1, 2), G))) == (8, 0)
+        assert split(lambda: conormal.homology(build_complex(FilteredPair(other, -1, 2), G))) == (2, 0)
 
 
 def test_homology_of_a_six_cube_pair_cold_and_warm(monkeypatch):
-    # (X_6, X_4): the bottom degree 5 takes no SNF for its cycles, and its
-    # relations are their own coordinates, the matrix the top degree 6
-    # factors for its cycles; so one SNF per modulus for that and one to
-    # present degree 6; warm, none at all
+    # (X_6, X_4): both degrees read the groups off D_6 alone, D_5 being
+    # zeroed, so one SNF for its Smith diagonal and none for its rank mod
+    # 4; warm, none at all.  The cycles of each result, built when read:
+    # the bottom degree 5 takes no SNF for its cycles, and its relations
+    # are their own coordinates, the matrix the top degree 6 factors for
+    # its cycles; so one SNF per modulus for that and one to present
+    # degree 6
     snfs = count_calls(monkeypatch, abelian, "smith_normal_form")
     pair = FilteredPair(cube(6), 4, 6)
     cold = homology(build_complex(pair, FGAbelianGroup(1, (4,))))
-    assert len(snfs) == 4
+    assert len(snfs) == 1
     warm = homology(build_complex(pair, FGAbelianGroup(1, (4,))))
-    assert len(snfs) == 4
-    assert (warm.groups, warm.cycles) == (cold.groups, cold.cycles)
+    assert len(snfs) == 1
+    assert warm.groups == cold.groups and len(snfs) == 1
+    assert warm.cycles == cold.cycles and len(snfs) == 1 + 4 + 4
 
 
 def _decompositions_by_path(monkeypatch, run):
-    """Run ``run`` and return (made, reads, born, used).  ``made`` lists
-    (path, A, decomposition) for every Smith normal form taken and
-    ``reads`` (path, decomposition) for every question asked of one, where
-    the path is the ``_Path`` object at work.  ``born`` maps each path to
-    the call that made it, ("homology", k) or ("exactness", k) for the
-    k-th call of :func:`homology` or of the exactness driver, and ``used``
-    lists (call, path) for every call of a path's method."""
+    """Run ``run`` and return (made, reads, born, used, invariants).
+    ``made`` lists (path, A, decomposition) for every Smith normal form
+    taken and ``reads`` (path, decomposition) for every question asked of
+    one, where the path is the ``_Path`` object at work, or "invariant"
+    inside :func:`conormal._boundary_invariant`.  ``born`` maps each path
+    to the call that made it, ("homology", k), ("exactness", k) or
+    ("cycles", k) for the k-th call of :func:`homology`, of the exactness
+    driver or of a first read of ``HomologyResult.cycles``; ``used`` lists
+    (call, path) for every call of a path's method, and ``invariants`` the
+    call at work for every call of the invariants helper."""
     call: list = [None]
     active: list = [None]
-    made, reads, born, used = [], [], {}, []
+    made, reads, born, used, invariants = [], [], {}, [], []
 
     def within(slot, label, fn):
         def scoped(*args, **kwargs):
@@ -699,25 +812,48 @@ def _decompositions_by_path(monkeypatch, run):
                 return within(active, lambda _: self, method)(self, *args)
 
             monkeypatch.setattr(conormal._Path, name, working)
+    invariant = conormal._boundary_invariant
+
+    def reading_invariants(*args):
+        invariants.append(call[0])
+        return within(active, lambda _: "invariant", invariant)(*args)
+
+    monkeypatch.setattr(conormal, "_boundary_invariant", reading_invariants)
     calls = itertools.count()
     for kind, name in (("homology", "homology"), ("exactness", "_first_inexact")):
         monkeypatch.setattr(
             conormal, name, within(call, lambda _, kind=kind: (kind, next(calls)), getattr(conormal, name))
         )
+    cycles = cached_property(
+        within(call, lambda _: ("cycles", next(calls)), conormal.HomologyResult.cycles.func)
+    )
+    cycles.__set_name__(conormal.HomologyResult, "cycles")
+    monkeypatch.setattr(conormal.HomologyResult, "cycles", cycles)
     run()
-    return made, reads, born, used
+    return made, reads, born, used, invariants
+
+
+def _then_cycles(check):
+    """``check`` on the 3-cube at Z + Z/4, then the cycles of (X_3, X_-1)."""
+
+    def run():
+        poset, G = cube(3), FGAbelianGroup(1, (4,))
+        check(poset, G)
+        conormal.homology(build_complex(FilteredPair(poset, -1, 3), G)).cycles
+
+    return run
 
 
 @pytest.mark.parametrize("run", [
-    pytest.param(lambda: six_term(cube(3), -1, 0, 3, FGAbelianGroup(1, (4,))), id="six_term"),
-    pytest.param(lambda: connected_boundary_ses(cube(3), FGAbelianGroup(1, (4,))), id="boundary_ses"),
+    pytest.param(_then_cycles(lambda poset, G: six_term(poset, -1, 0, 3, G)), id="six_term"),
+    pytest.param(_then_cycles(connected_boundary_ses), id="boundary_ses"),
 ])
 def test_each_path_reads_only_the_decompositions_it_made(monkeypatch, run):
-    # homology and the exactness checks, each homology call, and the Z and
-    # Z/4 halves of each, are paths of their own: every question goes to a
-    # decomposition its own path made, a path works only inside the call
-    # that made it, and no path factors a matrix twice
-    made, reads, born, used = _decompositions_by_path(monkeypatch, run)
+    # the cycles of a result and the exactness checks, each such call,
+    # and the Z and Z/4 halves of each, are paths of their own: every
+    # question goes to a decomposition its own path made, a path works only
+    # inside the call that made it, and no path factors a matrix twice
+    made, reads, born, used, invariants = _decompositions_by_path(monkeypatch, run)
     maker = {id(s): path for path, _, s in made}
     assert None not in maker.values() and None not in {path for path, _ in reads}
     assert None not in born.values()
@@ -726,20 +862,29 @@ def test_each_path_reads_only_the_decompositions_it_made(monkeypatch, run):
     for path in born:
         matrices = [A for made_by, A, _ in made if made_by is path]
         assert len(matrices) == len(set(matrices)), born[path]
+    # the invariants are read inside homology only, never by the exactness
+    # driver nor by a path; they factor each incidence matrix once, for its
+    # diagonal, and no question is asked of that decomposition
+    assert invariants and {kind for kind, _ in invariants} == {"homology"}
+    diagonals = [A for path, A, _ in made if path == "invariant"]
+    assert sorted(A.cols for A in diagonals) == sorted(len(cube(3).faces_of_codim(p)) for p in (1, 2, 3))
+    assert "invariant" not in {path for path, _ in reads}
     # not vacuous: both kinds of path and both moduli take part, each path
     # asks some decomposition a second question, and some matrix factored
-    # by homology is factored again, apart, by the exactness checks
-    assert {(born[path][0], path.c) for path in maker.values()} == {
-        (kind, c) for kind in ("homology", "exactness") for c in (0, 4)
+    # for the cycles is factored again, apart, by the exactness checks
+    paths = {path for path in maker.values() if path != "invariant"}
+    assert {(born[path][0], path.c) for path in paths} == {
+        (kind, c) for kind in ("cycles", "exactness") for c in (0, 4)
     }
     assert len(reads) > len({id(s) for _, s in reads})
-    by_kind = {kind: {A for path, A, _ in made if born[path][0] == kind} for kind in ("homology", "exactness")}
-    assert by_kind["homology"] & by_kind["exactness"]
+    by_kind = {kind: {A for path, A, _ in made if path in paths and born[path][0] == kind} for kind in ("cycles", "exactness")}
+    assert by_kind["cycles"] & by_kind["exactness"]
 
 
 def test_paths_are_made_only_by_homology_and_the_exactness_driver():
-    # the package names _Path only to make one in these two functions, and
-    # in annotations, so homology and the exactness checks cannot share one
+    # the package names _Path only to make one in homology, for its stuck
+    # degrees, in the cycles of its result and in the exactness driver,
+    # and in annotations, so no two of them can share one
     makers = []
     for file in sorted(Path(conormal.__file__).parent.glob("*.py")):
         for top in ast.parse(file.read_text(encoding="utf-8")).body:
@@ -756,16 +901,21 @@ def test_paths_are_made_only_by_homology_and_the_exactness_driver():
                 named = isinstance(node, ast.Name) and node.id == "_Path" and isinstance(node.ctx, ast.Load)
                 if (named or isinstance(node, ast.Attribute) and node.attr == "_Path") and id(node) not in annotations:
                     makers.append((file.name, getattr(top, "name", ""), id(node) in calls))
-    assert sorted(makers) == [("conormal.py", "_first_inexact", True), ("conormal.py", "homology", True)]
+    assert sorted(makers) == [
+        ("conormal.py", "HomologyResult", True),
+        ("conormal.py", "_first_inexact", True),
+        ("conormal.py", "homology", True),
+    ]
 
 
 def test_six_term_on_the_five_cube_factors_each_matrix_once_per_call_and_path(monkeypatch):
-    # six_term(-1, 0, 5) at Z + Z/4 took 108 SNFs when every question
-    # factored its matrix afresh; one path per call and modulus, factoring
-    # each matrix once and a zero one not at all, leaves 59, of 46 distinct
+    # six_term(-1, 0, 5) at Z + Z/4: one path per call and modulus factors
+    # each matrix once, and a zero one not at all, so the exactness checks
+    # take 35 distinct SNFs; the groups take the Smith diagonals of D_1,
+    # ..., D_5, which the Z path of the checks factors too
     snfs = count_calls(monkeypatch, abelian, "smith_normal_form")
     six_term(cube(5), -1, 0, 5, FGAbelianGroup(1, (4,)))
-    assert (len(snfs), len(set(snfs))) == (59, 46)
+    assert (len(snfs), len(set(snfs))) == (5 + 35, 35)
 
 
 def test_no_path_factors_a_zero_matrix_for_its_kernel(monkeypatch):
@@ -841,10 +991,17 @@ def test_a_mutated_result_leaves_the_memo_unchanged():
     later = homology(build_complex(pair, G))
     fresh = homology(build_complex(FilteredPair(cube(3), 0, 3), G))
     assert (later.groups, later.cycles, later.representatives) == (fresh.groups, fresh.cycles, fresh.representatives)
-    # the memo keeps tuples, never a factorization or a cycle basis
-    for group, reps in poset._homology_memo.values():
-        assert isinstance(group, FGAbelianGroup) and type(reps) is tuple
-        assert all(type(vec) is tuple and all(type(x) is int for x in vec) for vec, _ in reps)
+    # the homology memo keeps groups only, never a factorization, a cycle
+    # basis or a cycle; the invariants beside the incidence matrices are
+    # ints and tuples of ints
+    assert poset._homology_memo and all(type(group) is FGAbelianGroup for group in poset._homology_memo.values())
+    invariants = {key: value for key, value in poset._derived_memo.items() if key[0] != "incidence"}
+    assert {key[0] for key in invariants} == {"diagonal", "unit rank"}
+    for key, value in invariants.items():
+        if key[0] == "diagonal":
+            assert type(value) is tuple and all(type(d) is int for d in value)
+        else:
+            assert type(value) is int
 
 
 def test_incidence_matrices_are_built_once_per_poset_and_degree(monkeypatch):
@@ -894,10 +1051,15 @@ def test_a_warm_memo_still_checks_that_the_boundary_squares_to_zero():
 
 
 def test_each_poset_memo_is_read_only_by_its_owners():
-    # in the package, only incidence_matrix and _corner_graph name the
-    # derived-structure memo, and only homology names the homology memo
+    # in the package, only incidence_matrix, _boundary_invariant and
+    # _corner_graph name the derived-structure memo, and only homology
+    # names the homology memo
     owners = {
-        "_derived_memo": {("conormal.py", "incidence_matrix"), ("obstruction.py", "_corner_graph")},
+        "_derived_memo": {
+            ("conormal.py", "incidence_matrix"),
+            ("conormal.py", "_boundary_invariant"),
+            ("obstruction.py", "_corner_graph"),
+        },
         "_homology_memo": {("conormal.py", "homology")},
     }
     found = {name: set() for name in owners}

@@ -645,14 +645,21 @@ def test_corner_graph_and_incidence_matrices_are_built_once_per_poset(monkeypatc
         assert other == poset and (repr(other), hash(other)) == shown
         codim2_vanishes(other, K, boundary_datum(other, K, rng))
     assert len(graphs) == 3 and len(matrices) == 4
-    # the memo keeps only immutable values: matrices and a graph of tuples
-    assert set(poset._derived_memo) == {("incidence", 1), ("incidence", 2), "corner_graph"}
+    # the memo keeps only immutable values: matrices, a graph of tuples and
+    # the invariants homology reads off D_2 of (X_2, X_0), D_1 being zeroed
+    # there: its Smith diagonal and its rank mod 4
+    assert set(poset._derived_memo) == {
+        ("incidence", 1), ("incidence", 2), "corner_graph", ("diagonal", 2), ("unit rank", 2, 4)
+    }
     for key, value in poset._derived_memo.items():
         if key == "corner_graph":
             assert type(value) is obstruction._CornerGraph
             assert all(type(part) is tuple for part in value)
-        else:
+        elif key[0] == "incidence":
             assert type(value) is abelian.IntegerHom and value == incidence_matrix(anew, key[1])
+    D2 = incidence_matrix(anew, 2)
+    assert poset._derived_memo[("diagonal", 2)] == tuple(d for d in abelian.smith_normal_form(D2).diagonal if d)
+    assert poset._derived_memo[("unit rank", 2, 4)] == sum(1 for d in abelian.smith_normal_form(D2).diagonal if d % 2)
 
 
 def test_a_warm_memo_still_checks_the_forest_solve():
