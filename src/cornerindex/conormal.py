@@ -5,9 +5,9 @@ the faces of each codimension p in (m, l], the differential is the signed
 incidence matrix, and degrees that fall into the quotiented range are zeroed.
 
 Homology over a coefficient group G is computed twice on purpose, by two
-engines: summand by summand, from the ranks of the boundary matrices mod
-each c, and through the universal-coefficient assembly from the integer
-groups, read off their Smith diagonals.  Disagreement raises
+engines: summand by summand, from the Smith invariants of the boundary
+matrices mod each c, and through the universal-coefficient assembly from the
+integer groups, read off their Smith diagonals.  Disagreement raises
 :class:`InternalConsistencyError`, which always indicates a bug.  Exactness
 of a six-term sequence is a theorem too, so a failed check raises instead of
 reporting.  It is checked at every degree of the triple's long exact
@@ -15,11 +15,11 @@ sequence, one chain module at a time, on the lattice pairs of
 :meth:`_Path.lattices`.
 
 Every lattice question goes to a :class:`_Path` over Z or one Z/c: of the
-exactness checks of one call, of the cycles of one homology result, or of a
-homology call's stuck degrees.  A path factors each matrix at most once, a
-zero one not at all, shares none and reads no poset memo.  Incidence matrices
-and the stacked lift of :meth:`_Path.coordinates` go through the checked
-``IntegerHom`` constructor; products and blocks of checked matrices skip it.
+exactness checks of one call, or of the cycles of one homology result.  A
+path factors each matrix at most once, a zero one not at all, shares none
+and reads no poset memo.  Incidence matrices and the stacked lift of
+:meth:`_Path.coordinates` go through the checked ``IntegerHom``
+constructor; products and blocks of checked matrices skip it.
 """
 
 from __future__ import annotations
@@ -188,10 +188,10 @@ class HomologyResult:
 
 
 class _Path:
-    """One path of one call over Z (c = 0) or Z/c: the exactness checks,
-    the cycles of a homology result or its stuck degrees.  It factors each
-    matrix at most once, and a zero one for its kernel not at all, and keeps
-    each cycle basis; no two paths share one, so no two share an SNF."""
+    """One path of one call over Z (c = 0) or Z/c: the exactness checks or
+    the cycles of a homology result.  It factors each matrix at most once,
+    a zero one for its kernel not at all, and keeps each cycle basis; no two
+    paths share one, so no two share an SNF."""
 
     def __init__(self, c: int):
         self.c = c
@@ -292,11 +292,12 @@ def _embed_chain(
     return ChainVector(complex, p, tuple(group.join(vectors, len(vector))))
 
 
-def _unit_rank(A: IntegerHom, c: int) -> int | None:
-    """The rank of ``A`` mod c (c >= 2) when elimination on entries prime
-    to c clears it, so that A mod c is equivalent to diag(1, ..., 1, 0, ..., 0);
-    None when a nonzero block with no such entry is left, as [[2, 3]] mod 6
-    leaves.  No pivot needs c factored; the rows eliminated are A's columns."""
+def _invariants_mod(A: IntegerHom, c: int) -> tuple[int, tuple[int, ...]]:
+    """The Smith invariants of ``A`` mod c (c >= 2) as (r, N): r of them are
+    nonzero, and N sorts those strictly between 1 and c.  Elimination on
+    entries prime to c, which never factors c, takes the unit ones; the rows
+    it eliminates are A's columns.  A block left with no such entry, as
+    [[2, 3]] mod 6 is, gives the rest: the Smith diagonal of [block | c*I]."""
     rows = [{i: x % c for i, x in column if x % c} for column in A.nonzero]
     holders: list[set[int]] = [set() for _ in range(A.rows)]  # column -> rows that held an entry in it
     for k, row in enumerate(rows):
@@ -322,35 +323,41 @@ def _unit_rank(A: IntegerHom, c: int) -> int | None:
                         target.pop(l, None)
                 pending.add(k)
         rank += 1
-    return None if any(rows) else rank
+    if not (left := [row for row in rows if row]):
+        return rank, ()
+    index = {i: k for k, i in enumerate(sorted(set().union(*left)))}
+    block = tuple(tuple((index[i], x) for i, x in sorted(row.items())) for row in left)
+    diagonal = smith_normal_form(IntegerHom(len(index), len(left), block).with_multiples(c)).diagonal
+    return rank + sum(d < c for d in diagonal), tuple(d for d in diagonal if 1 < d < c)
 
 
-def _boundary_invariant(complex: ConormalChainComplex, p: int, c: int):
-    """The nonzero Smith diagonal (c = 0) or :func:`_unit_rank` mod c of
-    D_p: () or 0 where ``complex`` zeroes it or has no degree p, and else,
-    D_p being :func:`incidence_matrix` (poset, p), kept once per poset in its
-    derived-structure memo as ("diagonal", p) or ("unit rank", p, c)."""
+def _boundary_invariant(complex: ConormalChainComplex, p: int, c: int) -> tuple[int, tuple[int, ...]]:
+    """(r, N) of D_p, over Z off its Smith diagonal, mod c by :func:`_invariants_mod`.
+    (0, ()) where ``complex`` zeroes D_p or has no degree p; else kept once
+    per poset (D_p is :func:`incidence_matrix`) as ("invariants", p, c)."""
     if p == complex.pair.low + 1 or p > complex.pair.high:
-        return 0 if c else ()
+        return 0, ()
     memo = complex.pair.base._derived_memo
-    key = ("unit rank", p, c) if c else ("diagonal", p)
+    key = ("invariants", p, c)
     if key not in memo:
-        D = complex.boundary[p]
-        memo[key] = _unit_rank(D, c) if c else tuple(d for d in smith_normal_form(D).diagonal if d)
+        if c:
+            memo[key] = _invariants_mod(complex.boundary[p], c)
+        else:
+            diagonal = [d for d in smith_normal_form(complex.boundary[p]).diagonal if d]
+            memo[key] = len(diagonal), tuple(d for d in diagonal if d > 1)
     return memo[key]
 
 
 def homology(complex: ConormalChainComplex) -> HomologyResult:
     """Exact per-degree homology over the coefficient group.
 
-    Computed summand by summand from the :func:`_boundary_invariant` of
-    D_p and D_{p+1}, then cross-checked against the assembly (H_p(Z) tensor
-    G) + Tor(H_{p-1}(Z), G) on every call, so two engines meet: the Smith
-    diagonals over Z and the ranks mod c.  Over Z, ker D_p is saturated, so
-    H_p = Z^(n - rk D_p - rk D_{p+1}) + Z/d for each d > 1 on the diagonal of
-    D_{p+1}.  Over Z/c, if both clear, with ranks r and r', both maps split
-    and H_p = (Z/c)^(n - r - r'); a degree where either is stuck takes
-    :meth:`_Path.homology`.
+    Computed summand by summand from the :func:`_boundary_invariant` (r, N)
+    of D_p and (r', N') of D_{p+1}, and cross-checked on every call against
+    the assembly (H_p(Z) tensor G) + Tor(H_{p-1}(Z), G) of the Smith
+    diagonals over Z: two engines meet.  Over Z, ker D_p is saturated, so
+    H_p = Z^(n - r - r') + Z/e for each e in N'.  D lifts to Z with D^2 = 0
+    and its invariants mod c are gcd(d, c) for its integer ones d, so over
+    Z/c, H_p = (Z/c)^(n - r - r') + Z/e for each e in N' and each in N.
 
     A complex from :func:`build_complex` is fixed at degree p by whether p
     is its bottom (D_p zeroed) and its top (D_{p+1} absent), so the poset's
@@ -358,18 +365,12 @@ def homology(complex: ConormalChainComplex) -> HomologyResult:
     """
     G, pair = complex.coefficient, complex.pair
     memo = pair.base._homology_memo
-    paths = {c: _Path(c) for c in set(G.torsion)}
 
     def summand(p: int, c: int) -> FGAbelianGroup:
         key = (p, p == pair.low + 1, p == pair.high, c)
         if key not in memo:
-            n, (here, above) = complex.dim(p), (_boundary_invariant(complex, q, c) for q in (p, p + 1))
-            if not c:
-                memo[key] = FGAbelianGroup(n - len(here) - len(above), tuple(d for d in above if d > 1))
-            elif here is None or above is None:
-                memo[key] = paths[c].homology(complex.boundary[p], complex.boundary_or_zero(p + 1))[0]
-            else:
-                memo[key] = FGAbelianGroup(0, (c,) * (n - here - above))
+            (r, N), (r1, N1) = (_boundary_invariant(complex, q, c) for q in (p, p + 1))
+            memo[key] = FGAbelianGroup.from_cyclics((c,) * (complex.dim(p) - r - r1) + N1 + (N if c else ()))
         return memo[key]
 
     integer = {p: summand(p, 0) for p in complex.degrees}

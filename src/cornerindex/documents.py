@@ -346,13 +346,12 @@ def parse_coefficient(text: str) -> FGAbelianGroup:
         match = _COEFF_TOKEN.match(token)
         if not match:
             raise InputError(f"cannot parse coefficient term {raw.strip()!r}")
-        if token == "0":
-            continue
-        if match.group(2) is not None:
-            d = int(match.group(2))
-            if d == 0:
-                raise InputError("Z/0 is not a cyclic group; write Z instead")
-            cyclics.append(d)
-        else:
-            cyclics.extend([0] * (int(match.group(1)) if match.group(1) else 1))
+        try:
+            power, order = (None if g is None else int(g) for g in match.groups())
+        except ValueError as exc:  # more digits than int() reads from a string
+            raise InputError(f"coefficient term {token[:12]}... has too many digits") from exc
+        if order == 0:
+            raise InputError("Z/0 is not a cyclic group; write Z instead")
+        if token != "0":  # Z/order, or Z^power where Z alone is Z^1
+            cyclics.extend([order] if order else [0] * (1 if power is None else power))
     return FGAbelianGroup.from_cyclics(cyclics)

@@ -119,8 +119,8 @@ class FacePoset:
     def _derived_memo(self) -> dict:
         """Structure that depends on the faces alone, immutable values, each
         kind read and written by its one owner: ("incidence", p) -> D_p, by
-        ``conormal.incidence_matrix``; ("diagonal", p) and ("unit rank", p,
-        c) -> invariants of D_p, by ``conormal._boundary_invariant``; and
+        ``conormal.incidence_matrix``; ("invariants", p, c) -> (rank, N) of
+        D_p over Z or mod c, by ``conormal._boundary_invariant``; and
         "corner_graph" -> the corner graph, by ``obstruction._corner_graph``."""
         return {}
 

@@ -27,7 +27,7 @@ from cornerindex.abelian import (
     tor,
 )
 from cornerindex.abelian import DimensionError, InternalConsistencyError, cokernel_presentation, smith_normal_form
-from cornerindex.conormal import _embed_chain, _Path, build_complex, homology, periodize
+from cornerindex.conormal import ConormalChainComplex, _embed_chain, _Path, build_complex, homology, periodize
 from cornerindex.faces import Face, FacePoset, FilteredPair
 from cornerindex.families import FiberAutomorphism, check_embeddable, gallery, quotient_family, GALLERY_NAMES
 
@@ -554,6 +554,40 @@ def reference_homology(complex):
     result = SimpleNamespace(complex=complex, groups=groups, representatives=representatives)
     result.periodized = periodize(result)
     return result
+
+
+def random_torsion_pair(rng, entries=(0, 0, 1, 2, 3, 4, 6, -2, -6)) -> tuple[IntegerHom, IntegerHom]:
+    """Integer matrices (B, A) with B A = 0 and, mostly, torsion in
+    ker B / im A: A = U [S; 0] and B = P V, where U is unimodular, V is the
+    rows of U^-1 below the first k, and S (k rows) and P are random with
+    ``entries``."""
+    n = rng.randint(1, 6)
+    k, a, b = rng.randint(0, n), rng.randint(1, 5), rng.randint(1, 5)
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    U_inv = [row[:] for row in U]
+    for _ in range(2 * n if n > 1 else 0):
+        # row i of U += q row j, so column j of U_inv -= q column i
+        i, j = rng.sample(range(n), 2)
+        q = rng.choice((-1, 1, 2))
+        U[i] = [x + q * y for x, y in zip(U[i], U[j])]
+        for row in U_inv:
+            row[j] -= q * row[i]
+    S = [[rng.choice(entries) for _ in range(b)] for _ in range(k)]
+    P = [[rng.choice(entries) for _ in range(n - k)] for _ in range(a)]
+    A = [[sum(U[i][t] * S[t][j] for t in range(k)) for j in range(b)] for i in range(n)]
+    B = [[sum(P[i][t] * U_inv[k + t][j] for t in range(n - k)) for j in range(n)] for i in range(a)]
+    return IntegerHom.from_rows(B, width=n), IntegerHom.from_rows(A, width=b)
+
+
+def torsion_complex(B: IntegerHom, A: IntegerHom, G: FGAbelianGroup) -> ConormalChainComplex:
+    """The complex C_2 -A-> C_1 -B-> C_0 over ``G``, as :func:`build_complex`
+    lays out a pair (X_2, X_-1), with a fresh pair of poset memos.  No poset
+    has these boundary maps; ``homology`` reads only the pair's bounds and
+    memos and the complex's matrices."""
+    memos = SimpleNamespace(_derived_memo={}, _homology_memo={})
+    bases = {p: tuple(map(str, range(n))) for p, n in enumerate((B.rows, B.cols, A.cols))}
+    boundary = {0: IntegerHom.zero(0, B.rows), 1: B, 2: A}
+    return ConormalChainComplex(SimpleNamespace(base=memos, low=-1, high=2), G, (0, 1, 2), bases, boundary)
 
 
 def reference_six_term_maps(poset: FacePoset, q: int, m: int, l: int, G) -> dict[str, IntegerHom]:

@@ -127,6 +127,14 @@ def test_homology_bad_coefficient(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("form", ["Z/", "Z^"])
+def test_homology_coefficient_with_too_many_digits_is_an_input_error(capsys, form):
+    # 5000 digits are past the interpreter's limit on int() of a string;
+    # that is an unparsable coefficient expression, exit 2, not a domain failure
+    code, out, err = run(capsys, "homology", DATA / "square_poset.json", "--coeff", form + "9" * 5000)
+    assert (code, out) == (2, "") and "too many digits" in err and len(err) < 200
+
+
 def test_parse_coefficient_drops_zero_terms():
     assert documents.parse_coefficient("Z + 0") == FGAbelianGroup(1)
     assert documents.parse_coefficient("0") == FGAbelianGroup(0)

@@ -38,10 +38,12 @@ from helpers import (
     product,
     random_codim2_poset,
     random_valid_poset,
+    random_torsion_pair,
     rebind,
     reference_homology,
     reference_six_term_maps,
     reference_smith_normal_form,
+    torsion_complex,
     uct_assembly,
 )
 
@@ -313,76 +315,140 @@ def _engine_posets():
 
 
 def test_split_degrees_present_the_group_the_cycle_path_finds():
-    # in a degree where both boundaries clear by unit pivots mod c, with
-    # ranks r and r', the group is (Z/c)^(n - r - r'); the SNF path of the
-    # cycles over [D_p | c*I] must present that same group
-    split = 0
+    # in every degree, split or not, the group read off the invariants of
+    # D_p and D_{p+1} mod c is the one the SNF path of the cycles over
+    # [D_p | c*I] presents; the torsion complexes below reach the blocks
+    # with no unit entry that these posets rarely leave
+    checked = 0
     for poset in _engine_posets():
         d = poset.codimension()
         for low, high in itertools.combinations(range(-1, d + 1), 2):
-            complex = build_complex(FilteredPair(poset, low, high), Z)
+            for c in ENGINE_MODULI:
+                complex = build_complex(FilteredPair(poset, low, high), zmod(c))
+                summands = homology(complex).summands
+                for p in complex.degrees:
+                    group, _ = _Path(c).homology(complex.boundary[p], complex.boundary_or_zero(p + 1))
+                    assert summands[p, c] == group, (poset, low, high, p, c)
+                    checked += 1
+    assert checked > 2000, checked
+
+
+TORSION_MODULI = (2, 3, 4, 6, 8, 9, 12, 36)
+
+
+def test_every_degree_of_a_torsion_complex_presents_the_group_the_cycle_path_finds():
+    # the oracle for the residual block: on complexes C_2 -A-> C_1 -B-> C_0
+    # with B A = 0 and torsion over Z, each degree's group from the
+    # invariants, over Z and over Z/c, is the one the SNF path presents,
+    # including in the cases where B or A has an invariant mod c that is
+    # neither 1 nor 0
+    rng = random.Random(2901)
+    residual = 0
+    for _ in range(600):
+        B, A = random_torsion_pair(rng)
+        assert B.compose(A).is_zero()
+        for c in (0,) + TORSION_MODULI:
+            complex = torsion_complex(B, A, zmod(c))
+            summands = homology(complex).summands
             for p in complex.degrees:
-                Dp, Dp1 = complex.boundary[p], complex.boundary_or_zero(p + 1)
-                for c in ENGINE_MODULI:
-                    r, r1 = conormal._unit_rank(Dp, c), conormal._unit_rank(Dp1, c)
-                    if r is None or r1 is None:
-                        continue
-                    group, _ = _Path(c).homology(Dp, Dp1)
-                    assert group == FGAbelianGroup(0, (c,) * (complex.dim(p) - r - r1)), (poset, low, high, p, c)
-                    split += 1
-    assert split > 2000, split
+                group, _ = _Path(c).homology(complex.boundary[p], complex.boundary_or_zero(p + 1))
+                assert summands[p, c] == group, (B, A, c, p)
+            residual += bool(c) and any(complex.pair.base._derived_memo["invariants", q, c][1] for q in (1, 2))
+    assert residual > 2000, residual
 
 
-def test_unit_rank_sticks_on_a_block_with_no_unit():
-    # [[2, 3]] mod 6 is onto Z/6, but no entry is a unit; [[2]] mod 4 has
-    # none either; each is left to the SNF path.  A unit met after a pivot,
-    # or in a row a pass has already gone by, is still taken
-    rank = conormal._unit_rank
-    assert rank(IntegerHom.from_rows([[2, 3]]), 6) is None
-    assert rank(IntegerHom.from_rows([[2]]), 4) is None
-    assert rank(IntegerHom.from_rows([[2, 0], [1, 1], [0, 3]]), 4) == 2
-    assert rank(IntegerHom.from_rows([[2, 2], [1, 3]]), 4) == 1
-    assert rank(IntegerHom.zero(3, 0), 4) == rank(IntegerHom.zero(0, 3), 4) == 0
-    assert rank(IntegerHom.from_rows([[4, 8], [12, -4]]), 4) == 0
+def test_invariants_mod_reads_a_block_with_no_unit_off_its_smith_diagonal():
+    # [[2, 3]] mod 6 is onto Z/6, but no entry is a unit; [[2]] and [[6]]
+    # mod 4 each leave the invariant 2; diag(2, 3) mod 6 is diag(1, 0).  A
+    # unit met after a pivot, or in a row a pass has already gone by, is
+    # still taken, and a prime modulus never leaves a block
+    invariants = conormal._invariants_mod
+    assert invariants(IntegerHom.from_rows([[2, 3]]), 6) == (1, ())
+    assert invariants(IntegerHom.from_rows([[2]]), 4) == (1, (2,))
+    assert invariants(IntegerHom.from_rows([[6]]), 4) == (1, (2,))
+    assert invariants(IntegerHom.from_rows([[2, 0], [0, 3]]), 6) == (1, ())
+    assert invariants(IntegerHom.from_rows([[4, 8], [12, -4]]), 4) == (0, ())
+    assert invariants(IntegerHom.from_rows([[2]]), 10**18 + 3) == (1, ())
+    assert invariants(IntegerHom.from_rows([[2, 0], [1, 1], [0, 3]]), 4) == (2, ())
+    assert invariants(IntegerHom.from_rows([[2, 2], [1, 3]]), 4) == (1, ())
+    assert invariants(IntegerHom.from_rows([[2, 0], [0, 6], [0, 0]]), 12) == (2, (2, 6))
+    assert invariants(IntegerHom.from_rows([[1, 1], [1, 3]]), 4) == (2, (2,))
+    assert invariants(IntegerHom.zero(3, 0), 4) == invariants(IntegerHom.zero(0, 3), 4) == (0, ())
 
 
-@pytest.mark.parametrize("stuck", ["every", "odd widths"])
-def test_homology_through_the_stuck_branch_matches_the_reference(monkeypatch, stuck):
-    # with the unit-pivot ranks forced to stick, on every matrix or on
-    # every one of odd width, the stuck degrees take the SNF path inside
-    # homology; groups, periodized groups and representatives still equal
-    # the frozen reference's
-    real = conormal._unit_rank
-    forced = (lambda A, c: None) if stuck == "every" else (lambda A, c: None if A.cols % 2 else real(A, c))
-    monkeypatch.setattr(conormal, "_unit_rank", forced)
-    calls = count_calls(monkeypatch, _Path, "homology")
-    rng = random.Random(2900)
+def test_invariants_mod_are_the_integer_invariants_taken_mod_c():
+    # the Smith invariants of A mod c are gcd(d, c) for the integer ones d,
+    # c standing for 0: checked against the unoptimized dense kernel
+    rng = random.Random(2902)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        A = IntegerHom.from_rows([[rng.choice((0, 0, 1, 2, 3, 4, -6, 9)) for _ in range(cols)] for _ in range(rows)])
+        D = reference_smith_normal_form(A).D.row_list()
+        for c in TORSION_MODULI:
+            mod_c = sorted(gcd(D[i][i] if i < A.cols else 0, c) for i in range(A.rows))
+            assert conormal._invariants_mod(A, c) == (sum(e < c for e in mod_c), tuple(e for e in mod_c if 1 < e < c))
+
+
+def test_homology_through_the_residual_block_matches_the_reference(monkeypatch):
+    # with no unit taken as a pivot, every nonzero boundary matrix goes mod
+    # c through the Smith diagonal of [block | c*I]; groups, periodized
+    # groups and representatives still equal the frozen reference's
+    monkeypatch.setattr(conormal, "gcd", lambda x, c: 0)
+    invariants = count_calls(monkeypatch, conormal, "_invariants_mod")
+    blocks = count_calls(monkeypatch, IntegerHom, "with_multiples")
+    rng, inside = random.Random(2900), 0
     posets = [cube(3), product(cube(1), kgon(4)), mobius_total()] + [random_codim2_poset(rng, 20) for _ in range(3)]
-    inside = 0
-    for G in (zmod(4), FGAbelianGroup(1, (4,)), FGAbelianGroup(2, (2, 6))):
+    for G in (zmod(4), FGAbelianGroup(1, (4,)), FGAbelianGroup(2, (2, 6)), zmod(12)):
         for poset in posets:
             d = poset.codimension()
             for low, high in ((-1, d), (0, d), (-1, d - 1)):
                 complex = build_complex(FilteredPair(dataclasses.replace(poset), low, high), G)
-                before = len(calls)
+                before = len(blocks)
                 result = homology(complex)
-                inside += len(calls) - before
+                inside += len(blocks) - before
                 eager = reference_homology(complex)
                 assert (result.groups, result.periodized) == (eager.groups, eager.periodized)
                 assert result.representatives == eager.representatives
-    assert inside > 50, inside
+    assert inside == len(invariants) > 100, (inside, len(invariants))
 
 
 @pytest.mark.parametrize("off", [1, -1])
 def test_a_unit_rank_off_by_one_raises_through_the_coefficient_check(monkeypatch, off):
-    # mutation control: a rank mod c one too high or too low changes a
+    # mutation control: a rank r mod c one too high or too low changes a
     # Z/c summand, and the assembly from the Smith diagonals over Z says so
-    real = conormal._unit_rank
-    monkeypatch.setattr(conormal, "_unit_rank", lambda A, c: max(0, real(A, c) + off))
+    real = conormal._invariants_mod
+
+    def mutated(A, c):
+        r, N = real(A, c)
+        return max(0, r + off), N
+
+    monkeypatch.setattr(conormal, "_invariants_mod", mutated)
     for G in (zmod(4), FGAbelianGroup(1, (4,)), zmod(10**18 + 3)):
         for poset in (cube(2), cube(3), kgon(5)):
             with pytest.raises(InternalConsistencyError, match="coefficient assembly"):
                 homology(build_complex(FilteredPair(poset, -1, poset.codimension()), G))
+
+
+def test_a_dropped_residual_invariant_raises_through_the_coefficient_check(monkeypatch):
+    # mutation control: an invariant mod c strictly between 1 and c left
+    # out loses its Z/e summand, which the Tor part of the assembly keeps
+    real = conormal._invariants_mod
+
+    def mutated(A, c):
+        r, N = real(A, c)
+        return r, N[1:]
+
+    monkeypatch.setattr(conormal, "_invariants_mod", mutated)
+    rng = random.Random(2903)
+    raised = 0
+    for _ in range(200):
+        B, A = random_torsion_pair(rng)
+        for c in TORSION_MODULI:
+            if real(B, c)[1] or real(A, c)[1]:
+                with pytest.raises(InternalConsistencyError, match="coefficient assembly"):
+                    homology(torsion_complex(B, A, zmod(c)))
+                raised += 1
+    assert raised > 300, raised
 
 
 def test_cycles_that_present_another_group_raise_when_read():
@@ -881,10 +947,10 @@ def test_each_path_reads_only_the_decompositions_it_made(monkeypatch, run):
     assert by_kind["cycles"] & by_kind["exactness"]
 
 
-def test_paths_are_made_only_by_homology_and_the_exactness_driver():
-    # the package names _Path only to make one in homology, for its stuck
-    # degrees, in the cycles of its result and in the exactness driver,
-    # and in annotations, so no two of them can share one
+def test_paths_are_made_only_by_the_cycles_and_the_exactness_driver():
+    # the package names _Path only to make one in the cycles of a homology
+    # result and in the exactness driver, and in annotations, so no two of
+    # them can share one, and homology itself makes none
     makers = []
     for file in sorted(Path(conormal.__file__).parent.glob("*.py")):
         for top in ast.parse(file.read_text(encoding="utf-8")).body:
@@ -904,7 +970,6 @@ def test_paths_are_made_only_by_homology_and_the_exactness_driver():
     assert sorted(makers) == [
         ("conormal.py", "HomologyResult", True),
         ("conormal.py", "_first_inexact", True),
-        ("conormal.py", "homology", True),
     ]
 
 
@@ -992,16 +1057,13 @@ def test_a_mutated_result_leaves_the_memo_unchanged():
     fresh = homology(build_complex(FilteredPair(cube(3), 0, 3), G))
     assert (later.groups, later.cycles, later.representatives) == (fresh.groups, fresh.cycles, fresh.representatives)
     # the homology memo keeps groups only, never a factorization, a cycle
-    # basis or a cycle; the invariants beside the incidence matrices are
-    # ints and tuples of ints
+    # basis or a cycle; the invariants beside the incidence matrices are,
+    # over Z and mod 4, pairs of an int and a tuple of ints
     assert poset._homology_memo and all(type(group) is FGAbelianGroup for group in poset._homology_memo.values())
     invariants = {key: value for key, value in poset._derived_memo.items() if key[0] != "incidence"}
-    assert {key[0] for key in invariants} == {"diagonal", "unit rank"}
-    for key, value in invariants.items():
-        if key[0] == "diagonal":
-            assert type(value) is tuple and all(type(d) is int for d in value)
-        else:
-            assert type(value) is int
+    assert {(key[0], key[2]) for key in invariants} == {("invariants", 0), ("invariants", 4)}
+    for (r, N) in invariants.values():
+        assert type(r) is int and type(N) is tuple and all(type(e) is int for e in N)
 
 
 def test_incidence_matrices_are_built_once_per_poset_and_degree(monkeypatch):

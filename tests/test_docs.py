@@ -47,6 +47,7 @@ _MODULE_REFERENCE = re.compile(
     r"\b(abelian|conormal|faces|families|obstruction|documents|cli)\.([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?"
 )
 _CLASS_REFERENCE = re.compile(r"(?<![\w.])([A-Z]\w*)\.([A-Za-z_]\w*)")
+_PRIVATE_REFERENCE = re.compile(r"(?<![\w.])(_[A-Za-z]\w*)(?:\.([A-Za-z_]\w*))?")
 
 
 def _has(owner, name: str) -> bool:
@@ -54,11 +55,13 @@ def _has(owner, name: str) -> bool:
 
 
 def test_readme_names_resolve():
-    # every backticked `module.name` of the package and `Class.attr` of an
-    # exported class names something that exists, so a deleted name cannot
-    # outlive its code in the README
+    # every backticked `module.name` of the package, `Class.attr` of an
+    # exported class and bare private `_name` or `_Name.attr` of a package
+    # module names something that exists, so a deleted or renamed name
+    # cannot outlive its code in the README
     spans = re.findall(r"`([^`\n]+)`", README.read_text(encoding="utf-8"))
     exported = {name: value for name, value in vars(cornerindex).items() if isinstance(value, type)}
+    modules = [importlib.import_module(f"cornerindex.{m.name}") for m in pkgutil.iter_modules(cornerindex.__path__)]
     checked, unresolved = 0, []
     for span in spans:
         for module, name, attr in _MODULE_REFERENCE.findall(span):
@@ -71,6 +74,10 @@ def test_readme_names_resolve():
                 checked += 1
                 if not _has(exported[cls], attr):
                     unresolved.append(span)
+        for name, attr in _PRIVATE_REFERENCE.findall(span):
+            checked += 1
+            if not any(_has(m, name) and (not attr or _has(getattr(m, name), attr)) for m in modules):
+                unresolved.append(span)
     assert checked >= 10 and unresolved == [], unresolved
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from math import gcd
 
 import pytest
 
@@ -647,9 +648,9 @@ def test_corner_graph_and_incidence_matrices_are_built_once_per_poset(monkeypatc
     assert len(graphs) == 3 and len(matrices) == 4
     # the memo keeps only immutable values: matrices, a graph of tuples and
     # the invariants homology reads off D_2 of (X_2, X_0), D_1 being zeroed
-    # there: its Smith diagonal and its rank mod 4
+    # there: (rank, invariants > 1) over Z and mod 4
     assert set(poset._derived_memo) == {
-        ("incidence", 1), ("incidence", 2), "corner_graph", ("diagonal", 2), ("unit rank", 2, 4)
+        ("incidence", 1), ("incidence", 2), "corner_graph", ("invariants", 2, 0), ("invariants", 2, 4)
     }
     for key, value in poset._derived_memo.items():
         if key == "corner_graph":
@@ -657,9 +658,11 @@ def test_corner_graph_and_incidence_matrices_are_built_once_per_poset(monkeypatc
             assert all(type(part) is tuple for part in value)
         elif key[0] == "incidence":
             assert type(value) is abelian.IntegerHom and value == incidence_matrix(anew, key[1])
-    D2 = incidence_matrix(anew, 2)
-    assert poset._derived_memo[("diagonal", 2)] == tuple(d for d in abelian.smith_normal_form(D2).diagonal if d)
-    assert poset._derived_memo[("unit rank", 2, 4)] == sum(1 for d in abelian.smith_normal_form(D2).diagonal if d % 2)
+    # the invariants mod 4 are gcd(d, 4) for the integer ones d, 4 meaning 0
+    diagonal = abelian.smith_normal_form(incidence_matrix(anew, 2)).diagonal
+    mod_4 = sorted(gcd(d, 4) for d in diagonal)
+    assert poset._derived_memo[("invariants", 2, 0)] == (sum(1 for d in diagonal if d), tuple(d for d in diagonal if d > 1))
+    assert poset._derived_memo[("invariants", 2, 4)] == (sum(e < 4 for e in mod_4), tuple(e for e in mod_4 if 1 < e < 4))
 
 
 def test_a_warm_memo_still_checks_the_forest_solve():
