@@ -389,27 +389,43 @@ def test_invariants_mod_are_the_integer_invariants_taken_mod_c():
             assert conormal._invariants_mod(A, c) == (sum(e < c for e in mod_c), tuple(e for e in mod_c if 1 < e < c))
 
 
-def test_homology_through_the_residual_block_matches_the_reference(monkeypatch):
-    # with no unit taken as a pivot, every nonzero boundary matrix goes mod
-    # c through the Smith diagonal of [block | c*I]; groups, periodized
-    # groups and representatives still equal the frozen reference's
-    monkeypatch.setattr(conormal, "gcd", lambda x, c: 0)
-    invariants = count_calls(monkeypatch, conormal, "_invariants_mod")
+@pytest.mark.parametrize("stuck", ["every", "odd widths"])
+def test_homology_through_the_stuck_branch_matches_the_reference(monkeypatch, stuck):
+    # with no unit taken as a pivot, on every boundary matrix or on every
+    # one of odd width, those left stuck go mod c through the Smith
+    # diagonal of [block | c*I]; groups, periodized groups and
+    # representatives still equal the frozen reference's
+    real = conormal._invariants_mod
     blocks = count_calls(monkeypatch, IntegerHom, "with_multiples")
-    rng, inside = random.Random(2900), 0
+    forced, unforced, inside = [], [], 0
+
+    def no_unit_pivot(A, c):
+        nonlocal inside
+        if stuck == "odd widths" and not A.cols % 2:
+            unforced.append(A)
+            return real(A, c)
+        forced.append(A)
+        before = len(blocks)
+        with monkeypatch.context() as m:
+            m.setattr(conormal, "gcd", lambda x, c: 0)
+            invariants = real(A, c)
+        inside += len(blocks) - before
+        return invariants
+
+    monkeypatch.setattr(conormal, "_invariants_mod", no_unit_pivot)
+    rng = random.Random(2900)
     posets = [cube(3), product(cube(1), kgon(4)), mobius_total()] + [random_codim2_poset(rng, 20) for _ in range(3)]
     for G in (zmod(4), FGAbelianGroup(1, (4,)), FGAbelianGroup(2, (2, 6)), zmod(12)):
         for poset in posets:
             d = poset.codimension()
             for low, high in ((-1, d), (0, d), (-1, d - 1)):
                 complex = build_complex(FilteredPair(dataclasses.replace(poset), low, high), G)
-                before = len(blocks)
                 result = homology(complex)
-                inside += len(blocks) - before
                 eager = reference_homology(complex)
                 assert (result.groups, result.periodized) == (eager.groups, eager.periodized)
                 assert result.representatives == eager.representatives
-    assert inside == len(invariants) > 100, (inside, len(invariants))
+    assert inside == len(forced) > 30, (inside, len(forced))
+    assert (stuck == "every") == (not unforced), len(unforced)
 
 
 @pytest.mark.parametrize("off", [1, -1])
