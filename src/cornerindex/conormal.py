@@ -5,9 +5,11 @@ the faces of each codimension p in (m, l], the differential is the signed
 incidence matrix, and degrees that fall into the quotiented range are zeroed.
 
 Homology over a coefficient group G is computed twice on purpose, by two
-engines: summand by summand, from the Smith invariants of the boundary
+engines: degree by degree, from the Smith invariants of the boundary
 matrices mod each c, and through the universal-coefficient assembly from the
-integer groups, read off their Smith diagonals.  Disagreement raises
+integer groups, read off their Smith diagonals.  The invariants of a
+poset's own incidence matrices are kept in its derived-structure memo, the
+one algebra memo that outlives a call.  Disagreement raises
 :class:`InternalConsistencyError`, which always indicates a bug.  Exactness
 of a six-term sequence is a theorem too, so a failed check raises instead of
 reporting.  It is checked at every degree of the triple's long exact
@@ -153,18 +155,19 @@ class ChainVector:
 class HomologyResult:
     """Per-degree homology of one complex, and its (even, odd) sum.
 
-    ``summands[p, c]`` is degree p over Z/c (Z for c = 0), for each modulus
-    of the coefficient.  ``cycles[p]``, built on first read by one _Path per
-    modulus, which must present the summands, holds one integer vector per
-    generator of degree p and the cyclic slot of the coefficient group it
-    lives in, in generator order; ``representatives`` lifts them to
-    :class:`ChainVector` on first read.
+    ``summands[p, c]`` holds the cyclic orders of degree p over Z/c, for
+    c = 0 (over Z) and each modulus of the coefficient.  ``cycles[p]``,
+    built on first read by one _Path per modulus, whose group must be the
+    one those orders make, holds one integer vector per generator of degree
+    p and the cyclic slot of the coefficient group it lives in, in
+    generator order; ``representatives`` lifts them to :class:`ChainVector`
+    on first read.
     """
 
     complex: ConormalChainComplex
     groups: dict[int, FGAbelianGroup]
     periodized: tuple[FGAbelianGroup, FGAbelianGroup]
-    summands: dict[tuple[int, int], FGAbelianGroup] = field(repr=False)
+    summands: dict[tuple[int, int], tuple[int, ...]] = field(repr=False)
 
     @cached_property
     def cycles(self) -> dict[int, list[tuple[int, list[int]]]]:
@@ -174,7 +177,7 @@ class HomologyResult:
         for p in complex.degrees:
             Dp, Dp1 = complex.boundary[p], complex.boundary_or_zero(p + 1)
             found = {c: path.homology(Dp, Dp1) for c, path in paths.items()}
-            if any(group != self.summands[p, c] for c, (group, _) in found.items()):
+            if any(g != FGAbelianGroup.from_cyclics(self.summands[p, c]) for c, (g, _) in found.items()):
                 raise InternalConsistencyError(f"a cycle basis presents another group in degree {p}")
             cycles[p] = [(slot, list(v)) for slot, c in enumerate(moduli) for v, _ in found[c][1]]
         return cycles
@@ -333,51 +336,48 @@ def _invariants_mod(A: IntegerHom, c: int) -> tuple[int, tuple[int, ...]]:
 
 def _boundary_invariant(complex: ConormalChainComplex, p: int, c: int) -> tuple[int, tuple[int, ...]]:
     """(r, N) of D_p, over Z off its Smith diagonal, mod c by :func:`_invariants_mod`.
-    (0, ()) where ``complex`` zeroes D_p or has no degree p; else kept once
-    per poset (D_p is :func:`incidence_matrix`) as ("invariants", p, c)."""
+    (0, ()) where ``complex`` zeroes D_p or has no degree p.  Kept once per
+    poset as ("invariants", p, c) when D_p is the poset's own incidence
+    matrix; any other D_p, as in a complex built or edited by hand, is read
+    afresh and not kept."""
     if p == complex.pair.low + 1 or p > complex.pair.high:
         return 0, ()
-    memo = complex.pair.base._derived_memo
-    key = ("invariants", p, c)
+    memo, Dp, key = complex.pair.base._derived_memo, complex.boundary[p], ("invariants", p, c)
+    if Dp is not memo.get(("incidence", p)):
+        memo = {}
     if key not in memo:
         if c:
-            memo[key] = _invariants_mod(complex.boundary[p], c)
+            memo[key] = _invariants_mod(Dp, c)
         else:
-            diagonal = [d for d in smith_normal_form(complex.boundary[p]).diagonal if d]
+            diagonal = [d for d in smith_normal_form(Dp).diagonal if d]
             memo[key] = len(diagonal), tuple(d for d in diagonal if d > 1)
     return memo[key]
+
+
+def _orders(complex: ConormalChainComplex, p: int, c: int) -> tuple[int, ...]:
+    """Degree p's cyclic orders over Z/c (Z at c = 0): (c,)^(n - r - r') + N' (+ N mod c)."""
+    (r, N), (r1, N1) = (_boundary_invariant(complex, q, c) for q in (p, p + 1))
+    return (c,) * (complex.dim(p) - r - r1) + N1 + (N if c else ())
 
 
 def homology(complex: ConormalChainComplex) -> HomologyResult:
     """Exact per-degree homology over the coefficient group.
 
-    Computed summand by summand from the :func:`_boundary_invariant` (r, N)
-    of D_p and (r', N') of D_{p+1}, and cross-checked on every call against
-    the assembly (H_p(Z) tensor G) + Tor(H_{p-1}(Z), G) of the Smith
-    diagonals over Z: two engines meet.  Over Z, ker D_p is saturated, so
+    Read degree by degree off the :func:`_boundary_invariant` (r, N) of D_p
+    and (r', N') of D_{p+1}, and cross-checked on every call against the
+    assembly (H_p(Z) tensor G) + Tor(H_{p-1}(Z), G) of the Smith diagonals
+    over Z: two engines meet.  Over Z, ker D_p is saturated, so
     H_p = Z^(n - r - r') + Z/e for each e in N'.  D lifts to Z with D^2 = 0
     and its invariants mod c are gcd(d, c) for its integer ones d, so over
     Z/c, H_p = (Z/c)^(n - r - r') + Z/e for each e in N' and each in N.
-
-    A complex from :func:`build_complex` is fixed at degree p by whether p
-    is its bottom (D_p zeroed) and its top (D_{p+1} absent), so the poset's
-    memo keys each summand (p, bottom, top, c); it holds groups only.
+    Each degree takes one canonical form over G and one over Z.
     """
-    G, pair = complex.coefficient, complex.pair
-    memo = pair.base._homology_memo
-
-    def summand(p: int, c: int) -> FGAbelianGroup:
-        key = (p, p == pair.low + 1, p == pair.high, c)
-        if key not in memo:
-            (r, N), (r1, N1) = (_boundary_invariant(complex, q, c) for q in (p, p + 1))
-            memo[key] = FGAbelianGroup.from_cyclics((c,) * (complex.dim(p) - r - r1) + N1 + (N if c else ()))
-        return memo[key]
-
-    integer = {p: summand(p, 0) for p in complex.degrees}
-    summands = {(p, c): summand(p, c) for p in complex.degrees for c in set(G.cyclic_summands())}
+    G, moduli = complex.coefficient, complex.coefficient.cyclic_summands()
+    summands = {(p, c): _orders(complex, p, c) for p in complex.degrees for c in {0, *moduli}}
+    integer = {p: FGAbelianGroup.from_cyclics(summands[p, 0]) for p in complex.degrees}
     groups: dict[int, FGAbelianGroup] = {}
     for p in complex.degrees:
-        direct = direct_sum(*(summands[p, c] for c in G.cyclic_summands()))
+        direct = FGAbelianGroup.from_cyclics([e for c in moduli for e in summands[p, c]])
         expected = direct_sum(tensor(integer[p], G), tor(integer.get(p - 1, FGAbelianGroup(0)), G))
         if direct != expected:
             raise InternalConsistencyError(
@@ -504,7 +504,7 @@ def _first_inexact(complexes, arrow, G: FGAbelianGroup, positions):
     lists (j, p, end): position (j, p) lies between (j - 1, p) and
     (j + 1, p), where (-1, p) is (2, p + 1) and (3, p) is (0, p - 1); with
     ``end``, the sequence ends there with the zero map.  Each modulus takes
-    a :class:`_Path` of its own, and the poset's homology memo is not read.
+    a :class:`_Path` of its own, and no poset memo is read.
     """
     zero = (IntegerHom.zero(0, 0),) * 2
 

@@ -12,9 +12,9 @@ those keys are its sorted index tuple, so every reader after validation
 takes a face's parents by position.  A poset is immutable: its fields are
 tuples and frozen faces, whatever sequences it was built from.  So its
 validation verdict, its per-codimension indices of faces and of face ids,
-its id -> face index, the homology memo of ``conormal.homology`` and the
-derived-structure memo (its incidence matrices and corner graph) are built
-on first read and kept on the object; validation keeps no parent map.
+its id -> face index and the derived-structure memo (its incidence
+matrices, their Smith invariants and its corner graph) are built on first
+read and kept on the object; validation keeps no parent map.
 
 Validation settles a passing face with one test: its codim equals the
 length of its tuple, every index is a known hypersurface, and its parents,
@@ -110,18 +110,14 @@ class FacePoset:
         return {f.id: f for f in self.faces}
 
     @cached_property
-    def _homology_memo(self) -> dict:
-        """(p, bottom, top, c) -> the group of that summand, read and
-        written by ``conormal.homology`` only."""
-        return {}
-
-    @cached_property
     def _derived_memo(self) -> dict:
-        """Structure that depends on the faces alone, immutable values, each
-        kind read and written by its one owner: ("incidence", p) -> D_p, by
-        ``conormal.incidence_matrix``; ("invariants", p, c) -> (rank, N) of
-        D_p over Z or mod c, by ``conormal._boundary_invariant``; and
-        "corner_graph" -> the corner graph, by ``obstruction._corner_graph``."""
+        """The poset's one algebra memo: structure that depends on the faces
+        alone, immutable values, each kind written by its one owner:
+        ("incidence", p) -> D_p, by ``conormal.incidence_matrix``;
+        ("invariants", p, c) -> (rank, N) of that D_p over Z or mod c, by
+        ``conormal._boundary_invariant``, which reads ("incidence", p) to
+        tell the poset's D_p from any other; and "corner_graph" -> the
+        corner graph, by ``obstruction._corner_graph``."""
         return {}
 
     @classmethod

@@ -581,13 +581,14 @@ def random_torsion_pair(rng, entries=(0, 0, 1, 2, 3, 4, 6, -2, -6)) -> tuple[Int
 
 def torsion_complex(B: IntegerHom, A: IntegerHom, G: FGAbelianGroup) -> ConormalChainComplex:
     """The complex C_2 -A-> C_1 -B-> C_0 over ``G``, as :func:`build_complex`
-    lays out a pair (X_2, X_-1), with a fresh pair of poset memos.  No poset
-    has these boundary maps; ``homology`` reads only the pair's bounds and
-    memos and the complex's matrices."""
-    memos = SimpleNamespace(_derived_memo={}, _homology_memo={})
+    lays out a pair (X_2, X_-1), on a stand-in poset whose fresh memo holds
+    B and A as its incidence matrices, so their invariants are kept there.
+    No poset has these boundary maps; ``homology`` reads only the pair's
+    bounds and memo and the complex's matrices."""
+    base = SimpleNamespace(_derived_memo={("incidence", 1): B, ("incidence", 2): A})
     bases = {p: tuple(map(str, range(n))) for p, n in enumerate((B.rows, B.cols, A.cols))}
     boundary = {0: IntegerHom.zero(0, B.rows), 1: B, 2: A}
-    return ConormalChainComplex(SimpleNamespace(base=memos, low=-1, high=2), G, (0, 1, 2), bases, boundary)
+    return ConormalChainComplex(SimpleNamespace(base=base, low=-1, high=2), G, (0, 1, 2), bases, boundary)
 
 
 def reference_six_term_maps(poset: FacePoset, q: int, m: int, l: int, G) -> dict[str, IntegerHom]:

@@ -721,6 +721,44 @@ def test_solve_rejects_an_element_of_another_group():
         solve(hom([[1]]), Z, [zmod(2).element([], [1])])
 
 
+def test_solve_polls_cancel_at_every_pivot_step_and_between_slots(monkeypatch):
+    # smith_normal_form polls once per pivot step and once more when no
+    # pivot is left, rank + 1 times; solve polls once per cyclic slot
+    # after the factorization, and a raising cancel aborts at any poll
+    A = hom([[2, 1, 0], [1, 1, 1], [0, 1, 3]])  # unimodular, so every target solves
+    polls = []
+    assert smith_normal_form(A, cancel=lambda: polls.append(1)).rank == 3 and len(polls) == 4
+    g = FGAbelianGroup(1, (2, 6))
+    target = [g.element([1], [1, 5]), g.element([-2], [0, 3]), g.element([4], [1, 1])]
+    expected, events = solve(A, g, target), []
+    factor = abelian.smith_normal_form
+
+    def traced(A, cancel=None):
+        events.append("snf")
+        s = factor(A, cancel=cancel)
+        events.append("factored")
+        return s
+
+    monkeypatch.setattr(abelian, "smith_normal_form", traced)
+    assert solve(A, g, target, cancel=lambda: events.append("poll")) == expected
+    assert events == ["snf"] + ["poll"] * 4 + ["factored"] + ["poll"] * 3
+
+    class Cancelled(Exception):
+        pass
+
+    for stop in range(1, 8):  # four polls inside the elimination, then one per slot
+        seen = []
+
+        def cancel():
+            seen.append(1)
+            if len(seen) == stop:
+                raise Cancelled
+
+        with pytest.raises(Cancelled):
+            solve(A, g, target, cancel=cancel)
+        assert len(seen) == stop
+
+
 @pytest.mark.parametrize(
     "group", [TRIVIAL, Z, zmod(4), FGAbelianGroup(2, (2, 6))], ids=["0", "Z", "Z/4", "Z^2+Z/2+Z/6"]
 )

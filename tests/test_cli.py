@@ -135,6 +135,33 @@ def test_homology_coefficient_with_too_many_digits_is_an_input_error(capsys, for
     assert (code, out) == (2, "") and "too many digits" in err and len(err) < 200
 
 
+def test_homology_unparsable_coefficient_term(capsys):
+    code, out, err = run(capsys, "homology", DATA / "square_poset.json", "--coeff", "Z + Q")
+    assert (code, out, err) == (2, "", "error: cannot parse coefficient term 'Q'\n")
+
+
+def test_a_path_that_cannot_be_opened_is_a_parse_failure(capsys, tmp_path):
+    missing = tmp_path / "missing.json"
+    code, out, err = run(capsys, "validate", missing)
+    assert (code, out) == (2, "") and err.startswith(f"error: cannot read {missing}: ")
+
+
+@pytest.mark.parametrize(
+    ("payload", "message"),
+    [
+        ({"K0B": {"rank": 1, "torsion": [4, 2]}, "K1B": {"rank": 0}},
+         "error: K0B: invariant factors must form a divisibility chain\n"),
+        ({"preset": "torus"}, "error: unknown K-theory preset 'torus' (available: point, circle)\n"),
+    ],
+    ids=["non-canonical-torsion", "unknown-preset"],
+)
+def test_bad_ktheory_document_is_a_parse_failure(capsys, tmp_path, payload, message):
+    path = tmp_path / "ktheory.json"
+    path.write_text(json.dumps({"kind": "ktheory", "version": 1, "payload": payload}))
+    code, out, err = run(capsys, "obstruction", DATA / "square_poset.json", path)
+    assert (code, out, err) == (2, "", message)
+
+
 def test_parse_coefficient_drops_zero_terms():
     assert documents.parse_coefficient("Z + 0") == FGAbelianGroup(1)
     assert documents.parse_coefficient("0") == FGAbelianGroup(0)
@@ -192,11 +219,16 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
 
 
 def test_shape_error_inside_the_algebra_is_internal(capsys, monkeypatch):
-    # a boundary matrix of the wrong shape is a bug, not a domain failure
-    monkeypatch.setattr(conormal, "incidence_matrix", lambda poset, p: IntegerHom.zero(1, 1))
+    # a boundary matrix with one row too many is a bug, not a domain
+    # failure: D_1 D_2 cannot be composed, and the DimensionError, a
+    # ValueError, exits 4 rather than 1
+    def one_row_too_many(poset, p):
+        return IntegerHom.zero(len(poset.faces_of_codim(p - 1)) + 1, len(poset.faces_of_codim(p)))
+
+    monkeypatch.setattr(conormal, "incidence_matrix", one_row_too_many)
     code, out, err = run(capsys, "homology", DATA / "square_poset.json")
     assert (code, out) == (EXIT_INTERNAL, "")
-    assert err.startswith("internal error: ")
+    assert err == "internal error: composition shape mismatch\n"
 
 
 def test_symbol_coordinate_count_mismatch_is_a_domain_failure(capsys, tmp_path):

@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 from cornerindex import abelian, conormal, faces
-from cornerindex.abelian import FGAbelianGroup, IntegerHom, InternalConsistencyError
+from cornerindex.abelian import FGAbelianGroup, IntegerHom, InternalConsistencyError, tensor
 from cornerindex.conormal import (
     ChainVector,
+    ConormalChainComplex,
     _Path,
     build_complex,
     connected_boundary_ses,
@@ -328,7 +329,7 @@ def test_split_degrees_present_the_group_the_cycle_path_finds():
                 summands = homology(complex).summands
                 for p in complex.degrees:
                     group, _ = _Path(c).homology(complex.boundary[p], complex.boundary_or_zero(p + 1))
-                    assert summands[p, c] == group, (poset, low, high, p, c)
+                    assert FGAbelianGroup.from_cyclics(summands[p, c]) == group, (poset, low, high, p, c)
                     checked += 1
     assert checked > 2000, checked
 
@@ -352,7 +353,7 @@ def test_every_degree_of_a_torsion_complex_presents_the_group_the_cycle_path_fin
             summands = homology(complex).summands
             for p in complex.degrees:
                 group, _ = _Path(c).homology(complex.boundary[p], complex.boundary_or_zero(p + 1))
-                assert summands[p, c] == group, (B, A, c, p)
+                assert FGAbelianGroup.from_cyclics(summands[p, c]) == group, (B, A, c, p)
             residual += bool(c) and any(complex.pair.base._derived_memo["invariants", q, c][1] for q in (1, 2))
     assert residual > 2000, residual
 
@@ -468,14 +469,92 @@ def test_a_dropped_residual_invariant_raises_through_the_coefficient_check(monke
 
 
 def test_cycles_that_present_another_group_raise_when_read():
-    # mutation control for the check on first read of the cycles: a
-    # summand that the cycle path of its degree does not present
+    # mutation control for the check on first read of the cycles: cyclic
+    # orders that the cycle path of their degree does not present
     result = homology(build_complex(FilteredPair(cube(2), -1, 2), FGAbelianGroup(1, (4,))))
-    key = next(key for key, group in result.summands.items() if key[1] == 4 and group != FGAbelianGroup(0))
-    wrong = dataclasses.replace(result, summands={**result.summands, key: FGAbelianGroup(0)})
+    key = next(key for key, orders in result.summands.items() if key[1] == 4 and any(e != 1 for e in orders))
+    wrong = dataclasses.replace(result, summands={**result.summands, key: ()})
     with pytest.raises(InternalConsistencyError, match=f"presents another group in degree {key[0]}"):
         wrong.cycles
     assert result.cycles.keys() == result.groups.keys()
+
+
+def _doubled(A: IntegerHom) -> IntegerHom:
+    return IntegerHom(A.rows, A.cols, tuple(tuple((i, 2 * x) for i, x in column) for column in A.nonzero))
+
+
+@pytest.mark.parametrize("G", [Z, zmod(4), FGAbelianGroup(1, (4,))], ids=["Z", "Z4", "Z+Z4"])
+def test_a_hand_built_or_edited_complex_leaves_the_poset_invariants_alone(G):
+    # the poset keeps the invariants of its own incidence matrices only: a
+    # complex with D_1 doubled (D_1 D_2 is still 0), whether built by hand
+    # on a cold poset or edited after build_complex on a warm one, reads
+    # its own and stores nothing, and the poset's complexes keep theirs
+    poset = cube(2)
+    pair = FilteredPair(poset, -1, 2)
+    built = build_complex(pair, G)
+    doubled = {**built.boundary, 1: _doubled(built.boundary[1])}
+    by_hand = ConormalChainComplex(pair, G, built.degrees, built.bases, doubled)
+    assert homology(by_hand).groups[0] == tensor(zmod(2), G) != TRIVIAL
+    assert not any(key[:2] == ("invariants", 1) for key in poset._derived_memo)
+    assert homology(build_complex(pair, G)).groups[0] == TRIVIAL
+    edited = build_complex(pair, G)
+    edited.boundary[1] = _doubled(edited.boundary[1])
+    for complex in (by_hand, edited, build_complex(pair, G)):
+        result, reference = homology(complex), reference_homology(complex)
+        assert (result.groups, result.periodized) == (reference.groups, reference.periodized)
+        assert result.representatives == reference.representatives
+
+
+def test_cycles_mod_c_short_of_full_rank_raise_when_read(monkeypatch):
+    # mutation control: a kernel of [D_p | c*I] that lost a column is not
+    # the full-rank cycle lattice mod c, and the first read of the cycles
+    # says so
+    result = homology(build_complex(FilteredPair(cube(2), -1, 2), zmod(4)))
+    kernel_of = abelian.SNFDecomposition.kernel
+
+    def short(self):
+        kernel = kernel_of(self)
+        return IntegerHom(kernel.rows, kernel.cols - 1, kernel.nonzero[:-1])
+
+    monkeypatch.setattr(abelian.SNFDecomposition, "kernel", short)
+    with pytest.raises(InternalConsistencyError, match="cycle lattice mod c is not full rank"):
+        result.cycles
+
+
+@pytest.mark.parametrize("G", [Z, zmod(4)], ids=["Z", "Z4"])
+def test_a_relation_outside_the_cycles_raises_when_read(G):
+    # mutation control: with one sign of D_2 flipped, D_1 D_2 is not 0, so
+    # a relation of degree 1 is not a cycle, and the first read of the
+    # cycles says so
+    complex = build_complex(FilteredPair(cube(2), -1, 2), G)
+    D2 = complex.boundary[2]
+    (row, x), *rest = D2.nonzero[0]
+    complex.boundary[2] = IntegerHom(D2.rows, D2.cols, (((row, -x), *rest), *D2.nonzero[1:]))
+    with pytest.raises(InternalConsistencyError, match="a relation escapes the cycle lattice"):
+        homology(complex).cycles
+
+
+@pytest.mark.parametrize("c", [0, 4])
+def test_boundary_ses_with_a_zeroed_connecting_map_raises(monkeypatch, c):
+    # mutation control: with the connecting map D_1 of the triple (-1, 0, d)
+    # zeroed, H_1(X, X_0) -> H_0(X_0) is not onto, and the sequence says so
+    G = zmod(c)  # zmod(0) is Z
+    connected_boundary_ses(square(), G)
+    triple_of = conormal._triple
+
+    def breaking(*args):
+        complexes, arrow = triple_of(*args)
+
+        def broken_arrow(j, p):
+            part = arrow(j, p)
+            return IntegerHom.zero(part.rows, part.cols) if j == 2 else part
+
+        return complexes, broken_arrow
+
+    monkeypatch.setattr(conormal, "_triple", breaking)
+    message = f"boundary short exact sequence fails with cyclic coefficient {c}"
+    with pytest.raises(InternalConsistencyError, match=message):
+        connected_boundary_ses(square(), G)
 
 
 @pytest.mark.parametrize(
@@ -793,7 +872,7 @@ def _snf_split(monkeypatch):
     return split
 
 
-def test_exactness_memo_lives_for_one_call_and_homology_memo_on_the_poset(monkeypatch):
+def test_exactness_memo_lives_for_one_call_and_the_invariants_on_the_poset(monkeypatch):
     G = FGAbelianGroup(1, (4,))
     split = _snf_split(monkeypatch)
 
@@ -808,7 +887,7 @@ def test_exactness_memo_lives_for_one_call_and_homology_memo_on_the_poset(monkey
     six_term(warm, -1, 0, 2, G)
     assert split(lambda: connected_boundary_ses(warm, G)) == (0, 10)
 
-    # the homology memo lives on the poset object
+    # the invariants live on the poset object; homology keeps nothing else
     poset = square()
     shown = (repr(poset), hash(poset))
     pair = FilteredPair(poset, -1, 2)
@@ -1019,27 +1098,6 @@ def test_no_path_factors_a_zero_matrix_for_its_kernel(monkeypatch):
     assert zero_kernels and set(zero_kernels) == {0}
 
 
-def test_degrees_that_share_a_memo_key_share_their_matrices():
-    # the lemma behind the homology memo: in a complex build_complex makes,
-    # degree p's (D_p, D_{p+1}) depends only on p, on whether p is the
-    # bottom and on whether it is the top
-    rng = random.Random(1600)
-    posets = [poset for _, poset in gallery_posets()] + [cube(d) for d in (1, 2, 3, 4)]
-    posets += [kgon(k) for k in range(3, 10)] + [random_valid_poset(rng) for _ in range(20)]
-    shared = 0
-    for poset in posets:
-        d = poset.codimension()
-        seen = {}
-        for low, high in itertools.combinations_with_replacement(range(-1, d + 1), 2):
-            complex = build_complex(FilteredPair(poset, low, high), Z)
-            for p in complex.degrees:
-                key = (p, p == low + 1, p == high)
-                matrices = (complex.boundary[p], complex.boundary_or_zero(p + 1))
-                shared += key in seen
-                assert seen.setdefault(key, matrices) == matrices
-    assert shared > 60
-
-
 @pytest.mark.parametrize(
     "G", [Z, zmod(4), FGAbelianGroup(1, (4,)), FGAbelianGroup(2, (2, 6))], ids=["Z", "Z4", "Z+Z4", "Z2+Z2+Z6"]
 )
@@ -1056,7 +1114,7 @@ def test_homology_with_a_warm_memo_equals_homology_on_a_fresh_poset(G):
             cold = homology(build_complex(FilteredPair(dataclasses.replace(poset), low, high), G))
             assert (warm.groups, warm.periodized, warm.cycles) == (cold.groups, cold.periodized, cold.cycles)
             assert warm.representatives == cold.representatives
-        assert poset._homology_memo
+        assert any(key[0] == "invariants" for key in poset._derived_memo)
 
 
 def test_a_mutated_result_leaves_the_memo_unchanged():
@@ -1072,10 +1130,9 @@ def test_a_mutated_result_leaves_the_memo_unchanged():
     later = homology(build_complex(pair, G))
     fresh = homology(build_complex(FilteredPair(cube(3), 0, 3), G))
     assert (later.groups, later.cycles, later.representatives) == (fresh.groups, fresh.cycles, fresh.representatives)
-    # the homology memo keeps groups only, never a factorization, a cycle
-    # basis or a cycle; the invariants beside the incidence matrices are,
-    # over Z and mod 4, pairs of an int and a tuple of ints
-    assert poset._homology_memo and all(type(group) is FGAbelianGroup for group in poset._homology_memo.values())
+    # the poset memo keeps no group, factorization, cycle basis or cycle:
+    # beside the incidence matrices it holds the invariants, over Z and
+    # mod 4 pairs of an int and a tuple of ints
     invariants = {key: value for key, value in poset._derived_memo.items() if key[0] != "incidence"}
     assert {(key[0], key[2]) for key in invariants} == {("invariants", 0), ("invariants", 4)}
     for (r, N) in invariants.values():
@@ -1130,15 +1187,15 @@ def test_a_warm_memo_still_checks_that_the_boundary_squares_to_zero():
 
 def test_each_poset_memo_is_read_only_by_its_owners():
     # in the package, only incidence_matrix, _boundary_invariant and
-    # _corner_graph name the derived-structure memo, and only homology
-    # names the homology memo
+    # _corner_graph name the derived-structure memo, the poset's one
+    # algebra memo
+    assert [name for name in vars(FacePoset) if name.endswith("_memo")] == ["_derived_memo"]
     owners = {
         "_derived_memo": {
             ("conormal.py", "incidence_matrix"),
             ("conormal.py", "_boundary_invariant"),
             ("obstruction.py", "_corner_graph"),
         },
-        "_homology_memo": {("conormal.py", "homology")},
     }
     found = {name: set() for name in owners}
     outside = []

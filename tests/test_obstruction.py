@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from cornerindex import abelian, conormal, faces, obstruction
-from cornerindex.abelian import FGAbelianGroup, InternalConsistencyError, direct_sum, power
+from cornerindex.abelian import FGAbelianGroup, IntegerHom, InternalConsistencyError, direct_sum, power
 from cornerindex.conormal import build_complex, incidence_matrix
 from cornerindex.faces import FacePoset, FilteredPair, require_valid
 from cornerindex.families import gallery, quotient_family
@@ -92,6 +92,20 @@ def test_codim1_groups_homology_once_per_pair_and_group(monkeypatch, ktheory, pa
     validations = count_calls(monkeypatch, faces, "_violations")
     codim1_groups(interval(), ktheory)
     assert (len(homologies), len(validations)) == (pairs_times_groups, 1)
+
+
+@pytest.mark.parametrize("ktheory", [KTheoryInput.point(), KTheoryInput.circle()], ids=["point", "circle"])
+def test_codim1_groups_raise_when_homology_loses_its_boundary(monkeypatch, ktheory):
+    # mutation control: with every incidence matrix zeroed, H_1(X) gains a
+    # summand that the closed formula for K_*(A_1) does not have
+    codim1_groups(interval(), ktheory)
+
+    def zeroed(poset, p):
+        return IntegerHom.zero(len(poset.faces_of_codim(p - 1)), len(poset.faces_of_codim(p)))
+
+    monkeypatch.setattr(conormal, "incidence_matrix", zeroed)
+    with pytest.raises(InternalConsistencyError, match="codimension-1 formula .* disagrees with homology"):
+        codim1_groups(interval(), ktheory)
 
 
 def test_codim1_groups_rejects_wrong_codim():
